@@ -47,6 +47,7 @@ from .quantum import (
     is_entangled_pure,
     maximally_mixed,
     measure_pair,
+    pair_mi_table,
     partial_trace,
     product_state,
     pure_state,
@@ -82,7 +83,8 @@ __all__ = [
     "MarkovChainSpec", "build_tripartite", "conditional_mutual_information", "is_markov",
     # quantum
     "DensityMatrix", "MeasurementSettings", "partial_trace", "von_neumann_entropy",
-    "conditional_quantum_entropy", "is_entangled_pure", "measure_pair", "cerf_adami_quantum",
+    "conditional_quantum_entropy", "is_entangled_pure", "measure_pair", "pair_mi_table",
+    "cerf_adami_quantum",
     "singlet", "bell_state", "werner_state", "pure_state", "product_state", "maximally_mixed",
     # violation search
     "SearchResult", "grid_search", "refine", "grid_refine", "werner_threshold",

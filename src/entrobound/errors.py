@@ -122,6 +122,10 @@ class ResolutionTooSmallError(EntroboundError):
     """Grid resolution below the operation's minimum."""
 
 
+class ResolutionTooLargeError(ValidationError):
+    """Grid resolution above GRID_MAX_RESOLUTION, which bounds time and memory."""
+
+
 class MonotonicityViolatedError(EntroboundError):
     """Sampled max-LHS values are not nondecreasing in the Werner parameter."""
 

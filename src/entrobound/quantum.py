@@ -17,17 +17,18 @@ Matrix serialization::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dist import JointDistribution
-from .entropy import EntropyValue, _check_base, _clamp, mutual_entropy
+from .dist import NORMALIZATION_ATOL, JointDistribution
+from .entropy import CLAMP_ATOL, EntropyValue, _check_base, _clamp
 from .errors import (
     DimensionMismatchError,
     InternalError,
     InvalidDensityMatrixError,
     InvalidSubsystemError,
+    NotNormalizedError,
     NotPositiveSemidefiniteError,
     NotPureError,
     ValidationError,
@@ -42,6 +43,9 @@ MARGINAL_UNIFORM_ATOL = 1e-6
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 _I2 = np.eye(2)
+_OUTCOME_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # outcome index 0 is +1
+# Pairs per kernel chunk: bounds the stacked Kronecker products to a few MB.
+_CHUNK_PAIRS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,9 +236,93 @@ def is_entangled_pure(rho: DensityMatrix) -> bool:
     return conditional_quantum_entropy(rho, target=1, given=0).value < -EIGENVALUE_ATOL
 
 
-def _projector(angle: float, sign: float) -> np.ndarray:
-    direction = math.sin(angle) * _SIGMA_X + math.cos(angle) * _SIGMA_Z
-    return (_I2 + sign * direction) / 2.0
+def _projectors(angles: list[float]) -> np.ndarray:
+    """Spin projectors (I +/- n(theta).sigma)/2, shape (len(angles), 2 outcomes, 2, 2).
+
+    math.sin/math.cos and elementwise products keep every entry bit-identical
+    to building each projector on its own.
+    """
+    sin = np.array([math.sin(a) for a in angles]).reshape(-1, 1, 1)
+    cos = np.array([math.cos(a) for a in angles]).reshape(-1, 1, 1)
+    direction = sin * _SIGMA_X + cos * _SIGMA_Z
+    return (_I2 + _OUTCOME_SIGNS * direction[:, None]) / 2.0
+
+
+def _pair_tables(rho: DensityMatrix, angles_x: list[float], angles_y: list[float]) -> np.ndarray:
+    """Outcome tables p[x, y, i, j] = tr[rho (P_i(x) kron P_j(y))], clamped at 0.
+
+    Shape (len(angles_x), len(angles_y), 2, 2).  The Kronecker products are
+    laid out as np.kron would build them and contracted in one einsum, so
+    every probability matches a per-pair evaluation bit for bit.
+    """
+    if (rho.dim_a, rho.dim_b) != (2, 2):
+        raise DimensionMismatchError(f"need a two-qubit state, got dims ({rho.dim_a}, {rho.dim_b})")
+    px, py = _projectors(angles_x), _projectors(angles_y)
+    kron = px[:, None, :, None, :, None, :, None] * py[None, :, None, :, None, :, None, :]
+    kron = kron.reshape(len(angles_x), len(angles_y), 2, 2, 4, 4)
+    p = np.einsum("ab,...ba->...", rho.matrix, kron).real
+    low = p < -EIGENVALUE_ATOL
+    if low.any():
+        raise InternalError(f"measurement probability {p[low][0]} below -{EIGENVALUE_ATOL}")
+    return np.maximum(p, 0.0)
+
+
+def _normalized(tables: np.ndarray) -> np.ndarray:
+    """The validation and renormalisation JointDistribution applies, over a stack of 2x2 tables."""
+    if not np.all(np.isfinite(tables)):
+        raise ValidationError("probabilities must be finite")
+    total = ((tables[..., 0, 0] + tables[..., 0, 1]) + tables[..., 1, 0]) + tables[..., 1, 1]
+    off = np.abs(total - 1.0) > NORMALIZATION_ATOL
+    if off.any():
+        raise NotNormalizedError(
+            f"probabilities sum to {total[off][0]}, expected 1 within {NORMALIZATION_ATOL}"
+        )
+    return tables / total[..., None, None]
+
+
+def _neg_plogp_bits(*probs: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over same-shape arrays, summed left to right, zero terms adding 0."""
+    total = 0.0
+    for p in probs:
+        positive = p > 0.0
+        total = total + np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
+    return -total
+
+
+def _mutual_information(tables: np.ndarray) -> np.ndarray:
+    """H(X:Y) in bits of each 2x2 table, as mutual_entropy(JointDistribution(t), 0, 1).
+
+    Tables are renormalised twice, as the JointDistribution constructor and
+    then marginalize do, and the result is clamped like entropy._clamp.
+    """
+    t = _normalized(_normalized(tables))
+    p00, p01, p10, p11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
+    hx = _neg_plogp_bits(p00 + p01, p10 + p11)
+    hy = _neg_plogp_bits(p00 + p10, p01 + p11)
+    mi = (hx + hy) - _neg_plogp_bits(p00, p01, p10, p11)
+    bad = ~(mi >= -CLAMP_ATOL)
+    if bad.any():
+        raise InternalError(f"mutual entropy = {mi[bad][0]}, negative beyond tolerance {CLAMP_ATOL}")
+    return np.where(mi > 0.0, mi, 0.0)
+
+
+def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
+    """Mutual information in bits of every ordered pair of spin measurements.
+
+    ``table[x, y]`` is H(X:Y) of measuring angles_x[x] on the first qubit and
+    angles_y[y] on the second, bit-identical to
+    ``mutual_entropy(measure_pair(rho, angles_x[x], angles_y[y]), 0, 1).value``.
+    Rows are evaluated in chunks, so working memory stays bounded for any
+    table size.
+    """
+    ax = [float(a) for a in angles_x]
+    ay = [float(a) for a in angles_y]
+    table = np.empty((len(ax), len(ay)))
+    rows = max(1, _CHUNK_PAIRS // max(1, len(ay)))
+    for start in range(0, len(ax), rows):
+        chunk = _pair_tables(rho, ax[start:start + rows], ay)
+        table[start:start + len(chunk)] = _mutual_information(chunk)
+    return table
 
 
 def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDistribution:
@@ -244,18 +332,7 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     and index 1 to outcome -1 on each side:
     p(i, j) = tr[rho (P_i(angle_1) x P_j(angle_2))].
     """
-    if (rho.dim_a, rho.dim_b) != (2, 2):
-        raise DimensionMismatchError(f"need a two-qubit state, got dims ({rho.dim_a}, {rho.dim_b})")
-    table = np.empty((2, 2))
-    for i, sa in enumerate((1.0, -1.0)):
-        pa = _projector(float(angle_1), sa)
-        for j, sb in enumerate((1.0, -1.0)):
-            pb = _projector(float(angle_2), sb)
-            p = float(np.einsum("ij,ji->", rho.matrix, np.kron(pa, pb)).real)
-            if p < -EIGENVALUE_ATOL:
-                raise InternalError(f"measurement probability {p} below -{EIGENVALUE_ATOL}")
-            table[i, j] = max(p, 0.0)
-    return JointDistribution((2, 2), table)
+    return JointDistribution((2, 2), _pair_tables(rho, [float(angle_1)], [float(angle_2)])[0, 0])
 
 
 def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> InequalityReport:
@@ -269,34 +346,29 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
     from uniform by more than 1e-6.
     """
     theta_a, theta_b, theta_c = settings.angles
+    # One 2x2 evaluation on [A, B] x [B, C]; cell (B, B) is not used.
+    tables = _pair_tables(rho, [theta_a, theta_b], [theta_b, theta_c])
+    mi = _mutual_information(tables)
+    probs = _normalized(tables)  # as measure_pair's JointDistribution holds them
     pairs = {
-        "H(A:B)": (("A", theta_a), ("B", theta_b)),
-        "H(A:C)": (("A", theta_a), ("C", theta_c)),
-        "H(B:C)": (("B", theta_b), ("C", theta_c)),
+        "H(A:B)": ("A", "B", 0, 0),
+        "H(A:C)": ("A", "C", 0, 1),
+        "H(B:C)": ("B", "C", 1, 1),
     }
-    mis: dict[str, EntropyValue] = {}
     warnings: list[str] = []
-    for label, ((n1, a1), (n2, a2)) in pairs.items():
-        dist = measure_pair(rho, a1, a2)
-        mis[label] = mutual_entropy(dist, 0, 1)
+    for label, (n1, n2, x, y) in pairs.items():
         for setting_name, axis in ((n1, 1), (n2, 0)):
-            marginal = dist.probs.sum(axis=axis)
+            marginal = probs[x, y].sum(axis=axis)
             deviation = float(np.max(np.abs(marginal - 0.5)))
             if deviation > MARGINAL_UNIFORM_ATOL:
                 warnings.append(
                     f"setting {setting_name} marginal in {label} deviates from uniform by {deviation:.3g}"
                 )
-    report = cerf_adami_check(mis["H(A:B)"], mis["H(A:C)"], mis["H(B:C)"], bound=1.0, source="pairwise")
+    report = cerf_adami_check(
+        *(EntropyValue(float(mi[x, y]), 2.0) for _, _, x, y in pairs.values()), bound=1.0, source="pairwise"
+    )
     meta = dict(report.meta)
     meta["angles"] = [float(a) for a in settings.angles]
     meta["marginals_uniform"] = not warnings
     meta["warnings"] = warnings
-    return InequalityReport(
-        name=report.name,
-        lhs=report.lhs,
-        rhs=report.rhs,
-        terms=report.terms,
-        satisfied=report.satisfied,
-        margin=report.margin,
-        meta=meta,
-    )
+    return replace(report, meta=meta)

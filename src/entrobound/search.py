@@ -3,33 +3,125 @@
 The search space is three angles in the x-z plane on [0, pi); for the
 singlet family that planar restriction is lossless.  The grid evaluator
 exploits the fact that the LHS depends only on the three pairwise mutual
-informations, so it computes the resolution^2 pairwise MI table once and
-assembles the resolution^3 LHS cube from it; the reported trace is still
-one entry per grid cell in lexicographic order, exactly as if every cell
-had been evaluated independently.  Local refinement is a derivative-free
-coordinate search (the LHS has absolute-value kinks, so no gradients).
+informations: it computes the ordered resolution^2 pair-MI table in one
+kernel call and reduces the resolution^3 LHS cube from it in row chunks,
+so memory stays O(resolution^2).  The trace still holds one entry per grid
+cell in lexicographic order, exactly as if every cell had been evaluated
+independently, but each entry is computed when it is read.  Local
+refinement is a derivative-free coordinate search (the LHS has
+absolute-value kinks, so no gradients).
 
 Everything here is deterministic: identical inputs give identical results,
-including trace order, with ties broken by the lexicographically smallest
-angle triple.
+including trace order.  The grid winner is the first cell, in lexicographic
+order, holding the largest float LHS.  Cells that tie mathematically can
+differ in their last bits, so that is not always the lexicographically
+smallest of the mathematically tied angle triples.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import mutual_entropy
-from .errors import MonotonicityViolatedError, ResolutionTooSmallError, ValidationError
+from .errors import MonotonicityViolatedError, ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
 from .inequalities import SATISFIED_ATOL
-from .quantum import DensityMatrix, MeasurementSettings, cerf_adami_quantum, measure_pair, werner_state
+from .quantum import DensityMatrix, MeasurementSettings, cerf_adami_quantum, pair_mi_table, werner_state
 
 GRID_MIN_RESOLUTION = 8
+# The pair-MI table is resolution^2 float64 and the cube is reduced in
+# chunks, so this cap bounds memory (~8 MB table) and time (~resolution^3).
+GRID_MAX_RESOLUTION = 1024
 WERNER_MIN_RESOLUTION = 32
 WERNER_MONOTONE_ATOL = 1e-6
+# Cube cells per reduction chunk: an 8 MB buffer reused across chunks.
+_CUBE_CHUNK_CELLS = 1 << 20
 
-Trace = tuple[tuple[tuple[float, float, float], float], ...]
+
+class _GridCells:
+    """The resolution^3 cells of one grid, computed on access from the pair-MI table.
+
+    Cell (i, j, k) is |MI(i, j) - MI(i, k)| + MI(j, k), the same float
+    arithmetic the cube reduction uses.
+    """
+
+    __slots__ = ("angles", "mi")
+
+    def __init__(self, angles: tuple[float, ...], mi: np.ndarray) -> None:
+        self.angles = angles
+        self.mi = mi
+
+    def __len__(self) -> int:
+        return len(self.angles) ** 3
+
+    def __getitem__(self, index: int):
+        n, a, mi = len(self.angles), self.angles, self.mi
+        i, rest = divmod(index, n * n)
+        j, k = divmod(rest, n)
+        return (a[i], a[j], a[k]), float(abs(mi[i, j] - mi[i, k]) + mi[j, k])
+
+    def __iter__(self):
+        a, mi = self.angles, self.mi
+        for i, ai in enumerate(a):
+            block = (np.abs(mi[i, :, None] - mi[i, None, :]) + mi).tolist()
+            for aj, row in zip(a, block):
+                for ak, lhs in zip(a, row):
+                    yield (ai, aj, ak), lhs
+
+
+class Trace(Sequence):
+    """Read-only sequence of ``((theta_A, theta_B, theta_C), lhs)`` evaluations.
+
+    Grid parts are computed entry by entry on access; ``+`` concatenates
+    without materialising anything.  Supports ``len``, int, negative and
+    slice indexing (a slice is a tuple), iteration and ``hash``, and
+    compares equal to a tuple or another trace holding the same entries.
+    """
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, *parts) -> None:
+        self._parts = parts
+
+    def __len__(self) -> int:
+        return sum(len(part) for part in self._parts)
+
+    def __getitem__(self, index):
+        position = range(len(self))[index]  # int/negative/slice semantics and errors of a tuple
+        if isinstance(position, range):
+            return tuple(self[i] for i in position)
+        for part in self._parts:
+            if position < len(part):
+                return part[position]
+            position -= len(part)
+
+    def __iter__(self):
+        for part in self._parts:
+            yield from part
+
+    def __add__(self, other):
+        if isinstance(other, Trace):
+            return Trace(*self._parts, *other._parts)
+        if isinstance(other, tuple):
+            return Trace(*self._parts, other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, tuple):
+            return Trace(other, *self._parts)
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Trace, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Trace(<{len(self)} entries>)"
 
 
 @dataclass(frozen=True)
@@ -65,41 +157,52 @@ def _lhs_at(rho: DensityMatrix, angles: tuple[float, float, float]) -> float:
     return cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs
 
 
+def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """Max and first argmax of lhs[i, j, k] = |mi[i, j] - mi[i, k]| + mi[j, k].
+
+    Reduced in chunks of rows of i into one reused buffer; a later chunk
+    wins only when strictly larger, so the first occurrence is kept.
+    """
+    n = len(mi)
+    buffer = np.empty((max(1, _CUBE_CHUNK_CELLS // (n * n)), n, n))
+    best, best_index = -math.inf, 0
+    for start in range(0, n, len(buffer)):
+        rows = mi[start:start + len(buffer)]
+        block = buffer[:len(rows)]
+        np.subtract(rows[:, :, None], rows[:, None, :], out=block)
+        np.abs(block, out=block)
+        np.add(block, mi, out=block)
+        index = int(np.argmax(block))
+        if block.flat[index] > best:
+            best, best_index = float(block.flat[index]), start * n * n + index
+    i, j, k = np.unravel_index(best_index, (n, n, n))
+    return best, (int(i), int(j), int(k))
+
+
 def grid_search(rho: DensityMatrix, resolution: int) -> SearchResult:
     """Evaluate the LHS on the full 3-angle grid over [0, pi)^3.
 
-    Grid angles are i * pi/resolution.  Deterministic; the winner under
-    ties is the lexicographically smallest (theta_A, theta_B, theta_C).
+    Grid angles are i * pi/resolution, for resolutions from
+    GRID_MIN_RESOLUTION to GRID_MAX_RESOLUTION.  Deterministic; the winner
+    is the first cell in lexicographic (theta_A, theta_B, theta_C) order
+    that holds the largest float LHS.
     """
     resolution = int(resolution)
     if resolution < GRID_MIN_RESOLUTION:
         raise ResolutionTooSmallError(f"resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}")
+    if resolution > GRID_MAX_RESOLUTION:
+        raise ResolutionTooLargeError(f"resolution must be <= {GRID_MAX_RESOLUTION}, got {resolution}")
     step = math.pi / resolution
-    angles = [i * step for i in range(resolution)]
+    angles = tuple(i * step for i in range(resolution))
 
-    mi = np.empty((resolution, resolution))
-    for i in range(resolution):
-        for j in range(i, resolution):
-            value = mutual_entropy(measure_pair(rho, angles[i], angles[j]), 0, 1).value
-            mi[i, j] = value
-            mi[j, i] = value
-
-    # lhs[i,j,k] = |MI(i,j) - MI(i,k)| + MI(j,k)
-    cube = np.abs(mi[:, :, None] - mi[:, None, :]) + mi[None, :, :]
-    flat = cube.ravel()
-    best_index = int(np.argmax(flat))  # first occurrence: lexicographic tie-break
-    best = float(flat[best_index])
-    bi, bj, bk = np.unravel_index(best_index, cube.shape)
-
-    trace = tuple(
-        ((angles[i], angles[j], angles[k]), float(cube[i, j, k]))
-        for i, j, k in np.ndindex(cube.shape)
-    )
+    mi = pair_mi_table(rho, angles, angles)
+    mi.setflags(write=False)
+    best, (bi, bj, bk) = _cube_argmax(mi)
     return SearchResult(
         best_settings=MeasurementSettings((angles[bi], angles[bj], angles[bk])),
         best_lhs=best,
         margin=best - 1.0,
-        trace=trace,
+        trace=Trace(_GridCells(angles, mi)),
         grid_resolution=resolution,
         refined=False,
     )
@@ -151,7 +254,7 @@ def refine(
         best_settings=MeasurementSettings(tuple(current)),
         best_lhs=current_lhs,
         margin=current_lhs - 1.0,
-        trace=tuple(trace),
+        trace=Trace(tuple(trace)),
         grid_resolution=resolution,
         refined=True,
     )

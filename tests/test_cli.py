@@ -237,3 +237,13 @@ def test_float_rendering_is_12_significant_digits(capsys):
     code, out, _ = run_cli(capsys, "quantum", "--state", "singlet", "--angles", "0,0.3927,0.7854")
     assert code == 1
     assert '"lhs": 1.13422279326' in out
+
+
+@pytest.mark.parametrize(
+    "extra", [["--state", "singlet"], ["--state", "singlet", "--no-refine"], ["--werner-threshold"]]
+)
+def test_search_resolution_above_cap_is_exit_2(capsys, extra):
+    code, out, err = run_cli(capsys, "search", "--resolution", "1025", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "resolution must be <= 1024" in err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import (
     DensityMatrix,
@@ -13,6 +15,7 @@ from entrobound import (
     maximally_mixed,
     measure_pair,
     mutual_entropy,
+    pair_mi_table,
     partial_trace,
     product_state,
     pure_state,
@@ -25,6 +28,7 @@ from entrobound import (
 )
 from entrobound.errors import (
     DimensionMismatchError,
+    InternalError,
     InvalidDensityMatrixError,
     InvalidSubsystemError,
     NotPositiveSemidefiniteError,
@@ -32,7 +36,16 @@ from entrobound.errors import (
     ValidationError,
 )
 
-from conftest import h2, random_pure_two_qubit, singlet_mi, singlet_pair_probs
+from conftest import (
+    h2,
+    random_mixed_state,
+    random_pure_two_qubit,
+    reference_measure_pair,
+    reference_pair_mi,
+    singlet_mi,
+    singlet_pair_probs,
+    werner_mi,
+)
 
 
 def test_density_matrix_rejects_non_hermitian():
@@ -310,3 +323,75 @@ def test_measure_pair_right_angle_settings():
     # at exactly pi/2 apart the correlation vanishes
     d = measure_pair(singlet(), 0.0, math.pi / 2)
     np.testing.assert_allclose(d.probs, np.full((2, 2), 0.25), atol=1e-12)
+
+
+# --- pair_mi_table: the batched kernel ----------------------------------------------
+
+_angle = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+_angles = st.lists(_angle, min_size=1, max_size=5)
+
+
+@st.composite
+def _two_qubit_states(draw):
+    if draw(st.booleans()):
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        return DensityMatrix(2, 2, random_mixed_state(np.random.default_rng(seed)))
+    return werner_state(draw(st.floats(min_value=0.0, max_value=1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=_two_qubit_states(), angles_x=_angles, angles_y=_angles)
+def test_pair_mi_table_is_bit_identical_to_scalar_reference(rho, angles_x, angles_y):
+    table = pair_mi_table(rho, angles_x, angles_y)
+    expected = np.array([[reference_pair_mi(rho, a, b) for b in angles_y] for a in angles_x])
+    assert table.shape == expected.shape
+    assert np.array_equal(table, expected)
+
+
+def test_measure_pair_is_bit_identical_to_scalar_reference():
+    rng = np.random.default_rng(90)
+    for _ in range(20):
+        rho = DensityMatrix(2, 2, random_mixed_state(rng))
+        a1, a2 = rng.uniform(-4.0, 4.0, size=2)
+        assert np.array_equal(measure_pair(rho, a1, a2).probs, reference_measure_pair(rho, a1, a2).probs)
+
+
+def test_pair_mi_table_singlet_closed_form():
+    angles = np.linspace(0.0, math.pi, 25, endpoint=False)
+    table = pair_mi_table(singlet(), angles, angles[::-1])
+    for x, a in enumerate(angles):
+        for y, b in enumerate(angles[::-1]):
+            assert abs(table[x, y] - singlet_mi(a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.8, 0.97, 1.0])
+def test_pair_mi_table_werner_closed_form(p):
+    angles = np.linspace(0.0, math.pi, 16, endpoint=False) + 0.05
+    table = pair_mi_table(werner_state(p), angles, angles)
+    for x, a in enumerate(angles):
+        for y, b in enumerate(angles):
+            assert abs(table[x, y] - werner_mi(p, a, b)) <= 1e-12
+
+
+def test_pair_mi_table_spans_chunks():
+    # more rows than fit one chunk: the chunked rows equal row-by-row calls
+    rho = DensityMatrix(2, 2, random_mixed_state(np.random.default_rng(91)))
+    angles = np.linspace(0.0, math.pi, 130, endpoint=False)
+    table = pair_mi_table(rho, angles, angles)
+    for x in (0, 31, 32, 64, 129):
+        assert np.array_equal(table[x], pair_mi_table(rho, angles[x:x + 1], angles)[0])
+
+
+def test_pair_mi_table_raises_on_negative_probability():
+    # not a state: bypass validation to feed the kernel <01|rho|01> = -0.5
+    bad = object.__new__(DensityMatrix)
+    object.__setattr__(bad, "dim_a", 2)
+    object.__setattr__(bad, "dim_b", 2)
+    object.__setattr__(bad, "matrix", np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(InternalError, match="below -1e-09"):
+        pair_mi_table(bad, [0.0], [0.0])
+
+
+def test_pair_mi_table_rejects_wrong_dims():
+    with pytest.raises(DimensionMismatchError):
+        pair_mi_table(partial_trace(singlet(), keep=0), [0.0], [0.0])

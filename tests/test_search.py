@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from entrobound import (
+    DensityMatrix,
     MeasurementSettings,
     grid_refine,
     grid_search,
@@ -14,9 +16,10 @@ from entrobound import (
     werner_state,
     werner_threshold,
 )
-from entrobound.errors import ResolutionTooSmallError, ValidationError
+from entrobound.errors import ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
+from entrobound.search import GRID_MAX_RESOLUTION
 
-from conftest import singlet_mi
+from conftest import brute_entropy_bits, random_mixed_state, singlet_mi, spin_projector
 
 # Regression constants, frozen from the first run of this implementation and
 # cross-checked against the closed-form singlet statistics (see the oracle
@@ -191,3 +194,102 @@ def test_observed_violations_coincide_with_negative_conditional_entropy():
             observed.append((result.best_lhs, s_cond))
             assert s_cond < 0.0
     assert observed, "expected at least one violating state in the family"
+
+
+def _independent_grid_cube(rho_matrix: np.ndarray, resolution: int) -> np.ndarray:
+    """LHS cube from tr[rho (P_i x P_j)] and plain-loop entropies, ordered pairs throughout."""
+    step = math.pi / resolution
+    mi = np.empty((resolution, resolution))
+    for i in range(resolution):
+        for j in range(resolution):
+            table = np.array([
+                [np.trace(rho_matrix @ np.kron(spin_projector(i * step, sa), spin_projector(j * step, sb))).real
+                 for sb in (1.0, -1.0)]
+                for sa in (1.0, -1.0)
+            ])
+            mi[i, j] = (brute_entropy_bits(table.sum(axis=1)) + brute_entropy_bits(table.sum(axis=0))
+                        - brute_entropy_bits(table))
+    return np.abs(mi[:, :, None] - mi[:, None, :]) + mi[None, :, :]
+
+
+@pytest.mark.parametrize("resolution", [8, 16])
+def test_grid_search_on_state_that_is_not_swap_symmetric(resolution):
+    # Regression: the pair-MI table was filled as if MI(i, j) == MI(j, i).
+    m = random_mixed_state(np.random.default_rng(2024))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    assert np.max(np.abs(m - swap @ m @ swap)) > 0.05
+    cube = _independent_grid_cube(m, resolution)
+    result = grid_search(DensityMatrix(2, 2, m), resolution)
+    got = np.array([lhs for _, lhs in result.trace]).reshape(cube.shape)
+    assert np.max(np.abs(got - cube)) <= 1e-12
+    assert result.best_lhs == pytest.approx(float(cube.max()), abs=1e-12)
+    step = math.pi / resolution
+    cell = tuple(round(a / step) for a in result.best_settings.angles)
+    assert cube[cell] == pytest.approx(result.best_lhs, abs=1e-12)
+
+
+def test_grid_search_rejects_resolution_above_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolutionTooLargeError):
+            grid_search(singlet(), GRID_MAX_RESOLUTION + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert issubclass(ResolutionTooLargeError, ValidationError)
+
+
+def test_grid_memory_stays_quadratic_in_resolution():
+    # a res^3 cube at res 256 would take 128 MB; the chunked reduction needs ~10 MB
+    tracemalloc.start()
+    try:
+        result = grid_search(werner_state(0.9), 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(result.trace) == 256 ** 3
+
+
+def test_grid_trace_sequence_semantics():
+    res = 8
+    result = grid_search(werner_state(0.9), res)
+    trace = result.trace
+    entries = tuple(trace)
+    assert len(entries) == len(trace) == res ** 3
+    assert trace[-1] == entries[-1] and trace[-res ** 3] == entries[0]
+    assert trace[np.int64(77)] == entries[77]
+    assert trace[5:40:3] == entries[5:40:3] and trace[::-1] == entries[::-1]
+    with pytest.raises(IndexError):
+        trace[res ** 3]
+    with pytest.raises(TypeError):
+        trace[1.0]
+    assert trace == entries and entries == trace and trace != entries[:-1]
+    assert trace == grid_search(werner_state(0.9), res).trace
+    assert hash(trace) == hash(entries)
+    assert hash(result) == hash(grid_search(werner_state(0.9), res))
+    assert [trace[i] for i in range(len(trace))] == list(entries)
+
+
+def test_grid_refine_trace_concatenates_lazily():
+    rho = werner_state(0.97)
+    coarse = grid_search(rho, 8)
+    fine = refine(rho, coarse.best_settings, tol=1e-3, resolution=8)
+    combined = grid_refine(rho, 8, tol=1e-3)
+    assert combined.trace == tuple(coarse.trace) + tuple(fine.trace)
+    assert len(combined.trace) == 8 ** 3 + len(fine.trace)
+    assert combined.trace[8 ** 3] == fine.trace[0] and combined.trace[-1] == fine.trace[-1]
+    assert (fine.trace + coarse.trace)[0] == fine.trace[0]
+    assert tuple(fine.trace) + coarse.trace == fine.trace + coarse.trace
+
+
+def test_grid_search_exact_ties_keep_the_first_cell_across_chunks():
+    # every cell of the maximally mixed state is exactly 0; at res 128 the
+    # cube is reduced in several chunks, and the first cell must still win
+    from entrobound.search import _CUBE_CHUNK_CELLS
+
+    assert 128 ** 3 > _CUBE_CHUNK_CELLS
+    result = grid_search(maximally_mixed(), 128)
+    assert result.best_lhs == 0.0
+    assert result.best_settings.angles == (0.0, 0.0, 0.0)
