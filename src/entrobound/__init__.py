@@ -15,6 +15,7 @@ from .entropy import (
     boltzmann_entropy,
     conditional_entropy,
     convert_base,
+    entropy_vector,
     mixing_entropy,
     mutual_entropy,
     relative_entropy,
@@ -74,7 +75,7 @@ __all__ = [
     "JointDistribution", "marginalize", "product", "mix", "validate", "validate_table",
     # entropies
     "EntropyValue", "shannon_entropy", "relative_entropy", "mutual_entropy",
-    "conditional_entropy", "boltzmann_entropy", "convert_base", "mixing_entropy",
+    "conditional_entropy", "boltzmann_entropy", "convert_base", "mixing_entropy", "entropy_vector",
     # inequality checks
     "InequalityReport", "triangle_check", "joint_triangle_check", "two_hb_bound_check",
     "narrowed_bound_check", "cerf_adami_check", "cerf_adami_classical", "marginal_bound",

@@ -77,10 +77,10 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
-        if self.base <= 1.0:
-            raise ValidationError(f"base must be > 1, got {self.base}")
+        if not math.isfinite(self.tolerance) or self.tolerance <= 0.0:
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if not math.isfinite(self.base) or self.base <= 1.0:
+            raise ValidationError(f"base must be finite and > 1, got {self.base}")
 
 
 # --- deterministic rendering ---------------------------------------------------
@@ -116,14 +116,16 @@ def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
 
 
 def _emit(payload: dict, fmt: str, out: TextIO) -> None:
+    reports = payload.get("reports")
+    if fmt == "csv" and reports is not None:
+        out.write(reports_to_csv(reports))
+        return
+    if reports is not None:
+        payload = {**payload, "reports": [r.to_dict() for r in reports]}
     if fmt == "json":
         out.write(_render_json(payload) + "\n")
         return
     if fmt == "csv":
-        reports = payload.get("reports")
-        if reports is not None:
-            out.write(reports_to_csv([_report_from_dict(r) for r in reports]))
-            return
         rows: list[tuple[str, str]] = []
         _flatten("", payload, rows)
         out.write("key,value\n")
@@ -138,13 +140,6 @@ def _emit(payload: dict, fmt: str, out: TextIO) -> None:
         out.write(f"{key.ljust(width)}  {value}\n")
 
 
-def _report_from_dict(d: dict) -> InequalityReport:
-    return InequalityReport(
-        name=d["name"], lhs=d["lhs"], rhs=d["rhs"], terms=d["terms"],
-        satisfied=d["satisfied"], margin=d["margin"], meta=d.get("meta", {}),
-    )
-
-
 # --- input loading ---------------------------------------------------------------
 
 def _load_json(path: str) -> dict:
@@ -153,35 +148,33 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_distribution(path: str) -> JointDistribution:
+def _load(path: str, kind: str, from_dict):
     payload = _load_json(path)
     try:
-        return JointDistribution.from_dict(payload)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path} is not a distribution file: missing {exc}") from exc
+        return from_dict(payload)
+    except KeyError as exc:
+        raise ParseError(f"{path} is not a {kind} file: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path} is not a {kind} file: {exc}") from exc
+
+
+def _load_distribution(path: str) -> JointDistribution:
+    return _load(path, "distribution", JointDistribution.from_dict)
 
 
 def _load_markov_spec(path: str) -> MarkovChainSpec:
-    payload = _load_json(path)
-    try:
-        return MarkovChainSpec.from_dict(payload)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path} is not a Markov spec file: missing {exc}") from exc
+    return _load(path, "Markov spec", MarkovChainSpec.from_dict)
 
 
 def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
     if (name is None) == (path is None):
         raise ValidationError("provide exactly one of --state or --state-file")
     if path is not None:
-        payload = _load_json(path)
-        try:
-            return DensityMatrix.from_dict(payload)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path} is not a density-matrix file: missing {exc}") from exc
+        return _load(path, "density-matrix", DensityMatrix.from_dict)
     key = name.strip().lower()
     if key == "singlet" or key == "bell-psi-minus":
         return singlet()
@@ -189,7 +182,11 @@ def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
     if key in bell:
         return bell_state(bell[key])
     if key.startswith("werner:"):
-        return werner_state(float(key.split(":", 1)[1]))
+        try:
+            p = float(key.split(":", 1)[1])
+        except ValueError as exc:
+            raise ValidationError(f"bad Werner parameter in {name!r}: {exc}") from exc
+        return werner_state(p)
     raise ValidationError(
         f"unknown state {name!r}; expected singlet, bell-phi-plus, bell-phi-minus, "
         f"bell-psi-plus, bell-psi-minus, or werner:p"
@@ -248,7 +245,7 @@ def _cmd_inequality(config: RunConfig) -> tuple[dict, int]:
         "command": "inequality",
         "markov": is_markov(d),
         "violations": violations,
-        "reports": [r.to_dict() for r in reports],
+        "reports": reports,
     }
     return payload, 0 if violations == 0 else 1
 
@@ -265,7 +262,7 @@ def _cmd_markov(config: RunConfig) -> tuple[dict, int]:
         "is_markov_forward": is_markov(d, (0, 1, 2)),
         "is_markov_reverse": is_markov(d, (2, 1, 0)),
         "violations": violations,
-        "reports": [r.to_dict() for r in reports],
+        "reports": reports,
     }
     if config.options.get("emit_joint"):
         payload["joint"] = d.to_dict()
@@ -294,7 +291,7 @@ def _cmd_quantum(config: RunConfig) -> tuple[dict, int]:
         "command": "quantum",
         "diagnostics": diagnostics,
         "violations": 0 if report.satisfied else 1,
-        "reports": [report.to_dict()],
+        "reports": [report],
     }
     return payload, 0 if report.satisfied else 1
 

@@ -25,6 +25,7 @@ from .errors import (
     MixtureMismatchError,
     SameVariableError,
     ShapeMismatchError,
+    WrongArityError,
     ZeroMultiplicityError,
 )
 
@@ -125,6 +126,42 @@ def mutual_entropy(d: JointDistribution, var_x: int, var_y: int) -> EntropyValue
     hy = _plogp_bits(pair.probs.sum(axis=0))
     hxy = _plogp_bits(pair.probs.ravel())
     return EntropyValue(_clamp(hx + hy - hxy, "mutual entropy"), 2.0)
+
+
+_SUBSETS = ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))
+
+
+def _label(variables, sep: str = ",") -> str:
+    """Report label of a subset entropy, e.g. H(A,C); with ``sep=":"`` a pair MI, H(A:C)."""
+    return "H(" + sep.join("ABC"[i] for i in sorted(variables)) + ")"
+
+
+def entropy_vector(d: JointDistribution) -> dict[str, float]:
+    """Every unconditional entropy of a tripartite distribution, in bits.
+
+    Keys are report labels: the subset entropies ``"H(A)"`` ... ``"H(A,B,C)"``
+    and the pair mutual informations ``"H(A:B)"``, ``"H(A:C)"``, ``"H(B:C)"``.
+    Every classical check is a linear form in these entries.  Each value is
+    bit-identical to its one-quantity path: a marginal is renormalized as
+    :func:`~entrobound.dist.marginalize` does, ``H(A,B,C)`` is
+    :func:`shannon_entropy` of the table itself, and each pair MI comes from
+    its own pair table's marginals, as in :func:`mutual_entropy`.
+    """
+    if d.num_vars != 3:
+        raise WrongArityError(f"need a tripartite distribution, got {d.num_vars} variables")
+    h: dict[str, float] = {}
+    pairs = {}
+    for keep in _SUBSETS:
+        m = d.probs.sum(axis=tuple(i for i in range(3) if i not in keep))
+        m = m / m.sum()
+        h[_label(keep)] = _clamp(_plogp_bits(m.ravel()), "entropy")
+        if len(keep) == 2:
+            pairs[_label(keep, ":")] = m
+    h["H(A,B,C)"] = _clamp(_plogp_bits(d.probs.ravel()), "entropy")
+    for label, m in pairs.items():
+        mi = _plogp_bits(m.sum(axis=1)) + _plogp_bits(m.sum(axis=0)) - _plogp_bits(m.ravel())
+        h[label] = _clamp(mi, "mutual entropy")
+    return h
 
 
 def conditional_entropy(d: JointDistribution, target: int, given: int) -> EntropyValue:

@@ -2,8 +2,12 @@
 
 Each check evaluates one inequality on a tripartite distribution (or, for
 the Cerf-Adami bound, on three supplied mutual informations) and returns an
-immutable :class:`InequalityReport` in ``lhs <= rhs`` form.  Checks never
-reject inputs for failing a structural assumption: the plain
+immutable :class:`InequalityReport` in ``lhs <= rhs`` form.  The classical
+checks read every term from one :func:`~entrobound.entropy.entropy_vector`
+of unconditional entropies: each side of the triangle, 2H(B), narrowed and
+data-processing checks is a linear form in it, and the classical Cerf-Adami
+check takes three of its entries.  Checks never reject inputs for failing
+a structural assumption: the plain
 mutual-information triangle, for instance, is only guaranteed on Markov
 distributions, and demonstrating its failure off-Markov is part of what the
 reports are for.  Satisfaction tolerance is fixed at 1e-9 absolute.
@@ -14,10 +18,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .dist import JointDistribution, marginalize
-from .entropy import EntropyValue, convert_base, mutual_entropy, shannon_entropy
+from .dist import JointDistribution
+from .entropy import EntropyValue, convert_base, entropy_vector
 from .errors import NegativeMutualInformationError, WrongArityError
 
 SATISFIED_ATOL = 1e-9
@@ -66,17 +70,45 @@ def _report(name: str, lhs: float, rhs: float, terms: dict[str, float], meta: di
     )
 
 
-def _require_tripartite(d: JointDistribution) -> None:
-    if d.num_vars != 3:
-        raise WrongArityError(f"need a tripartite distribution, got {d.num_vars} variables")
+# A row is a linear form over the entropy vector: ((coefficient, label), ...).
+_MI_SUM = ((1.0, "H(A:B)"), (1.0, "H(B:C)"), (-1.0, "H(A:C)"))
+_MI_TERMS = ("H(A:B)", "H(B:C)", "H(A:C)")
+
+# name -> (lhs row, rhs row, term labels, meta)
+_CHECKS = {
+    "triangle": (((1.0, "H(A:C)"),), ((1.0, "H(A:B)"), (1.0, "H(B:C)")), _MI_TERMS,
+                 {"requires_markov": True}),
+    "joint_triangle": (((1.0, "H(A,C)"),), ((1.0, "H(A,B)"), (1.0, "H(B,C)")),
+                       ("H(A,B)", "H(B,C)", "H(A,C)"), {}),
+    "two_hb_bound": (_MI_SUM, ((2.0, "H(B)"),), _MI_TERMS + ("H(B)",), {}),
+    "narrowed_bound": (_MI_SUM, ((1.0, "H(B)"),), _MI_TERMS + ("H(B)",), {}),
+    "dpi_forward_source": (((1.0, "H(A:B)"),), ((1.0, "H(A)"),), ("H(A:B)", "H(A)"), {}),
+    "dpi_forward_chain": (((1.0, "H(A:C)"),), ((1.0, "H(A:B)"),), ("H(A:C)", "H(A:B)"),
+                          {"requires_markov": True}),
+    "dpi_reverse_source": (((1.0, "H(C:B)"),), ((1.0, "H(C)"),), ("H(C:B)", "H(C)"), {}),
+    "dpi_reverse_chain": (((1.0, "H(C:A)"),), ((1.0, "H(C:B)"),), ("H(C:A)", "H(C:B)"),
+                          {"requires_markov": True}),
+}
 
 
-def _pair_mi(d: JointDistribution, i: int, j: int) -> float:
-    return mutual_entropy(d, i, j).value
+def _entry(h: dict[str, float], label: str) -> float:
+    """The vector entry for ``label``; a reversed pair such as H(C:B) reads H(B:C)."""
+    return h[label] if label in h else h[f"H({label[4]}:{label[2]})"]
 
 
-def _single_h(d: JointDistribution, i: int) -> float:
-    return shannon_entropy(marginalize(d, {i})).value
+def _form(h: dict[str, float], row) -> float:
+    # left to right like a written-out a + b - c; sum() compensates rounding from Python 3.12 on
+    (coefficient, label), *rest = row
+    value = coefficient * _entry(h, label)
+    for coefficient, label in rest:
+        value += coefficient * _entry(h, label)
+    return value
+
+
+def _check(name: str, h: dict[str, float], meta: dict | None = None) -> InequalityReport:
+    lhs, rhs, labels, check_meta = _CHECKS[name]
+    terms = {label: _entry(h, label) for label in labels}
+    return _report(name, _form(h, lhs), _form(h, rhs), terms, {**(meta or {}), **check_meta})
 
 
 def triangle_check(d: JointDistribution) -> InequalityReport:
@@ -85,46 +117,17 @@ def triangle_check(d: JointDistribution) -> InequalityReport:
     Guaranteed only when the distribution has the Markov property
     A -> B -> C; evaluated and reported regardless.
     """
-    _require_tripartite(d)
-    iab = _pair_mi(d, 0, 1)
-    ibc = _pair_mi(d, 1, 2)
-    iac = _pair_mi(d, 0, 2)
-    return _report(
-        "triangle",
-        lhs=iac,
-        rhs=iab + ibc,
-        terms={"H(A:B)": iab, "H(B:C)": ibc, "H(A:C)": iac},
-        meta={"requires_markov": True},
-    )
+    return _check("triangle", entropy_vector(d))
 
 
 def joint_triangle_check(d: JointDistribution) -> InequalityReport:
     """H(A,C) <= H(A,B) + H(B,C); holds for every distribution."""
-    _require_tripartite(d)
-    hab = shannon_entropy(marginalize(d, {0, 1})).value
-    hbc = shannon_entropy(marginalize(d, {1, 2})).value
-    hac = shannon_entropy(marginalize(d, {0, 2})).value
-    return _report(
-        "joint_triangle",
-        lhs=hac,
-        rhs=hab + hbc,
-        terms={"H(A,B)": hab, "H(B,C)": hbc, "H(A,C)": hac},
-    )
+    return _check("joint_triangle", entropy_vector(d))
 
 
 def two_hb_bound_check(d: JointDistribution) -> InequalityReport:
     """H(A:B) + H(B:C) - H(A:C) <= 2 H(B); holds for every distribution."""
-    _require_tripartite(d)
-    iab = _pair_mi(d, 0, 1)
-    ibc = _pair_mi(d, 1, 2)
-    iac = _pair_mi(d, 0, 2)
-    hb = _single_h(d, 1)
-    return _report(
-        "two_hb_bound",
-        lhs=iab + ibc - iac,
-        rhs=2.0 * hb,
-        terms={"H(A:B)": iab, "H(B:C)": ibc, "H(A:C)": iac, "H(B)": hb},
-    )
+    return _check("two_hb_bound", entropy_vector(d))
 
 
 def narrowed_bound_check(d: JointDistribution) -> InequalityReport:
@@ -133,17 +136,7 @@ def narrowed_bound_check(d: JointDistribution) -> InequalityReport:
     The tightened form of the 2H(B) bound; classically satisfied for all
     distributions (it is equivalent to strong subadditivity).
     """
-    _require_tripartite(d)
-    iab = _pair_mi(d, 0, 1)
-    ibc = _pair_mi(d, 1, 2)
-    iac = _pair_mi(d, 0, 2)
-    hb = _single_h(d, 1)
-    return _report(
-        "narrowed_bound",
-        lhs=iab + ibc - iac,
-        rhs=hb,
-        terms={"H(A:B)": iab, "H(B:C)": ibc, "H(A:C)": iac, "H(B)": hb},
-    )
+    return _check("narrowed_bound", entropy_vector(d))
 
 
 def cerf_adami_check(
@@ -185,38 +178,22 @@ def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | No
     permutations of the bound.  ``bound=None`` uses the uniform-marginal
     normalization of 1; pass :func:`marginal_bound` for non-uniform inputs.
     """
-    _require_tripartite(d)
+    h = entropy_vector(d)
     if pivot not in (0, 1, 2):
         raise WrongArityError(f"pivot must be 0, 1 or 2, got {pivot}")
     y, z = [i for i in range(3) if i != pivot]
-    ixy = mutual_entropy(d, pivot, y)
-    ixz = mutual_entropy(d, pivot, z)
-    iyz = mutual_entropy(d, y, z)
-    used = 1.0 if bound is None else float(bound)
-    report = cerf_adami_check(ixy, ixz, iyz, bound=used, source="tripartite")
     x_l, y_l, z_l = _LETTERS[pivot], _LETTERS[y], _LETTERS[z]
-    terms = {
-        f"H({x_l}:{y_l})": ixy.value,
-        f"H({x_l}:{z_l})": ixz.value,
-        f"H({y_l}:{z_l})": iyz.value,
-    }
-    meta = dict(report.meta)
-    meta["pivot"] = x_l
-    return InequalityReport(
-        name=report.name,
-        lhs=report.lhs,
-        rhs=report.rhs,
-        terms=terms,
-        satisfied=report.satisfied,
-        margin=report.margin,
-        meta=meta,
-    )
+    labels = (f"H({x_l}:{y_l})", f"H({x_l}:{z_l})", f"H({y_l}:{z_l})")
+    terms = {label: _entry(h, label) for label in labels}
+    used = 1.0 if bound is None else float(bound)
+    report = cerf_adami_check(*(EntropyValue(v) for v in terms.values()), bound=used, source="tripartite")
+    return replace(report, terms=terms, meta={**report.meta, "pivot": x_l})
 
 
 def marginal_bound(d: JointDistribution) -> float:
     """max(H(A), H(B), H(C)): the honest bound for non-uniform marginals."""
-    _require_tripartite(d)
-    return max(_single_h(d, i) for i in range(3))
+    h = entropy_vector(d)
+    return max(h["H(A)"], h["H(B)"], h["H(C)"])
 
 
 def dpi_check(d: JointDistribution, markov_certified: bool) -> list[InequalityReport]:
@@ -227,26 +204,10 @@ def dpi_check(d: JointDistribution, markov_certified: bool) -> list[InequalityRe
     and H(C:A) <= H(C:B), which require the Markov property.
     ``markov_certified`` is recorded on every report, not enforced.
     """
-    _require_tripartite(d)
-    ha = _single_h(d, 0)
-    hc = _single_h(d, 2)
-    iab = _pair_mi(d, 0, 1)
-    iac = _pair_mi(d, 0, 2)
-    icb = _pair_mi(d, 2, 1)
-    ica = _pair_mi(d, 2, 0)
-    base_meta = {"markov_certified": bool(markov_certified)}
-    return [
-        _report("dpi_forward_source", lhs=iab, rhs=ha,
-                terms={"H(A:B)": iab, "H(A)": ha}, meta=base_meta),
-        _report("dpi_forward_chain", lhs=iac, rhs=iab,
-                terms={"H(A:C)": iac, "H(A:B)": iab},
-                meta={**base_meta, "requires_markov": True}),
-        _report("dpi_reverse_source", lhs=icb, rhs=hc,
-                terms={"H(C:B)": icb, "H(C)": hc}, meta=base_meta),
-        _report("dpi_reverse_chain", lhs=ica, rhs=icb,
-                terms={"H(C:A)": ica, "H(C:B)": icb},
-                meta={**base_meta, "requires_markov": True}),
-    ]
+    h = entropy_vector(d)
+    meta = {"markov_certified": bool(markov_certified)}
+    return [_check(name, h, meta) for name in
+            ("dpi_forward_source", "dpi_forward_chain", "dpi_reverse_source", "dpi_reverse_chain")]
 
 
 def reports_to_csv(reports: list[InequalityReport]) -> str:

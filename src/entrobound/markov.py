@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointDistribution, marginalize
-from .entropy import EntropyValue, _clamp, _plogp_bits
+from .dist import JointDistribution
+from .entropy import EntropyValue, _clamp, _label, entropy_vector
 from .errors import (
     IndexOutOfRangeError,
     InvalidPermutationError,
@@ -97,11 +97,9 @@ def conditional_mutual_information(d: JointDistribution, x: int, y: int, given: 
             raise IndexOutOfRangeError(f"variable {i} out of range for {d.num_vars} variables")
     if len({x, y, given}) != 3:
         raise RepeatedIndexError(f"indices must be distinct, got ({x}, {y}, {given})")
-    hxz = _plogp_bits(marginalize(d, {x, given}).probs.ravel())
-    hyz = _plogp_bits(marginalize(d, {y, given}).probs.ravel())
-    hz = _plogp_bits(marginalize(d, {given}).probs.ravel())
-    hxyz = _plogp_bits(d.probs.ravel())
-    return EntropyValue(_clamp(hxz + hyz - hz - hxyz, "conditional mutual information"), 2.0)
+    h = entropy_vector(d)
+    cmi = h[_label((x, given))] + h[_label((y, given))] - h[_label((given,))] - h["H(A,B,C)"]
+    return EntropyValue(_clamp(cmi, "conditional mutual information"), 2.0)
 
 
 def is_markov(d: JointDistribution, order: tuple[int, int, int] = (0, 1, 2)) -> bool:

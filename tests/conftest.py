@@ -5,7 +5,10 @@ paths: entropies are summed with math.log2 in a plain loop, singlet
 statistics come from the closed form, and reduced-state spectra are taken
 straight from numpy on test-side matrices.  ``reference_measure_pair`` is
 the per-pair projector and np.kron evaluation the batched kernel replaced;
-the kernel must reproduce it bit for bit.
+the kernel must reproduce it bit for bit.  ``reference_battery`` and
+``reference_cmi`` are the per-quantity classical checks (one marginal and
+one pair MI per term) that the entropy vector replaced; the vector-based
+checks must reproduce them bit for bit.
 """
 from __future__ import annotations
 
@@ -13,7 +16,16 @@ import math
 
 import numpy as np
 
-from entrobound import JointDistribution, MarkovChainSpec, mutual_entropy
+from entrobound import (
+    EntropyValue,
+    InequalityReport,
+    JointDistribution,
+    MarkovChainSpec,
+    cerf_adami_check,
+    marginalize,
+    mutual_entropy,
+    shannon_entropy,
+)
 from entrobound.errors import InternalError
 
 
@@ -80,6 +92,56 @@ def reference_measure_pair(rho, angle_1: float, angle_2: float) -> JointDistribu
 
 def reference_pair_mi(rho, angle_1: float, angle_2: float) -> float:
     return mutual_entropy(reference_measure_pair(rho, angle_1, angle_2), 0, 1).value
+
+
+def _ref_report(name, lhs, rhs, terms, meta=None):
+    return InequalityReport(name, float(lhs), float(rhs), {k: float(v) for k, v in terms.items()},
+                            bool(lhs <= rhs + 1e-9), float(rhs) - float(lhs), dict(meta or {}))
+
+
+def reference_cmi(d: JointDistribution, x: int, y: int, given: int) -> float:
+    """I(X;Y|Z) from one marginal per term; the full table is not re-marginalized."""
+    h = lambda keep: shannon_entropy(marginalize(d, keep)).value  # noqa: E731
+    cmi = h({x, given}) + h({y, given}) - h({given}) - shannon_entropy(d).value
+    return cmi if cmi > 0.0 else 0.0
+
+
+def reference_battery(d: JointDistribution) -> list[InequalityReport]:
+    """The ``inequality --markov-checks`` battery, one marginal or pair MI per term."""
+    mi = lambda i, j: mutual_entropy(d, i, j).value  # noqa: E731
+    h = lambda *keep: shannon_entropy(marginalize(d, set(keep))).value  # noqa: E731
+    iab, ibc, iac, hb = mi(0, 1), mi(1, 2), mi(0, 2), h(1)
+    reports = []
+    for pivot in (0, 1, 2):
+        y, z = [i for i in range(3) if i != pivot]
+        x_l, y_l, z_l = "ABC"[pivot], "ABC"[y], "ABC"[z]
+        values = (mi(pivot, y), mi(pivot, z), mi(y, z))
+        r = cerf_adami_check(*(EntropyValue(v) for v in values), source="tripartite")
+        terms = dict(zip((f"H({x_l}:{y_l})", f"H({x_l}:{z_l})", f"H({y_l}:{z_l})"), values))
+        reports.append(InequalityReport(r.name, r.lhs, r.rhs, terms, r.satisfied, r.margin,
+                                        {**r.meta, "pivot": x_l}))
+    mi_terms = {"H(A:B)": iab, "H(B:C)": ibc, "H(A:C)": iac}
+    reports += [
+        _ref_report("joint_triangle", h(0, 2), h(0, 1) + h(1, 2),
+                    {"H(A,B)": h(0, 1), "H(B,C)": h(1, 2), "H(A,C)": h(0, 2)}),
+        _ref_report("two_hb_bound", iab + ibc - iac, 2.0 * hb, {**mi_terms, "H(B)": hb}),
+        _ref_report("narrowed_bound", iab + ibc - iac, hb, {**mi_terms, "H(B)": hb}),
+        _ref_report("triangle", iac, iab + ibc, mi_terms, {"requires_markov": True}),
+    ]
+    meta = {"markov_certified": reference_cmi(d, 0, 2, 1) <= 1e-9}
+    chain = {**meta, "requires_markov": True}
+    icb, ica, ha, hc = mi(2, 1), mi(2, 0), h(0), h(2)
+    return reports + [
+        _ref_report("dpi_forward_source", iab, ha, {"H(A:B)": iab, "H(A)": ha}, meta),
+        _ref_report("dpi_forward_chain", iac, iab, {"H(A:C)": iac, "H(A:B)": iab}, chain),
+        _ref_report("dpi_reverse_source", icb, hc, {"H(C:B)": icb, "H(C)": hc}, meta),
+        _ref_report("dpi_reverse_chain", ica, icb, {"H(C:A)": ica, "H(C:B)": icb}, chain),
+    ]
+
+
+def report_fields(r: InequalityReport) -> str:
+    """Every field, key order included; repr tells -0.0 from 0.0."""
+    return repr((r.name, r.lhs, r.rhs, list(r.terms.items()), r.satisfied, r.margin, list(r.meta.items())))
 
 
 def random_mixed_state(rng: np.random.Generator) -> np.ndarray:

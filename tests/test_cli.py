@@ -247,3 +247,65 @@ def test_search_resolution_above_cap_is_exit_2(capsys, extra):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "resolution must be <= 1024" in err
+
+
+_ZERO_ROW = [0, 0, 0, 0]
+_BAD_INPUT_FILES = {
+    "dist": {"alphabet_sizes": [2], "probs": ["half", 0.5]},
+    "spec": {"initial": [0.5, "x"], "t1": [[1, 0], [0, 1]], "t2": [[1, 0], [0, 1]]},
+    "state-re": {"dims": [2, 2], "re": [["a", 0, 0, 0]] + [_ZERO_ROW] * 3, "im": [_ZERO_ROW] * 4},
+    "state-im": {"dims": [2, 2], "re": [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+                 "im": [_ZERO_ROW, [0, "b", 0, 0], _ZERO_ROW, _ZERO_ROW]},
+}
+_BAD_INPUT_COMMANDS = {
+    "dist": ["inequality", "--dist"],
+    "spec": ["markov", "--spec"],
+    "state-re": ["quantum", "--angles", "0,1,2", "--state-file"],
+    "state-im": ["search", "--state-file"],
+}
+
+
+def assert_input_error(code, out, err, fragment):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUT_FILES))
+def test_non_numeric_file_entry_is_exit_2(capsys, tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(_BAD_INPUT_FILES[case]))
+    code, out, err = run_cli(capsys, *_BAD_INPUT_COMMANDS[case], str(path))
+    assert_input_error(code, out, err, "could not convert string to float")
+
+
+def test_non_object_file_is_exit_2_without_missing_key_claim(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[0.5, 0.5]")
+    code, out, err = run_cli(capsys, "entropy", "--dist", str(path))
+    assert_input_error(code, out, err, "is not a distribution file: list indices must be integers")
+
+
+def test_non_utf8_file_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run_cli(capsys, "entropy", "--dist", str(path))
+    assert_input_error(code, out, err, "is not valid JSON")
+
+
+def test_non_numeric_werner_parameter_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "quantum", "--state", "werner:abc", "--angles", "0,0,0")
+    assert_input_error(code, out, err, "bad Werner parameter")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_exit_2(capsys, value):
+    code, out, err = run_cli(capsys, "search", "--werner-threshold", "--tolerance", value)
+    assert_input_error(code, out, err, f"tolerance must be positive and finite, got {value}")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_base_is_exit_2(capsys, tri_file, value):
+    code, out, err = run_cli(capsys, "entropy", "--dist", tri_file, "--base", value)
+    assert_input_error(code, out, err, f"base must be finite and > 1, got {value}")

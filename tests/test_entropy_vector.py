@@ -1,0 +1,125 @@
+"""The entropy vector behind every classical check.
+
+``entropy_vector`` must equal the one-quantity functions bit for bit, and
+every check built on it must equal the per-quantity battery in
+``conftest.reference_battery`` in every field, signed zeros and key order
+included.
+"""
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entrobound import (
+    JointDistribution,
+    conditional_mutual_information,
+    dpi_check,
+    entropy_vector,
+    is_markov,
+    joint_triangle_check,
+    marginal_bound,
+    marginalize,
+    mutual_entropy,
+    narrowed_bound_check,
+    shannon_entropy,
+    two_hb_bound_check,
+)
+from entrobound.cli import _classical_battery
+from entrobound.errors import WrongArityError
+
+from conftest import (
+    brute_entropy_bits,
+    random_tripartite,
+    reference_battery,
+    reference_cmi,
+    report_fields,
+    triangle_counterexample,
+    xor_tripartite,
+)
+
+LABELS = ["H(A)", "H(B)", "H(C)", "H(A,B)", "H(A,C)", "H(B,C)", "H(A,B,C)",
+          "H(A:B)", "H(A:C)", "H(B:C)"]
+SUBSETS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+PAIRS = [(0, 1), (0, 2), (1, 2)]
+
+_weight = st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.floats(1e-9, 1.0))
+
+
+@st.composite
+def tripartite_tables(draw):
+    """Every axis of size 1-4, with exact zeros, ties and arbitrary weights."""
+    sizes = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    n = math.prod(sizes)
+    w = np.array(draw(st.lists(_weight, min_size=n, max_size=n)))
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return JointDistribution.from_flat(sizes, w / w.sum())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=tripartite_tables())
+def test_vector_and_checks_are_bit_identical_to_per_quantity_path(d):
+    h = entropy_vector(d)
+    assert list(h) == LABELS
+    for keep, label in zip(SUBSETS, LABELS):
+        assert h[label] == shannon_entropy(marginalize(d, keep)).value
+    # the full table is read as it is, not renormalized a second time
+    assert h["H(A,B,C)"] == shannon_entropy(d).value
+    for x, y in PAIRS:
+        label = f"H({'ABC'[x]}:{'ABC'[y]})"
+        assert h[label] == mutual_entropy(d, x, y).value == mutual_entropy(d, y, x).value
+    got = [report_fields(r) for r in _classical_battery(d, True)]
+    assert got == [report_fields(r) for r in reference_battery(d)]
+    for x, y, z in itertools.permutations(range(3)):
+        cmi = conditional_mutual_information(d, x, y, z)
+        assert repr(cmi.value) == repr(reference_cmi(d, x, y, z))
+        assert cmi.base == 2.0
+        assert is_markov(d, (x, z, y)) == (reference_cmi(d, x, y, z) <= 1e-9)
+    assert marginal_bound(d) == max(shannon_entropy(marginalize(d, {i})).value for i in range(3))
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 4), (1, 3, 2), (4, 4, 4)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_vector_matches_brute_force_oracle(sizes, sparse):
+    rng = np.random.default_rng(300 + sum(sizes) + sparse)
+    for _ in range(10):
+        d = random_tripartite(rng, sizes=sizes, sparse=sparse)
+        raw = d.probs
+        h = entropy_vector(d)
+        single = {}
+        for keep, label in zip(SUBSETS + [(0, 1, 2)], LABELS):
+            drop = tuple(i for i in range(3) if i not in keep)
+            single[keep] = brute_entropy_bits(raw.sum(axis=drop) if drop else raw)
+            assert abs(h[label] - single[keep]) <= 1e-12
+        for x, y in PAIRS:
+            mi = single[(x,)] + single[(y,)] - single[(x, y)]
+            assert abs(h[f"H({'ABC'[x]}:{'ABC'[y]})"] - mi) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=tripartite_tables())
+def test_always_valid_checks_hold_on_arbitrary_tables(d):
+    reports = [joint_triangle_check(d), two_hb_bound_check(d), narrowed_bound_check(d)]
+    reports += [r for r in dpi_check(d, markov_certified=False) if r.name.endswith("_source")]
+    assert [r.name for r in reports] == ["joint_triangle", "two_hb_bound", "narrowed_bound",
+                                         "dpi_forward_source", "dpi_reverse_source"]
+    assert all(r.satisfied for r in reports)
+
+
+def test_vector_closed_forms():
+    # A = C uniform, B constant
+    h = entropy_vector(triangle_counterexample())
+    assert (h["H(A:C)"], h["H(A:B)"], h["H(B:C)"], h["H(B)"], h["H(A,B,C)"]) == (1.0, 0.0, 0.0, 0.0, 1.0)
+    # B = A xor C: every pair independent, any two determine the third
+    h = entropy_vector(xor_tripartite())
+    assert (h["H(A:B)"], h["H(A:C)"], h["H(B:C)"]) == (0.0, 0.0, 0.0)
+    assert h["H(A,B,C)"] == h["H(A,B)"] == h["H(B,C)"] == 2.0
+
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 3)])
+def test_vector_needs_three_variables(sizes):
+    with pytest.raises(WrongArityError):
+        entropy_vector(JointDistribution.uniform(sizes))

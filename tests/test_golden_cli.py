@@ -1,0 +1,88 @@
+"""Byte-for-byte CLI output on a fixed corpus of checked-in inputs.
+
+Every invocation below runs in process through ``cli.main`` and must print
+exactly the stdout stored in ``tests/data/golden/<case>.out`` and exit with
+the code stored in ``tests/data/golden/exit_codes.json``.  The stored files
+were captured before the classical checks were rebuilt on the entropy
+vector, so they pin today's bytes for every later change.
+
+Only a deliberate output change may rewrite them::
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from entrobound.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+
+DISTS = ("uniform", "ghz", "xor", "triangle_counterexample", "nonbinary", "random",
+         "random_sparse", "point_mass")
+SPECS = ("noisy_copy_spec", "nonbinary_spec")
+FORMATS = ("json", "csv", "human")
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for name in DISTS:
+        dist = str(DATA / f"{name}.json")
+        for fmt in FORMATS:
+            cases[f"inequality-{name}-{fmt}"] = ["inequality", "--dist", dist, "--format", fmt]
+            cases[f"inequality-{name}-markov-{fmt}"] = ["inequality", "--dist", dist, "--markov-checks",
+                                                         "--format", fmt]
+    for name in SPECS:
+        for fmt in FORMATS:
+            cases[f"markov-{name}-joint-{fmt}"] = ["markov", "--spec", str(DATA / f"{name}.json"),
+                                                   "--emit-joint", "--format", fmt]
+    for name in ("random", "nonbinary", "point_mass"):
+        dist = str(DATA / f"{name}.json")
+        for x, y in ((0, 2), (2, 1)):
+            cases[f"entropy-{name}-mutual-{x}{y}"] = ["entropy", "--dist", dist, "--mutual", str(x), str(y)]
+            cases[f"entropy-{name}-conditional-{x}{y}"] = ["entropy", "--dist", dist,
+                                                          "--conditional", str(x), str(y)]
+    dist = str(DATA / "nonbinary.json")
+    for fmt in ("csv", "human"):
+        cases[f"entropy-nonbinary-mutual-01-{fmt}"] = ["entropy", "--dist", dist, "--mutual", "0", "1",
+                                                       "--format", fmt]
+    for fmt in FORMATS:
+        cases[f"quantum-singlet-{fmt}"] = ["quantum", "--state", "singlet", "--angles", "0,0.3927,0.7854",
+                                           "--format", fmt]
+        cases[f"search-singlet-no-refine-{fmt}"] = ["search", "--state", "singlet", "--no-refine",
+                                                    "--format", fmt]
+    cases["quantum-werner-csv"] = ["quantum", "--state", "werner:0.5", "--angles", "0,1,2", "--format", "csv"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_stdout_matches_golden(case):
+    code, stdout = _run(CASES[case])
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == expected_codes[case]
+    assert stdout.encode() == (GOLDEN / f"{case}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for case, argv in sorted(CASES.items()):
+        codes[case], stdout = _run(argv)
+        (GOLDEN / f"{case}.out").write_bytes(stdout.encode())
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
