@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -146,9 +147,19 @@ def entropy_vector(d: JointDistribution) -> dict[str, float]:
     :func:`~entrobound.dist.marginalize` does, ``H(A,B,C)`` is
     :func:`shannon_entropy` of the table itself, and each pair MI comes from
     its own pair table's marginals, as in :func:`mutual_entropy`.
+
+    The vector of the most recent table is memoized, so the checks of one
+    battery share one computation; each call returns a fresh dict.
     """
     if d.num_vars != 3:
         raise WrongArityError(f"need a tripartite distribution, got {d.num_vars} variables")
+    return dict(_vector(d))
+
+
+# One slot: keyed by identity (JointDistribution is eq=False), and the strong
+# reference it holds to that one table keeps its id from being reused.
+@lru_cache(maxsize=1)
+def _vector(d: JointDistribution) -> dict[str, float]:
     h: dict[str, float] = {}
     pairs = {}
     for keep in _SUBSETS:

@@ -178,9 +178,9 @@ def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | No
     permutations of the bound.  ``bound=None`` uses the uniform-marginal
     normalization of 1; pass :func:`marginal_bound` for non-uniform inputs.
     """
-    h = entropy_vector(d)
     if pivot not in (0, 1, 2):
         raise WrongArityError(f"pivot must be 0, 1 or 2, got {pivot}")
+    h = entropy_vector(d)
     y, z = [i for i in range(3) if i != pivot]
     x_l, y_l, z_l = _LETTERS[pivot], _LETTERS[y], _LETTERS[z]
     labels = (f"H({x_l}:{y_l})", f"H({x_l}:{z_l})", f"H({y_l}:{z_l})")

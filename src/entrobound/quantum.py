@@ -52,8 +52,8 @@ _CHUNK_PAIRS = 4096
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix over dim_a * dim_b.
 
-    Validated on construction (Hermitian entrywise within 1e-9, trace within
-    1e-9 of 1, eigenvalues >= -1e-9) and stored read-only.
+    Validated on construction (finite entries, Hermitian entrywise within
+    1e-9, trace within 1e-9 of 1, eigenvalues >= -1e-9) and stored read-only.
     """
 
     dim_a: int
@@ -68,6 +68,9 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (n, n):
             raise InvalidDensityMatrixError(f"matrix shape {m.shape} != ({n}, {n}) for dims ({da}, {db})")
+        # NaN compares false, so the tolerance checks below would pass it
+        if not np.all(np.isfinite(m)):
+            raise InvalidDensityMatrixError("density matrix has non-finite entries")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > MATRIX_ATOL:
             raise InvalidDensityMatrixError(f"not Hermitian: max |M - M^dagger| = {herm_dev}")

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -278,6 +279,16 @@ def test_non_numeric_file_entry_is_exit_2(capsys, tmp_path, case):
     path.write_text(json.dumps(_BAD_INPUT_FILES[case]))
     code, out, err = run_cli(capsys, *_BAD_INPUT_COMMANDS[case], str(path))
     assert_input_error(code, out, err, "could not convert string to float")
+
+
+def test_nan_density_matrix_file_is_exit_2(capsys, tmp_path):
+    re = [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]
+    re[0][0] = math.nan
+    path = tmp_path / "nan_state.json"
+    path.write_text(json.dumps({"dims": [2, 2], "re": re, "im": [_ZERO_ROW] * 4}))
+    code, out, err = run_cli(capsys, "quantum", "--angles", "0,1,2", "--state-file", str(path))
+    assert_input_error(code, out, err, "density matrix has non-finite entries")
+    assert "probabilities must be finite" not in err
 
 
 def test_non_object_file_is_exit_2_without_missing_key_claim(capsys, tmp_path):

@@ -3,10 +3,15 @@
 ``entropy_vector`` must equal the one-quantity functions bit for bit, and
 every check built on it must equal the per-quantity battery in
 ``conftest.reference_battery`` in every field, signed zeros and key order
-included.
+included.  The vector of the latest table is memoized in one slot, so one
+battery computes it once; the memo must never hand one table's vector to
+another, or let a caller's edit leak into a later call.
 """
 import itertools
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +32,8 @@ from entrobound import (
     shannon_entropy,
     two_hb_bound_check,
 )
-from entrobound.cli import _classical_battery
+from entrobound.cli import _classical_battery, main
+from entrobound.entropy import _vector
 from entrobound.errors import WrongArityError
 
 from conftest import (
@@ -59,9 +65,20 @@ def tripartite_tables(draw):
     return JointDistribution.from_flat(sizes, w / w.sum())
 
 
+def reference_vector(d):
+    """Every vector entry from its one-quantity function, as (label, repr) pairs."""
+    values = [shannon_entropy(marginalize(d, keep)).value for keep in SUBSETS]
+    values += [shannon_entropy(d).value] + [mutual_entropy(d, x, y).value for x, y in PAIRS]
+    return [(label, repr(v)) for label, v in zip(LABELS, values)]
+
+
+def bits(h):
+    return [(label, repr(v)) for label, v in h.items()]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(d=tripartite_tables())
-def test_vector_and_checks_are_bit_identical_to_per_quantity_path(d):
+@given(d=tripartite_tables(), other=tripartite_tables())
+def test_vector_and_checks_are_bit_identical_to_per_quantity_path(d, other):
     h = entropy_vector(d)
     assert list(h) == LABELS
     for keep, label in zip(SUBSETS, LABELS):
@@ -79,6 +96,50 @@ def test_vector_and_checks_are_bit_identical_to_per_quantity_path(d):
         assert cmi.base == 2.0
         assert is_markov(d, (x, z, y)) == (reference_cmi(d, x, y, z) <= 1e-9)
     assert marginal_bound(d) == max(shannon_entropy(marginalize(d, {i})).value for i in range(3))
+
+    # the memo: interleaved tables, a caller's edit, two threads
+    expected = {id(d): reference_vector(d), id(other): reference_vector(other)}
+    for t in (d, other, d):
+        assert bits(entropy_vector(t)) == expected[id(t)]
+    edited = entropy_vector(d)
+    edited["H(A)"] = -1.0
+    del edited["H(B:C)"]
+    assert bits(entropy_vector(d)) == expected[id(d)]
+    start, results = threading.Barrier(2), [None, None]
+    orders = ((d, other), (other, d))
+
+    def worker(k):
+        start.wait()
+        results[k] = [bits(entropy_vector(t)) for _ in range(5) for t in orders[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for order, got in zip(orders, results):
+        assert got == [expected[id(t)] for t in order] * 5
+
+
+def test_one_battery_computes_one_vector(capsys):
+    _vector.cache_clear()
+    d = random_tripartite(np.random.default_rng(11))
+    _classical_battery(d, True)
+    is_markov(d, (0, 1, 2))
+    is_markov(d, (2, 1, 0))
+    marginal_bound(d)
+    assert _vector.cache_info().misses == 1
+    _vector.cache_clear()
+    dist = str(Path(__file__).parent / "data" / "random.json")
+    assert main(["inequality", "--markov-checks", "--dist", dist]) == 0
+    assert '"command": "inequality"' in capsys.readouterr().out
+    assert _vector.cache_info().misses == 1
+    assert _vector.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 4), (1, 3, 2), (4, 4, 4)])

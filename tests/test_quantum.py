@@ -60,6 +60,14 @@ def test_density_matrix_rejects_bad_trace():
         DensityMatrix(2, 2, np.eye(4, dtype=complex) / 2.0)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.25, math.nan), complex(-math.inf, 0.0)])
+def test_density_matrix_rejects_non_finite_entry(entry):
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 0] = entry
+    with pytest.raises(InvalidDensityMatrixError, match="non-finite"):
+        DensityMatrix(2, 2, m)
+
+
 def test_density_matrix_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
     with pytest.raises(NotPositiveSemidefiniteError):
