@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from typing import TextIO
 
 from . import __version__
@@ -63,34 +63,14 @@ from .statmech import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: command, inputs, and the global knobs."""
-
-    command: str
-    input_paths: list[str]
-    output_format: str = "json"
-    base: float = 2.0
-    tolerance: float = 1e-6
-    seed: int = 0
-    trace: bool = False
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.tolerance) or self.tolerance <= 0.0:
-            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if not math.isfinite(self.base) or self.base <= 1.0:
-            raise ValidationError(f"base must be finite and > 1, got {self.base}")
-
-
 # --- deterministic rendering ---------------------------------------------------
 
+def _is_list(obj) -> bool:
+    """A list, a tuple or any other non-string sequence (such as the lazy search trace)."""
+    return not isinstance(obj, (str, int, float)) and isinstance(obj, (list, tuple, Sequence))
+
+
 def _render_json(obj) -> str:
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_render_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render_json(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
@@ -101,18 +81,45 @@ def _render_json(obj) -> str:
         return str(obj)
     if obj is None:
         return "null"
+    if isinstance(obj, dict):
+        return "".join(_json_chunks(obj))
+    if _is_list(obj):  # only list elements get here (see _json_chunks): short, so joined at once
+        return "[" + ", ".join(_render_json(v) for v in obj) + "]"
     return json.dumps(str(obj))
 
 
-def _flatten(prefix: str, obj, rows: list[tuple[str, str]]) -> None:
+def _json_chunks(obj):
+    """The JSON text of ``obj`` in pieces: one per dict item and per list element.
+
+    A long sequence (the lazy search trace) is written as it is read and
+    never held as one string.
+    """
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", v, rows)
+        yield "{"
+        for n, (k, v) in enumerate(obj.items()):
+            yield f"{', ' if n else ''}{json.dumps(str(k))}: "
+            yield from _json_chunks(v)
+        yield "}"
+    elif _is_list(obj):
+        yield "["
+        for n, v in enumerate(obj):
+            yield (", " if n else "") + _render_json(v)
+        yield "]"
     else:
-        rows.append((prefix, _render_json(obj).strip('"')))
+        yield _render_json(obj)
+
+
+def _flatten(prefix: str, obj):
+    """``(key, leaf)`` pairs of ``obj``, with keys like ``result.trace[0][1]``."""
+    if isinstance(obj, dict):
+        items = ((f"{prefix}.{k}" if prefix else str(k), v) for k, v in obj.items())
+    else:
+        items = ((f"{prefix}[{i}]", v) for i, v in enumerate(obj))
+    for key, v in items:
+        if isinstance(v, dict) or _is_list(v):
+            yield from _flatten(key, v)
+        else:
+            yield key, v
 
 
 def _emit(payload: dict, fmt: str, out: TextIO) -> None:
@@ -123,21 +130,18 @@ def _emit(payload: dict, fmt: str, out: TextIO) -> None:
     if reports is not None:
         payload = {**payload, "reports": [r.to_dict() for r in reports]}
     if fmt == "json":
-        out.write(_render_json(payload) + "\n")
+        for chunk in _json_chunks(payload):
+            out.write(chunk)
+        out.write("\n")
         return
     if fmt == "csv":
-        rows: list[tuple[str, str]] = []
-        _flatten("", payload, rows)
         out.write("key,value\n")
-        for key, value in rows:
-            out.write(f"{key},{value}\n")
-        return
-    # human
-    rows = []
-    _flatten("", payload, rows)
-    width = max((len(k) for k, _ in rows), default=0)
-    for key, value in rows:
-        out.write(f"{key.ljust(width)}  {value}\n")
+        layout = "{},{}\n"
+    else:  # human: one pass for the key width, one to write
+        width = max((len(k) for k, _ in _flatten("", payload)), default=0)
+        layout = f"{{:{width}}}  {{}}\n"
+    for key, leaf in _flatten("", payload):
+        out.write(layout.format(key, _render_json(leaf).strip('"')))
 
 
 # --- input loading ---------------------------------------------------------------
@@ -204,24 +208,25 @@ def _parse_angles(text: str) -> MeasurementSettings:
 
 
 # --- command handlers -----------------------------------------------------------
+#
+# Each handler takes the parsed argv and returns (payload, exit code).
 
-def _cmd_entropy(config: RunConfig) -> tuple[dict, int]:
-    d = _load_distribution(config.input_paths[0])
-    opts = config.options
-    if opts.get("mutual") is not None:
-        x, y = opts["mutual"]
-        value = convert_base(mutual_entropy(d, x, y), config.base)
+def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
+    d = _load_distribution(args.dist)
+    if args.mutual is not None:
+        x, y = args.mutual
+        value = convert_base(mutual_entropy(d, x, y), args.base)
         kind = f"mutual H({x}:{y})"
-    elif opts.get("conditional") is not None:
-        t, g = opts["conditional"]
-        value = convert_base(conditional_entropy(d, t, g), config.base)
+    elif args.conditional is not None:
+        t, g = args.conditional
+        value = convert_base(conditional_entropy(d, t, g), args.base)
         kind = f"conditional H({t}|{g})"
-    elif opts.get("relative") is not None:
-        ref = _load_distribution(opts["relative"])
-        value = relative_entropy(d, ref, config.base)
+    elif args.relative is not None:
+        ref = _load_distribution(args.relative)
+        value = relative_entropy(d, ref, args.base)
         kind = "relative"
     else:
-        value = shannon_entropy(d, config.base)
+        value = shannon_entropy(d, args.base)
         kind = "joint"
     payload = {"command": "entropy", "kind": kind, "entropy": value.to_dict()}
     return payload, 0
@@ -237,9 +242,9 @@ def _classical_battery(d: JointDistribution, markov_checks: bool) -> list[Inequa
     return reports
 
 
-def _cmd_inequality(config: RunConfig) -> tuple[dict, int]:
-    d = _load_distribution(config.input_paths[0])
-    reports = _classical_battery(d, config.options.get("markov_checks", False))
+def _cmd_inequality(args: argparse.Namespace) -> tuple[dict, int]:
+    d = _load_distribution(args.dist)
+    reports = _classical_battery(d, args.markov_checks)
     violations = sum(0 if r.satisfied else 1 for r in reports)
     payload = {
         "command": "inequality",
@@ -250,8 +255,8 @@ def _cmd_inequality(config: RunConfig) -> tuple[dict, int]:
     return payload, 0 if violations == 0 else 1
 
 
-def _cmd_markov(config: RunConfig) -> tuple[dict, int]:
-    spec = _load_markov_spec(config.input_paths[0])
+def _cmd_markov(args: argparse.Namespace) -> tuple[dict, int]:
+    spec = _load_markov_spec(args.spec)
     d = build_tripartite(spec)
     cmi = conditional_mutual_information(d, 0, 2, 1)
     reports = dpi_check(d, markov_certified=True) + [triangle_check(d)]
@@ -264,15 +269,14 @@ def _cmd_markov(config: RunConfig) -> tuple[dict, int]:
         "violations": violations,
         "reports": reports,
     }
-    if config.options.get("emit_joint"):
+    if args.emit_joint:
         payload["joint"] = d.to_dict()
     return payload, 0 if violations == 0 else 1
 
 
-def _cmd_quantum(config: RunConfig) -> tuple[dict, int]:
-    rho = _resolve_state(config.options.get("state"), config.options.get("state_file"))
-    settings = config.options["angles"]
-    report = cerf_adami_quantum(rho, settings)
+def _cmd_quantum(args: argparse.Namespace) -> tuple[dict, int]:
+    rho = _resolve_state(args.state, args.state_file)
+    report = cerf_adami_quantum(rho, args.angles)
     s_joint = von_neumann_entropy(rho)
     s_a = von_neumann_entropy(partial_trace(rho, 0))
     s_b = von_neumann_entropy(partial_trace(rho, 1))
@@ -296,97 +300,69 @@ def _cmd_quantum(config: RunConfig) -> tuple[dict, int]:
     return payload, 0 if report.satisfied else 1
 
 
-def _cmd_search(config: RunConfig) -> tuple[dict, int]:
-    opts = config.options
-    if opts.get("werner_threshold"):
-        threshold = werner_threshold(opts["resolution"], config.tolerance)
+def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.werner_threshold:
+        threshold = werner_threshold(args.resolution, args.tolerance)
         payload = {
             "command": "search",
             "mode": "werner-threshold",
-            "resolution": opts["resolution"],
-            "tolerance": config.tolerance,
+            "resolution": args.resolution,
+            "tolerance": args.tolerance,
             "threshold": threshold,
         }
         return payload, 0
-    rho = _resolve_state(opts.get("state"), opts.get("state_file"))
-    if opts.get("refine", True):
-        result = grid_refine(rho, opts["resolution"], tol=config.tolerance)
+    rho = _resolve_state(args.state, args.state_file)
+    if args.no_refine:
+        result = grid_search(rho, args.resolution)
     else:
-        result = grid_search(rho, opts["resolution"])
-    payload = {"command": "search", "result": result.to_dict(include_trace=config.trace)}
+        result = grid_refine(rho, args.resolution, tol=args.tolerance)
+    payload = {"command": "search", "result": result.to_dict()}
+    if args.trace:
+        payload["result"]["trace"] = result.trace  # lazy: rendered entry by entry
     return payload, 1 if result.violation_found else 0
 
 
-def _cmd_statmech(config: RunConfig) -> tuple[dict, int]:
-    opts = config.options
+def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
     payload: dict = {"command": "statmech"}
-    if opts.get("dice") is not None:
-        n, total = opts["dice"]
-        spec = dice_multiplicity(n, total)
-        payload["mode"] = "dice"
-        payload["description"] = spec.description
-        payload["multiplicity"] = spec.multiplicity
+    if args.dice is not None:
+        spec = dice_multiplicity(*args.dice)
+        payload.update(mode="dice", description=spec.description, multiplicity=spec.multiplicity)
         if spec.multiplicity >= 1:
             payload["boltzmann_entropy"] = boltzmann_entropy(spec.multiplicity).to_dict()
-    elif opts.get("combine") is not None:
-        m1, m2 = opts["combine"]
+    elif args.combine is not None:
+        m1, m2 = args.combine
         spec = combine_multiplicities(
             MacrostateSpec(f"multiplicity {m1}", m1),
             MacrostateSpec(f"multiplicity {m2}", m2),
         )
-        payload["mode"] = "combine"
-        payload["multiplicity"] = spec.multiplicity
-        payload["boltzmann_entropy"] = boltzmann_entropy(spec.multiplicity).to_dict()
-    elif opts.get("coins") is not None:
-        n = opts["coins"]
-        payload["mode"] = "coins"
-        payload["sequence_length"] = n
-        payload["reversal_probability"] = coin_reversal_probability(n)
-        if opts.get("heads") is not None:
-            payload["unordered_probability"] = coin_reversal_unordered_probability(n, opts["heads"])
-        if opts.get("trials"):
-            estimate = coin_reversal_monte_carlo(n, opts["trials"], config.seed)
-            payload["monte_carlo"] = {
-                "trials": opts["trials"],
-                "seed": config.seed,
-                "estimate": estimate,
-            }
-    elif opts.get("mixing") is not None:
-        n_a, n_b = opts["mixing"]
-        value = mixing_demo(n_a, n_b, opts.get("same_species", False))
-        payload["mode"] = "mixing"
-        payload["n_a"] = n_a
-        payload["n_b"] = n_b
-        payload["same_species"] = opts.get("same_species", False)
-        payload["mixing_entropy"] = value.to_dict()
+        payload.update(mode="combine", multiplicity=spec.multiplicity,
+                       boltzmann_entropy=boltzmann_entropy(spec.multiplicity).to_dict())
+    elif args.coins is not None:
+        n = args.coins
+        payload.update(mode="coins", sequence_length=n, reversal_probability=coin_reversal_probability(n))
+        if args.heads is not None:
+            payload["unordered_probability"] = coin_reversal_unordered_probability(n, args.heads)
+        if args.trials:
+            estimate = coin_reversal_monte_carlo(n, args.trials, args.seed)
+            payload["monte_carlo"] = {"trials": args.trials, "seed": args.seed, "estimate": estimate}
+    elif args.mix is not None:
+        n_a, n_b = args.mix
+        value = mixing_demo(n_a, n_b, args.same_species)
+        payload.update(mode="mixing", n_a=n_a, n_b=n_b, same_species=args.same_species,
+                       mixing_entropy=value.to_dict())
     else:
         raise ValidationError("statmech needs one of --dice, --combine, --coins, --mix")
     return payload, 0
 
 
-_HANDLERS = {
-    "entropy": _cmd_entropy,
-    "inequality": _cmd_inequality,
-    "markov": _cmd_markov,
-    "quantum": _cmd_quantum,
-    "search": _cmd_search,
-    "statmech": _cmd_statmech,
-}
-
-
-def run(config: RunConfig, out: TextIO | None = None) -> int:
-    """Dispatch a parsed invocation; returns the process exit code."""
-    out = out if out is not None else sys.stdout
-    try:
-        payload, code = _HANDLERS[config.command](config)
-    except EntroboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(payload, config.output_format, out)
-    return code
-
-
 # --- argument parsing --------------------------------------------------------------
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise, so ``main`` reports them as one ``error:`` line and exit 2."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -400,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
     common.add_argument("--trace", action="store_true", help="include the search trace in output")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="entrobound",
         description="Entropic quantities and Cerf-Adami inequality checks. "
                     "Exit codes: 0 all checks satisfied, 1 violation found, 2 bad input.",
@@ -408,30 +384,36 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("entropy", parents=[common], help="entropies of a distribution file")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("entropy", _cmd_entropy, "entropies of a distribution file")
     p.add_argument("--dist", required=True, help="JSON distribution file")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--mutual", nargs=2, type=int, metavar=("X", "Y"))
     group.add_argument("--conditional", nargs=2, type=int, metavar=("TARGET", "GIVEN"))
     group.add_argument("--relative", metavar="REF_FILE")
 
-    p = sub.add_parser("inequality", parents=[common],
-                       help="inequality battery on a tripartite distribution")
+    p = command("inequality", _cmd_inequality, "inequality battery on a tripartite distribution")
     p.add_argument("--dist", required=True, help="JSON tripartite distribution file")
     p.add_argument("--markov-checks", action="store_true",
                    help="also run the Markov-only checks (triangle, data processing); "
                         "these can legitimately fail on non-Markov inputs")
 
-    p = sub.add_parser("markov", parents=[common], help="build and audit a Markov tripartite")
+    p = command("markov", _cmd_markov, "build and audit a Markov tripartite")
     p.add_argument("--spec", required=True, help="JSON Markov chain spec file")
     p.add_argument("--emit-joint", action="store_true", help="include the joint table in output")
 
-    p = sub.add_parser("quantum", parents=[common], help="Cerf-Adami check on pairwise measurements")
+    p = command("quantum", _cmd_quantum, "Cerf-Adami check on pairwise measurements")
     p.add_argument("--state", help="named state: singlet, bell-phi-plus, ..., werner:p")
     p.add_argument("--state-file", help="JSON density-matrix file")
-    p.add_argument("--angles", required=True, help="three angles in radians, comma separated")
+    # Parsed here, so a bad angle is reported before a bad --tolerance or --base.
+    p.add_argument("--angles", required=True, type=_parse_angles,
+                   help="three angles in radians, comma separated")
 
-    p = sub.add_parser("search", parents=[common], help="violation search over settings")
+    p = command("search", _cmd_search, "violation search over settings")
     p.add_argument("--state", help="named state (see quantum)")
     p.add_argument("--state-file", help="JSON density-matrix file")
     p.add_argument("--resolution", type=int, default=32)
@@ -439,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--werner-threshold", action="store_true",
                    help="bisect the Werner parameter instead of searching one state")
 
-    p = sub.add_parser("statmech", parents=[common], help="multiplicities, coins, mixing")
+    p = command("statmech", _cmd_statmech, "multiplicities, coins, mixing")
     p.add_argument("--dice", nargs=2, type=int, metavar=("NUM", "TOTAL"))
     p.add_argument("--combine", nargs=2, type=int, metavar=("M1", "M2"))
     p.add_argument("--coins", type=int, metavar="LENGTH")
@@ -451,74 +433,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    options: dict = {}
-    input_paths: list[str] = []
-    cmd = args.command
-    if cmd == "entropy":
-        input_paths = [args.dist]
-        options = {
-            "mutual": tuple(args.mutual) if args.mutual else None,
-            "conditional": tuple(args.conditional) if args.conditional else None,
-            "relative": args.relative,
-        }
-        if args.relative:
-            input_paths.append(args.relative)
-    elif cmd == "inequality":
-        input_paths = [args.dist]
-        options = {"markov_checks": args.markov_checks}
-    elif cmd == "markov":
-        input_paths = [args.spec]
-        options = {"emit_joint": args.emit_joint}
-    elif cmd == "quantum":
-        options = {
-            "state": args.state,
-            "state_file": args.state_file,
-            "angles": _parse_angles(args.angles),
-        }
-        if args.state_file:
-            input_paths.append(args.state_file)
-    elif cmd == "search":
-        options = {
-            "state": args.state,
-            "state_file": args.state_file,
-            "resolution": args.resolution,
-            "refine": not args.no_refine,
-            "werner_threshold": args.werner_threshold,
-        }
-        if args.state_file:
-            input_paths.append(args.state_file)
-    elif cmd == "statmech":
-        options = {
-            "dice": tuple(args.dice) if args.dice else None,
-            "combine": tuple(args.combine) if args.combine else None,
-            "coins": args.coins,
-            "trials": args.trials,
-            "heads": args.heads,
-            "mixing": tuple(args.mix) if args.mix else None,
-            "same_species": args.same_species,
-        }
-    return RunConfig(
-        command=cmd,
-        input_paths=input_paths,
-        output_format=args.format,
-        base=args.base,
-        tolerance=args.tolerance,
-        seed=args.seed,
-        trace=args.trace,
-        options=options,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Parse, validate, run one command and print its result; returns the exit code."""
     try:
-        config = _config_from_args(args)
+        args = _build_parser().parse_args(argv)
+        if not math.isfinite(args.tolerance) or args.tolerance <= 0.0:
+            raise ValidationError(f"tolerance must be positive and finite, got {args.tolerance}")
+        if not math.isfinite(args.base) or args.base <= 1.0:
+            raise ValidationError(f"base must be finite and > 1, got {args.base}")
+        payload, code = args.handler(args)
     except EntroboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    _emit(payload, args.format, sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

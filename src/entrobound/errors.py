@@ -144,6 +144,10 @@ class MixingOverflowError(EntroboundError):
     """Lattice mixing refuses particle counts whose binomials exceed the cap."""
 
 
+class TooManyCoinsError(ValidationError):
+    """A coin sequence above MAX_COINS, or a Monte Carlo run above MAX_COIN_FLIPS."""
+
+
 # --- CLI ------------------------------------------------------------------------
 
 class ParseError(EntroboundError):

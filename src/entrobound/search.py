@@ -279,9 +279,10 @@ def grid_refine(rho: DensityMatrix, resolution: int, tol: float = 1e-6) -> Searc
 def werner_threshold(resolution: int = 32, tol: float = 1e-3) -> float:
     """Largest Werner parameter p whose maximal LHS stays within the bound.
 
-    Bisects p in [0, 1] with grid_refine as the evaluator.  Monotonicity of
-    the maximal LHS in p is assumed and checked on the sampled points;
-    a decrease beyond 1e-6 raises MonotonicityViolatedError.
+    Bisects p in [0, 1] with grid_refine as the evaluator, until the
+    bracket is no wider than ``tol`` or no float lies between its ends.
+    Monotonicity of the maximal LHS in p is assumed and checked on the
+    sampled points; a decrease beyond 1e-6 raises MonotonicityViolatedError.
     """
     resolution = int(resolution)
     if resolution < WERNER_MIN_RESOLUTION:
@@ -311,6 +312,8 @@ def werner_threshold(resolution: int = 32, tol: float = 1e-3) -> float:
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break  # lo and hi are adjacent floats: the midpoint no longer splits the bracket
         if max_lhs(mid) > 1.0 + SATISFIED_ATOL:
             hi = mid
         else:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     MixingOverflowError,
+    TooManyCoinsError,
     TooManyDiceError,
     TotalOutOfRangeError,
     ValidationError,
@@ -22,6 +23,10 @@ from .entropy import EntropyValue
 
 MAX_DICE = 8
 MAX_MIXING_PARTICLES = 60
+# C(n, k) and one Monte Carlo row both grow with n, and a Monte Carlo run
+# draws n * trials flips; these caps bound the time and memory of both.
+MAX_COINS = 10_000
+MAX_COIN_FLIPS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,11 @@ def coin_reversal_probability(sequence_length: int) -> float:
     return 2.0 ** (-n)
 
 
+def _check_coins(n: int) -> None:
+    if n > MAX_COINS:
+        raise TooManyCoinsError(f"coin sequences capped at {MAX_COINS}, got {n}")
+
+
 def coin_reversal_unordered_probability(sequence_length: int, target_heads: int) -> float:
     """Probability of matching only the heads/tails counts of the target.
 
@@ -94,7 +104,8 @@ def coin_reversal_unordered_probability(sequence_length: int, target_heads: int)
         raise ValidationError(f"sequence length must be >= 1, got {n}")
     if not 0 <= k <= n:
         raise ValidationError(f"target heads must be in [0, {n}], got {k}")
-    return math.comb(n, k) / 2.0 ** n
+    _check_coins(n)
+    return math.comb(n, k) / 2 ** n
 
 
 def coin_reversal_monte_carlo(sequence_length: int, trials: int, seed: int) -> float:
@@ -108,6 +119,11 @@ def coin_reversal_monte_carlo(sequence_length: int, trials: int, seed: int) -> f
         raise ValidationError(f"sequence length must be >= 1, got {n}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_coins(n)
+    if n * trials > MAX_COIN_FLIPS:
+        raise TooManyCoinsError(
+            f"Monte Carlo capped at {MAX_COIN_FLIPS} flips (length x trials), got {n} x {trials}"
+        )
     rng = np.random.default_rng(int(seed))
     matches = 0
     remaining = trials

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrobound
 from entrobound import JointDistribution, product_state
 from entrobound.cli import main
 
@@ -320,3 +323,80 @@ def test_non_finite_tolerance_is_exit_2(capsys, value):
 def test_non_finite_base_is_exit_2(capsys, tri_file, value):
     code, out, err = run_cli(capsys, "entropy", "--dist", tri_file, "--base", value)
     assert_input_error(code, out, err, f"base must be finite and > 1, got {value}")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["entropy"], "the following arguments are required: --dist"),
+    (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    (["inequality", "--dist", "x", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+])
+def test_usage_error_is_one_line_and_exit_2(capsys, argv, fragment):
+    code, out, err = run_cli(capsys, *argv)
+    assert_input_error(code, out, err, fragment)
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["--version"], f"entrobound {entrobound.__version__}"),
+    (["-h"], "usage: entrobound [-h] [--version]"),
+    (["search", "-h"], "usage: entrobound search [-h] [--format {json,csv,human}] [--base BASE]"),
+])
+def test_version_and_help_exit_0(capsys, argv, first_line):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == first_line
+    assert captured.err == ""
+
+
+def test_statmech_long_coin_sequence_with_heads(capsys):
+    code, out, err = run_cli(capsys, "statmech", "--coins", "2000", "--heads", "3")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["reversal_probability"] == 0 and payload["unordered_probability"] == 0
+
+
+@pytest.mark.parametrize("extra, fragment", [
+    (["--coins", "10001", "--heads", "3"], "coin sequences capped at 10000, got 10001"),
+    (["--coins", "1000000000", "--trials", "1"], "coin sequences capped at 10000, got 1000000000"),
+    (["--coins", "1000", "--trials", "1000000"], "Monte Carlo capped at 100000000 flips"),
+])
+def test_statmech_coin_caps_are_exit_2(capsys, extra, fragment):
+    code, out, err = run_cli(capsys, "statmech", *extra)
+    assert_input_error(code, out, err, fragment)
+
+
+# Runs each argv in its own ``python -m entrobound`` and prints {name: [exit code, peak RSS in MB]}.
+# On Linux a child's ru_maxrss also counts the RSS high-water mark of the
+# process that spawned it, so the children are spawned from this small
+# script rather than from the test process.
+_PEAK_RSS_SCRIPT = """
+import json, os, subprocess, sys
+runs = json.loads(sys.argv[1])
+children = {name: subprocess.Popen([sys.executable, "-m", "entrobound", *argv],
+                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            for name, argv in runs.items()}
+peaks = {}
+for name, child in children.items():
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    peaks[name] = [child.returncode, usage.ru_maxrss / 1024]
+print(json.dumps(peaks))
+"""
+
+
+def test_trace_output_is_streamed_in_every_format():
+    """A res-64 trace (262144 entries) costs no more peak memory than the run without it.
+
+    Holding the trace as nested lists or as one string took 150-300 MB.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(entrobound.__file__).parents[1])}
+    search = ["search", "--state", "singlet", "--resolution", "64", "--no-refine"]
+    runs = {fmt: search + ["--format", fmt, "--trace"] for fmt in ("json", "csv", "human")}
+    runs["untraced"] = search
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS_SCRIPT, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    peaks = json.loads(done.stdout)
+    assert all(code == 1 for code, _ in peaks.values()), peaks  # the singlet violates
+    for fmt in ("json", "csv", "human"):
+        assert peaks[fmt][1] < peaks["untraced"][1] + 16, peaks

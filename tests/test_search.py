@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from entrobound import (
     werner_threshold,
 )
 from entrobound.errors import ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
+from entrobound import search as search_module
 from entrobound.search import GRID_MAX_RESOLUTION
 
 from conftest import brute_entropy_bits, random_mixed_state, singlet_mi, spin_projector
@@ -173,6 +175,59 @@ def test_werner_threshold_regression():
     # the threshold is a boundary: just below satisfies, just above violates
     assert grid_refine(werner_state(got), 32).best_lhs <= 1.0 + 1e-9
     assert grid_refine(werner_state(min(1.0, got + 2e-3)), 32).best_lhs > 1.0 + 1e-9
+
+
+class _ThresholdStandIn:
+    """Cheap stand-in for ``grid_refine`` in the bisection: max LHS 1 + (p - p_star), calls counted."""
+
+    def __init__(self, monkeypatch, p_star: float) -> None:
+        self.p_star = p_star
+        self.calls = 0
+        monkeypatch.setattr(search_module, "werner_state", lambda p: p)  # hand p itself over
+        monkeypatch.setattr(search_module, "grid_refine", self)
+
+    def __call__(self, p, resolution):
+        self.calls += 1
+        return SimpleNamespace(best_lhs=self.max_lhs(p))
+
+    def max_lhs(self, p: float) -> float:
+        return 1.0 + (p - self.p_star)
+
+
+def _unbounded_bisection(max_lhs, tol: float, max_steps: int):
+    """The bisection without its stop at adjacent floats: (threshold, steps), or None if it would not end."""
+    lo, hi, steps = 0.0, 1.0, 0
+    while hi - lo > tol:
+        if steps == max_steps:
+            return None
+        steps += 1
+        mid = (lo + hi) / 2.0
+        if max_lhs(mid) > 1.0 + 1e-9:
+            hi = mid
+        else:
+            lo = mid
+    return lo, steps
+
+
+@pytest.mark.parametrize("p_star", [0.9561, 0.5 + 2e-9, 1.0 / 3.0])
+def test_werner_threshold_stops_when_the_midpoint_cannot_split(monkeypatch, p_star):
+    stand_in = _ThresholdStandIn(monkeypatch, p_star)
+    got = werner_threshold(32, 1e-300)
+    assert stand_in.calls < 70  # about 53 halvings reach adjacent floats
+    # the bracket closed onto adjacent floats around the stand-in's threshold
+    assert stand_in.max_lhs(got) <= 1.0 + 1e-9 < stand_in.max_lhs(math.nextafter(got, 2.0))
+
+
+@pytest.mark.parametrize("tol", [0.25, 1e-3, 1e-6, 1e-12, 1e-15, 1e-16, 1e-17, 1e-18])
+@pytest.mark.parametrize("p_star", [0.9561, 0.7, 1.0 / 3.0])
+def test_werner_threshold_steps_unchanged_where_the_old_loop_ended(monkeypatch, tol, p_star):
+    stand_in = _ThresholdStandIn(monkeypatch, p_star)
+    reference = _unbounded_bisection(stand_in.max_lhs, tol, 200)
+    got = werner_threshold(32, tol)
+    if reference is not None:
+        threshold, steps = reference
+        assert got == threshold
+        assert stand_in.calls == 2 + steps  # p = 1 and p = 0, then one call per halving
 
 
 def test_werner_threshold_rejects_small_resolution():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -15,11 +16,13 @@ from entrobound import (
 )
 from entrobound.errors import (
     MixingOverflowError,
+    TooManyCoinsError,
     TooManyDiceError,
     TotalOutOfRangeError,
     ValidationError,
     ZeroMultiplicityError,
 )
+from entrobound.statmech import MAX_COIN_FLIPS, MAX_COINS
 
 
 def test_two_dice_seven():
@@ -178,3 +181,34 @@ def test_mixing_overflow_refused():
 def test_mixing_rejects_empty_system():
     with pytest.raises(ValidationError):
         mixing_demo(0, 5, same_species=False)
+
+
+def test_unordered_probability_is_the_old_float_below_1024_coins():
+    # exact int division; below 1024 coins 2.0 ** n is finite and gives the same float
+    for n in range(1, 1024):
+        for k in {0, 1, n // 3, n // 2, n - 1, n}:
+            assert coin_reversal_unordered_probability(n, k) == math.comb(n, k) / 2.0 ** n
+
+
+def test_unordered_probability_beyond_the_float_range_of_2_to_the_n():
+    assert coin_reversal_unordered_probability(2000, 3) == 0.0  # ~1e-593 underflows, no OverflowError
+    exact = Fraction(math.comb(MAX_COINS, MAX_COINS // 2), 2 ** MAX_COINS)
+    assert coin_reversal_unordered_probability(MAX_COINS, MAX_COINS // 2) == float(exact)
+
+
+def test_coin_caps_raise_before_any_work():
+    with pytest.raises(TooManyCoinsError):
+        coin_reversal_unordered_probability(MAX_COINS + 1, 3)
+    with pytest.raises(TooManyCoinsError):
+        coin_reversal_monte_carlo(10 ** 9, 1, seed=0)  # would be one 1 GB row
+    with pytest.raises(TooManyCoinsError):
+        coin_reversal_monte_carlo(1000, MAX_COIN_FLIPS // 1000 + 1, seed=0)
+    assert issubclass(TooManyCoinsError, ValidationError)
+
+
+def test_monte_carlo_accepts_the_longest_sequence():
+    assert coin_reversal_monte_carlo(MAX_COINS, 10, seed=0) == 0.0
+
+
+def test_ordered_reversal_probability_is_uncapped():
+    assert coin_reversal_probability(10 ** 9) == 0.0
