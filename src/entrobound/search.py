@@ -12,10 +12,12 @@ refinement is a derivative-free coordinate search (the LHS has
 absolute-value kinks, so no gradients).
 
 Everything here is deterministic: identical inputs give identical results,
-including trace order.  The grid winner is the first cell, in lexicographic
-order, holding the largest float LHS.  Cells that tie mathematically can
-differ in their last bits, so that is not always the lexicographically
-smallest of the mathematically tied angle triples.
+including trace order.  Winners do not depend on last-bit rounding: the grid
+winner is the lexicographically first cell whose LHS is within WINNER_ATOL
+(1e-12) of the grid maximum, and refinement accepts a probe only when it
+beats the current value by more than WINNER_ATOL.  Cells that tie
+mathematically differ by ~1e-15 in float, so another kernel, numpy version
+or SIMD path picks the same settings.
 """
 from __future__ import annotations
 
@@ -37,6 +39,10 @@ WERNER_MIN_RESOLUTION = 32
 WERNER_MONOTONE_ATOL = 1e-6
 # Cube cells per reduction chunk: an 8 MB buffer reused across chunks.
 _CUBE_CHUNK_CELLS = 1 << 20
+# Grid and refinement winners ignore LHS differences up to this size: cells
+# that tie mathematically differ by ~1e-15 in float, and which of them is
+# largest depends on the arithmetic, not on the state.
+WINNER_ATOL = 1e-12
 
 
 class _GridCells:
@@ -158,24 +164,33 @@ def _lhs_at(rho: DensityMatrix, angles: tuple[float, float, float]) -> float:
 
 
 def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """Max and first argmax of lhs[i, j, k] = |mi[i, j] - mi[i, k]| + mi[j, k].
+    """Max of lhs[i, j, k] = |mi[i, j] - mi[i, k]| + mi[j, k] and the winning cell.
 
-    Reduced in chunks of rows of i into one reused buffer; a later chunk
-    wins only when strictly larger, so the first occurrence is kept.
+    The winner is the lexicographically first cell within WINNER_ATOL of the
+    max, so cells that tie mathematically but differ in their last bits
+    cannot move it.  The cube is reduced in chunks of rows of i into one
+    reused buffer; only the first chunk that reaches the threshold is
+    evaluated a second time, and not even that when it is still in the buffer.
     """
     n = len(mi)
     buffer = np.empty((max(1, _CUBE_CHUNK_CELLS // (n * n)), n, n))
-    best, best_index = -math.inf, 0
-    for start in range(0, n, len(buffer)):
+
+    def fill(start: int) -> np.ndarray:
         rows = mi[start:start + len(buffer)]
         block = buffer[:len(rows)]
         np.subtract(rows[:, :, None], rows[:, None, :], out=block)
         np.abs(block, out=block)
         np.add(block, mi, out=block)
-        index = int(np.argmax(block))
-        if block.flat[index] > best:
-            best, best_index = float(block.flat[index]), start * n * n + index
-    i, j, k = np.unravel_index(best_index, (n, n, n))
+        return block
+
+    starts = range(0, n, len(buffer))
+    maxima = [float(fill(start).max()) for start in starts]
+    best = max(maxima)
+    threshold = best - WINNER_ATOL
+    first = next(c for c, m in enumerate(maxima) if m >= threshold)
+    block = fill(starts[first]) if first < len(starts) - 1 else buffer[:n - starts[first]]
+    index = starts[first] * n * n + int(np.argmax(block >= threshold))
+    i, j, k = np.unravel_index(index, (n, n, n))
     return best, (int(i), int(j), int(k))
 
 
@@ -183,9 +198,9 @@ def grid_search(rho: DensityMatrix, resolution: int) -> SearchResult:
     """Evaluate the LHS on the full 3-angle grid over [0, pi)^3.
 
     Grid angles are i * pi/resolution, for resolutions from
-    GRID_MIN_RESOLUTION to GRID_MAX_RESOLUTION.  Deterministic; the winner
-    is the first cell in lexicographic (theta_A, theta_B, theta_C) order
-    that holds the largest float LHS.
+    GRID_MIN_RESOLUTION to GRID_MAX_RESOLUTION.  Deterministic; ``best_lhs``
+    is the largest float LHS, and the winner is the first cell in
+    lexicographic (theta_A, theta_B, theta_C) order within WINNER_ATOL of it.
     """
     resolution = int(resolution)
     if resolution < GRID_MIN_RESOLUTION:
@@ -218,14 +233,15 @@ def refine(
 
     Coordinate search with shrinking step: the initial step is
     pi/resolution (the spacing of the grid the start came from), each
-    coordinate is probed in both directions, strict improvements are
-    accepted, and the step halves when a full sweep finds none.  Terminates
+    coordinate is probed in both directions, a probe is accepted when it
+    beats the current value by more than WINNER_ATOL, and the step halves
+    when a full sweep finds none.  Terminates
     when the step drops below ``tol``, so it always converges, and never
     returns less than the start value.
     """
     tol = float(tol)
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):  # NaN would stop after one probe, inf before any sweep
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
     resolution = int(resolution)
     if resolution < 1:
         raise ValidationError(f"resolution must be >= 1, got {resolution}")
@@ -245,7 +261,7 @@ def refine(
                     candidate[axis] = (candidate[axis] + direction) % math.pi
                     lhs = _lhs_at(rho, tuple(candidate))
                     trace.append((tuple(candidate), lhs))
-                    if lhs > current_lhs:
+                    if lhs > current_lhs + WINNER_ATOL:
                         current, current_lhs = candidate, lhs
                         improved = True
         step /= 2.0
@@ -288,8 +304,8 @@ def werner_threshold(resolution: int = 32, tol: float = 1e-3) -> float:
     if resolution < WERNER_MIN_RESOLUTION:
         raise ResolutionTooSmallError(f"resolution must be >= {WERNER_MIN_RESOLUTION}, got {resolution}")
     tol = float(tol)
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):  # a NaN bracket test would skip the bisection
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
 
     samples: list[tuple[float, float]] = []
 
