@@ -7,6 +7,10 @@ in the x-z plane, n(theta) = (sin theta, 0, cos theta).  That measurement
 convention is the minimal standard Bell-test setup and is the one the
 violation search optimizes over.
 
+For such measurements a two-qubit state enters only through eight numbers,
+its x-z Bloch components and correlations (``_correlations``), and every pair
+measurement is one closed form over them (``_outcome_tables``).
+
 Quantum entropies default to bits so they compose with the classical side
 and the Cerf-Adami bound of 1.
 
@@ -21,14 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dist import NORMALIZATION_ATOL, JointDistribution
+from .dist import JointDistribution
 from .entropy import CLAMP_ATOL, EntropyValue, _check_base, _clamp
 from .errors import (
     DimensionMismatchError,
     InternalError,
     InvalidDensityMatrixError,
     InvalidSubsystemError,
-    NotNormalizedError,
     NotPositiveSemidefiniteError,
     NotPureError,
     ValidationError,
@@ -40,11 +43,12 @@ EIGENVALUE_ATOL = 1e-9
 PURITY_ATOL = 1e-9
 MARGINAL_UNIFORM_ATOL = 1e-6
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_I2 = np.eye(2)
-_OUTCOME_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # outcome index 0 is +1
-# Pairs per kernel chunk: bounds the stacked Kronecker products to a few MB.
+_PAULI = {"I": np.eye(2), "x": np.array([[0.0, 1.0], [1.0, 0.0]]), "z": np.array([[1.0, 0.0], [0.0, -1.0]])}
+# sigma_k (x) sigma_l for the eight numbers _correlations returns, in its order
+_CORRELATORS = np.array(
+    [np.kron(_PAULI[k], _PAULI[l]) for k, l in ("xI", "zI", "Ix", "Iz", "xx", "xz", "zx", "zz")]
+)
+# Pairs per kernel chunk: bounds the kernel's temporaries to well under 1 MB.
 _CHUNK_PAIRS = 4096
 
 
@@ -239,70 +243,50 @@ def is_entangled_pure(rho: DensityMatrix) -> bool:
     return conditional_quantum_entropy(rho, target=1, given=0).value < -EIGENVALUE_ATOL
 
 
-def _projectors(angles: list[float]) -> np.ndarray:
-    """Spin projectors (I +/- n(theta).sigma)/2, shape (len(angles), 2 outcomes, 2, 2).
+def _correlations(rho: DensityMatrix) -> np.ndarray:
+    """(a_x, a_z, b_x, b_z, T_xx, T_xz, T_zx, T_zz): all an x-z measurement sees of a two-qubit state.
 
-    math.sin/math.cos and elementwise products keep every entry bit-identical
-    to building each projector on its own.
-    """
-    sin = np.array([math.sin(a) for a in angles]).reshape(-1, 1, 1)
-    cos = np.array([math.cos(a) for a in angles]).reshape(-1, 1, 1)
-    direction = sin * _SIGMA_X + cos * _SIGMA_Z
-    return (_I2 + _OUTCOME_SIGNS * direction[:, None]) / 2.0
-
-
-def _pair_tables(rho: DensityMatrix, angles_x: list[float], angles_y: list[float]) -> np.ndarray:
-    """Outcome tables p[x, y, i, j] = tr[rho (P_i(x) kron P_j(y))], clamped at 0.
-
-    Shape (len(angles_x), len(angles_y), 2, 2).  The Kronecker products are
-    laid out as np.kron would build them and contracted in one einsum, so
-    every probability matches a per-pair evaluation bit for bit.
+    a and b are the x and z Bloch components of the first and second qubit,
+    T the x-z block of the correlation tensor (Horodecki et al., Phys. Lett. A
+    200, 340, 1995), each tr[rho sigma_k (x) sigma_l].
     """
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise DimensionMismatchError(f"need a two-qubit state, got dims ({rho.dim_a}, {rho.dim_b})")
-    px, py = _projectors(angles_x), _projectors(angles_y)
-    kron = px[:, None, :, None, :, None, :, None] * py[None, :, None, :, None, :, None, :]
-    kron = kron.reshape(len(angles_x), len(angles_y), 2, 2, 4, 4)
-    p = np.einsum("ab,...ba->...", rho.matrix, kron).real
+    return np.einsum("ab,kba->k", rho.matrix, _CORRELATORS).real
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over axis 0, zero terms adding 0."""
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=0)
+
+
+def _outcome_tables(c: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome tables p, a(x) and b(y) of measuring angle x on qubit 1 and y on qubit 2.
+
+    Broadcasts over the angle arrays x and y.  With a(x) = a_x sin x + a_z cos x,
+    b(y) likewise and E = n(x)^T T n(y), p(s, t) = (1 + s a + t b + s t E)/4
+    for outcomes s, t = +/-1, laid out as p[i, j, ...] with index 0 meaning +1.
+    A probability below -1e-9 raises InternalError; the rest are clamped at 0
+    and renormalised.
+    """
+    ax, az, bx, bz, txx, txz, tzx, tzz = c
+    sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+    a = ax * sx + az * cx
+    b = bx * sy + bz * cy
+    e = sx * (txx * sy + txz * cy) + cx * (tzx * sy + tzz * cy)
+    p = np.array([[1.0 + a + b + e, 1.0 + a - b - e], [1.0 - a + b - e, 1.0 - a - b + e]]) / 4.0
     low = p < -EIGENVALUE_ATOL
     if low.any():
         raise InternalError(f"measurement probability {p[low][0]} below -{EIGENVALUE_ATOL}")
-    return np.maximum(p, 0.0)
+    p = np.maximum(p, 0.0)
+    p /= p.sum(axis=(0, 1))
+    return p, a, b
 
 
-def _normalized(tables: np.ndarray) -> np.ndarray:
-    """The validation and renormalisation JointDistribution applies, over a stack of 2x2 tables."""
-    if not np.all(np.isfinite(tables)):
-        raise ValidationError("probabilities must be finite")
-    total = ((tables[..., 0, 0] + tables[..., 0, 1]) + tables[..., 1, 0]) + tables[..., 1, 1]
-    off = np.abs(total - 1.0) > NORMALIZATION_ATOL
-    if off.any():
-        raise NotNormalizedError(
-            f"probabilities sum to {total[off][0]}, expected 1 within {NORMALIZATION_ATOL}"
-        )
-    return tables / total[..., None, None]
-
-
-def _neg_plogp_bits(*probs: np.ndarray) -> np.ndarray:
-    """-sum p log2 p over same-shape arrays, summed left to right, zero terms adding 0."""
-    total = 0.0
-    for p in probs:
-        positive = p > 0.0
-        total = total + np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
-    return -total
-
-
-def _mutual_information(tables: np.ndarray) -> np.ndarray:
-    """H(X:Y) in bits of each 2x2 table, as mutual_entropy(JointDistribution(t), 0, 1).
-
-    Tables are renormalised twice, as the JointDistribution constructor and
-    then marginalize do, and the result is clamped like entropy._clamp.
-    """
-    t = _normalized(_normalized(tables))
-    p00, p01, p10, p11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
-    hx = _neg_plogp_bits(p00 + p01, p10 + p11)
-    hy = _neg_plogp_bits(p00 + p10, p01 + p11)
-    mi = (hx + hy) - _neg_plogp_bits(p00, p01, p10, p11)
+def _mutual_information(p: np.ndarray) -> np.ndarray:
+    """H(X:Y) in bits of outcome tables p[i, j, ...], clamped like entropy._clamp."""
+    joint = _entropy_bits(p.reshape(4, *p.shape[2:]))
+    mi = _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - joint
     bad = ~(mi >= -CLAMP_ATOL)
     if bad.any():
         raise InternalError(f"mutual entropy = {mi[bad][0]}, negative beyond tolerance {CLAMP_ATOL}")
@@ -313,18 +297,17 @@ def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
     """Mutual information in bits of every ordered pair of spin measurements.
 
     ``table[x, y]`` is H(X:Y) of measuring angles_x[x] on the first qubit and
-    angles_y[y] on the second, bit-identical to
-    ``mutual_entropy(measure_pair(rho, angles_x[x], angles_y[y]), 0, 1).value``.
-    Rows are evaluated in chunks, so working memory stays bounded for any
-    table size.
+    angles_y[y] on the second, computed in closed form from the state's eight
+    x-z correlations.  Rows are evaluated in chunks, so working memory stays
+    bounded for any table size.
     """
-    ax = [float(a) for a in angles_x]
-    ay = [float(a) for a in angles_y]
-    table = np.empty((len(ax), len(ay)))
-    rows = max(1, _CHUNK_PAIRS // max(1, len(ay)))
-    for start in range(0, len(ax), rows):
-        chunk = _pair_tables(rho, ax[start:start + rows], ay)
-        table[start:start + len(chunk)] = _mutual_information(chunk)
+    c = _correlations(rho)
+    x = np.array([float(a) for a in angles_x])
+    y = np.array([float(a) for a in angles_y])
+    table = np.empty((len(x), len(y)))
+    rows = max(1, _CHUNK_PAIRS // max(1, len(y)))
+    for start in range(0, len(x), rows):
+        table[start:start + rows] = _mutual_information(_outcome_tables(c, x[start:start + rows, None], y)[0])
     return table
 
 
@@ -335,7 +318,7 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     and index 1 to outcome -1 on each side:
     p(i, j) = tr[rho (P_i(angle_1) x P_j(angle_2))].
     """
-    return JointDistribution((2, 2), _pair_tables(rho, [float(angle_1)], [float(angle_2)])[0, 0])
+    return JointDistribution((2, 2), _outcome_tables(_correlations(rho), float(angle_1), float(angle_2))[0])
 
 
 def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> InequalityReport:
@@ -349,27 +332,21 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
     from uniform by more than 1e-6.
     """
     theta_a, theta_b, theta_c = settings.angles
-    # One 2x2 evaluation on [A, B] x [B, C]; cell (B, B) is not used.
-    tables = _pair_tables(rho, [theta_a, theta_b], [theta_b, theta_c])
-    mi = _mutual_information(tables)
-    probs = _normalized(tables)  # as measure_pair's JointDistribution holds them
-    pairs = {
-        "H(A:B)": ("A", "B", 0, 0),
-        "H(A:C)": ("A", "C", 0, 1),
-        "H(B:C)": ("B", "C", 1, 1),
-    }
+    # the experiments (A, B), (A, C) and (B, C), elementwise
+    p, bloch_a, bloch_b = _outcome_tables(
+        _correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c])
+    )
     warnings: list[str] = []
-    for label, (n1, n2, x, y) in pairs.items():
-        for setting_name, axis in ((n1, 1), (n2, 0)):
-            marginal = probs[x, y].sum(axis=axis)
-            deviation = float(np.max(np.abs(marginal - 0.5)))
+    # a setting's marginal is ((1 + a)/2, (1 - a)/2): it deviates from uniform by |a|/2
+    pairs = (("H(A:B)", "A", "B"), ("H(A:C)", "A", "C"), ("H(B:C)", "B", "C"))
+    for (label, n1, n2), dev_1, dev_2 in zip(pairs, np.abs(bloch_a) / 2.0, np.abs(bloch_b) / 2.0):
+        for setting_name, deviation in ((n1, dev_1), (n2, dev_2)):
             if deviation > MARGINAL_UNIFORM_ATOL:
                 warnings.append(
-                    f"setting {setting_name} marginal in {label} deviates from uniform by {deviation:.3g}"
+                    f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
                 )
-    report = cerf_adami_check(
-        *(EntropyValue(float(mi[x, y]), 2.0) for _, _, x, y in pairs.values()), bound=1.0, source="pairwise"
-    )
+    mi = _mutual_information(p)
+    report = cerf_adami_check(*(EntropyValue(float(v), 2.0) for v in mi), bound=1.0, source="pairwise")
     meta = dict(report.meta)
     meta["angles"] = [float(a) for a in settings.angles]
     meta["marginals_uniform"] = not warnings

@@ -39,9 +39,7 @@ WERNER_MIN_RESOLUTION = 32
 WERNER_MONOTONE_ATOL = 1e-6
 # Cube cells per reduction chunk: an 8 MB buffer reused across chunks.
 _CUBE_CHUNK_CELLS = 1 << 20
-# Grid and refinement winners ignore LHS differences up to this size: cells
-# that tie mathematically differ by ~1e-15 in float, and which of them is
-# largest depends on the arithmetic, not on the state.
+# Grid and refinement winners ignore LHS differences up to this size.
 WINNER_ATOL = 1e-12
 
 
@@ -167,10 +165,9 @@ def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Max of lhs[i, j, k] = |mi[i, j] - mi[i, k]| + mi[j, k] and the winning cell.
 
     The winner is the lexicographically first cell within WINNER_ATOL of the
-    max, so cells that tie mathematically but differ in their last bits
-    cannot move it.  The cube is reduced in chunks of rows of i into one
-    reused buffer; only the first chunk that reaches the threshold is
-    evaluated a second time, and not even that when it is still in the buffer.
+    max.  The cube is reduced in chunks of rows of i into one reused buffer;
+    only the first chunk that reaches the threshold is evaluated a second
+    time, and not even that when it is still in the buffer.
     """
     n = len(mi)
     buffer = np.empty((max(1, _CUBE_CHUNK_CELLS // (n * n)), n, n))
@@ -235,9 +232,9 @@ def refine(
     pi/resolution (the spacing of the grid the start came from), each
     coordinate is probed in both directions, a probe is accepted when it
     beats the current value by more than WINNER_ATOL, and the step halves
-    when a full sweep finds none.  Terminates
-    when the step drops below ``tol``, so it always converges, and never
-    returns less than the start value.
+    when a full sweep finds none.  Terminates when the step drops below
+    ``tol``, so it always converges, and never returns less than the start
+    value.
     """
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):  # NaN would stop after one probe, inf before any sweep

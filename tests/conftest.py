@@ -4,8 +4,8 @@ The oracle functions here deliberately avoid the package's computation
 paths: entropies are summed with math.log2 in a plain loop, singlet
 statistics come from the closed form, and reduced-state spectra are taken
 straight from numpy on test-side matrices.  ``reference_measure_pair`` is
-the per-pair projector and np.kron evaluation the batched kernel replaced;
-the kernel must reproduce it bit for bit.  ``reference_battery`` and
+a per-pair projector and np.kron evaluation; the closed-form pair kernel
+must agree with it within 1e-12.  ``reference_battery`` and
 ``reference_cmi`` are the per-quantity classical checks (one marginal and
 one pair MI per term) that the entropy vector replaced; the vector-based
 checks must reproduce them bit for bit.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from entrobound.errors import (
     NotPureError,
     ValidationError,
 )
+from entrobound.quantum import _correlations
 
 from conftest import (
     h2,
@@ -281,7 +283,10 @@ def test_cerf_adami_quantum_flags_non_uniform_marginals():
     rho = pure_state([1.0, 0.0, 0.0, 0.0])  # |00>: marginals are point masses
     r = cerf_adami_quantum(rho, MeasurementSettings((0.0, 0.0, 0.0)))
     assert r.meta["marginals_uniform"] is False
-    assert r.meta["warnings"]
+    assert r.meta["warnings"] == [
+        f"setting {name} marginal in {label} deviates from uniform by 0.5"
+        for label, names in (("H(A:B)", "AB"), ("H(A:C)", "AC"), ("H(B:C)", "BC")) for name in names
+    ]
 
 
 def test_product_states_never_violate_sweep():
@@ -349,19 +354,40 @@ def _two_qubit_states(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(rho=_two_qubit_states(), angles_x=_angles, angles_y=_angles)
-def test_pair_mi_table_is_bit_identical_to_scalar_reference(rho, angles_x, angles_y):
+def test_pair_mi_table_agrees_with_scalar_reference(rho, angles_x, angles_y):
     table = pair_mi_table(rho, angles_x, angles_y)
     expected = np.array([[reference_pair_mi(rho, a, b) for b in angles_y] for a in angles_x])
     assert table.shape == expected.shape
-    assert np.array_equal(table, expected)
+    assert np.max(np.abs(table - expected)) <= 1e-12
 
 
-def test_measure_pair_is_bit_identical_to_scalar_reference():
+def test_measure_pair_agrees_with_scalar_reference():
     rng = np.random.default_rng(90)
     for _ in range(20):
         rho = DensityMatrix(2, 2, random_mixed_state(rng))
         a1, a2 = rng.uniform(-4.0, 4.0, size=2)
-        assert np.array_equal(measure_pair(rho, a1, a2).probs, reference_measure_pair(rho, a1, a2).probs)
+        assert np.max(np.abs(measure_pair(rho, a1, a2).probs - reference_measure_pair(rho, a1, a2).probs)) <= 1e-12
+
+
+def test_correlations_of_the_singlet_and_werner_family():
+    # the singlet has unbiased qubits and T = -I; Werner p scales T by p
+    for p in (1.0, 0.97, 0.5, 0.0):
+        a_x, a_z, b_x, b_z, *t = _correlations(werner_state(p))
+        assert max(abs(a_x), abs(a_z), abs(b_x), abs(b_z)) <= 1e-15
+        assert np.max(np.abs(np.reshape(t, (2, 2)) + p * np.eye(2))) <= 1e-15
+    assert np.array_equal(_correlations(singlet()), _correlations(werner_state(1.0)))
+
+
+def test_pair_mi_table_memory_is_the_table_plus_bounded_chunks():
+    # the 1024 x 1024 table is 8 MB; the chunked kernel adds well under 4 MB
+    angles = np.linspace(0.0, math.pi, 1024, endpoint=False)
+    tracemalloc.start()
+    try:
+        pair_mi_table(werner_state(0.9), angles, angles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_pair_mi_table_singlet_closed_form():

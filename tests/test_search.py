@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from entrobound import (
     DensityMatrix,
@@ -23,7 +24,7 @@ from entrobound.errors import ResolutionTooLargeError, ResolutionTooSmallError, 
 from entrobound import search as search_module
 from entrobound.search import GRID_MAX_RESOLUTION
 
-from conftest import brute_entropy_bits, random_mixed_state, singlet_mi, spin_projector
+from conftest import brute_entropy_bits, random_mixed_state, singlet_mi, spin_projector, werner_mi
 
 # Regression constants, frozen from the first run of this implementation and
 # cross-checked against the closed-form singlet statistics (see the oracle
@@ -404,3 +405,31 @@ def test_search_rejects_a_bad_tolerance_before_evaluating(monkeypatch, tol):
     with pytest.raises(ValidationError, match="tol must be positive and finite"):
         werner_threshold(32, tol)
     assert calls == []
+
+
+# --- closed-form optima -------------------------------------------------------------
+
+SINGLET_OPTIMUM_LHS = 1.1342543799756328
+WERNER_THRESHOLD = 0.95612863528
+
+
+def _closed_form_max_lhs(mi) -> float:
+    """max over theta of the LHS at (0, theta, 2 theta), for an MI that depends on angle differences only."""
+    found = minimize_scalar(lambda t: mi(0.0, 2.0 * t) - 2.0 * mi(0.0, t), bounds=(0.05, 0.75),
+                            method="bounded", options={"xatol": 1e-12})
+    return -float(found.fun)
+
+
+def test_closed_form_singlet_optimum_and_werner_threshold():
+    assert _closed_form_max_lhs(singlet_mi) == pytest.approx(SINGLET_OPTIMUM_LHS, abs=1e-10)
+    threshold = brentq(lambda p: _closed_form_max_lhs(lambda a, b: werner_mi(p, a, b)) - 1.0, 0.5, 1.0,
+                       xtol=1e-14)
+    assert threshold == pytest.approx(WERNER_THRESHOLD, abs=1e-10)
+
+
+def test_refined_singlet_search_reaches_the_closed_form_optimum():
+    assert grid_refine(singlet(), 32).best_lhs == pytest.approx(SINGLET_OPTIMUM_LHS, abs=1e-9)
+
+
+def test_werner_threshold_reaches_the_closed_form_threshold():
+    assert werner_threshold(32, 1e-6) == pytest.approx(WERNER_THRESHOLD, abs=1e-6)
