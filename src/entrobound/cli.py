@@ -75,7 +75,7 @@ def _render_json(obj) -> str:
         return "true" if obj else "false"
     if isinstance(obj, float):
         if math.isinf(obj):
-            return '"inf"'
+            return f'"{float(obj)}"'  # "inf" or "-inf"
         return format(obj, ".12g")
     if isinstance(obj, int):
         return str(obj)

@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 from .dist import JointDistribution
-from .entropy import EntropyValue, convert_base, entropy_vector
-from .errors import NegativeMutualInformationError, WrongArityError
+from .entropy import EntropyValue, _vector, convert_base
+from .errors import NegativeMutualInformationError, ValidationError, WrongArityError
 
 SATISFIED_ATOL = 1e-9
-
-_LETTERS = "ABC"
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def _report(name: str, lhs: float, rhs: float, terms: dict[str, float], meta: di
     )
 
 
-# A row is a linear form over the entropy vector: ((coefficient, label), ...).
+# A row is a linear form over the entropy vector: ((coefficient, vector key), ...).
 _MI_SUM = ((1.0, "H(A:B)"), (1.0, "H(B:C)"), (-1.0, "H(A:C)"))
 _MI_TERMS = ("H(A:B)", "H(B:C)", "H(A:C)")
 
@@ -85,30 +84,34 @@ _CHECKS = {
     "dpi_forward_source": (((1.0, "H(A:B)"),), ((1.0, "H(A)"),), ("H(A:B)", "H(A)"), {}),
     "dpi_forward_chain": (((1.0, "H(A:C)"),), ((1.0, "H(A:B)"),), ("H(A:C)", "H(A:B)"),
                           {"requires_markov": True}),
-    "dpi_reverse_source": (((1.0, "H(C:B)"),), ((1.0, "H(C)"),), ("H(C:B)", "H(C)"), {}),
-    "dpi_reverse_chain": (((1.0, "H(C:A)"),), ((1.0, "H(C:B)"),), ("H(C:A)", "H(C:B)"),
+    "dpi_reverse_source": (((1.0, "H(B:C)"),), ((1.0, "H(C)"),), ("H(C:B)", "H(C)"), {}),
+    "dpi_reverse_chain": (((1.0, "H(A:C)"),), ((1.0, "H(B:C)"),), ("H(C:A)", "H(C:B)"),
                           {"requires_markov": True}),
 }
 
+# Term labels resolved to (label, vector key) once: a reversed pair such as H(C:B) reads H(B:C).
+_KEY = {"H(B:A)": "H(A:B)", "H(C:A)": "H(A:C)", "H(C:B)": "H(B:C)"}
+_CHECKS = {name: (lhs, rhs, tuple((t, _KEY.get(t, t)) for t in labels), meta)
+           for name, (lhs, rhs, labels, meta) in _CHECKS.items()}
+# pivot -> (letter, the terms of |H(x:y) - H(x:z)| + H(y:z))
+_PIVOTS = tuple(
+    (x, tuple((t, _KEY.get(t, t)) for t in (f"H({x}:{y})", f"H({x}:{z})", f"H({y}:{z})")))
+    for x, y, z in ("ABC", "BAC", "CAB"))
 
-def _entry(h: dict[str, float], label: str) -> float:
-    """The vector entry for ``label``; a reversed pair such as H(C:B) reads H(B:C)."""
-    return h[label] if label in h else h[f"H({label[4]}:{label[2]})"]
 
-
-def _form(h: dict[str, float], row) -> float:
+def _form(h, row) -> float:
     # left to right like a written-out a + b - c; sum() compensates rounding from Python 3.12 on
-    (coefficient, label), *rest = row
-    value = coefficient * _entry(h, label)
-    for coefficient, label in rest:
-        value += coefficient * _entry(h, label)
+    (coefficient, key), *rest = row
+    value = coefficient * h[key]
+    for coefficient, key in rest:
+        value += coefficient * h[key]
     return value
 
 
-def _check(name: str, h: dict[str, float], meta: dict | None = None) -> InequalityReport:
-    lhs, rhs, labels, check_meta = _CHECKS[name]
-    terms = {label: _entry(h, label) for label in labels}
-    return _report(name, _form(h, lhs), _form(h, rhs), terms, {**(meta or {}), **check_meta})
+def _check(name: str, h, meta: dict | None = None) -> InequalityReport:
+    lhs, rhs, terms, check_meta = _CHECKS[name]
+    return _report(name, _form(h, lhs), _form(h, rhs), {label: h[key] for label, key in terms},
+                   {**(meta or {}), **check_meta})
 
 
 def triangle_check(d: JointDistribution) -> InequalityReport:
@@ -117,17 +120,17 @@ def triangle_check(d: JointDistribution) -> InequalityReport:
     Guaranteed only when the distribution has the Markov property
     A -> B -> C; evaluated and reported regardless.
     """
-    return _check("triangle", entropy_vector(d))
+    return _check("triangle", _vector(d))
 
 
 def joint_triangle_check(d: JointDistribution) -> InequalityReport:
     """H(A,C) <= H(A,B) + H(B,C); holds for every distribution."""
-    return _check("joint_triangle", entropy_vector(d))
+    return _check("joint_triangle", _vector(d))
 
 
 def two_hb_bound_check(d: JointDistribution) -> InequalityReport:
     """H(A:B) + H(B:C) - H(A:C) <= 2 H(B); holds for every distribution."""
-    return _check("two_hb_bound", entropy_vector(d))
+    return _check("two_hb_bound", _vector(d))
 
 
 def narrowed_bound_check(d: JointDistribution) -> InequalityReport:
@@ -136,7 +139,7 @@ def narrowed_bound_check(d: JointDistribution) -> InequalityReport:
     The tightened form of the 2H(B) bound; classically satisfied for all
     distributions (it is equivalent to strong subadditivity).
     """
-    return _check("narrowed_bound", entropy_vector(d))
+    return _check("narrowed_bound", _vector(d))
 
 
 def cerf_adami_check(
@@ -151,11 +154,17 @@ def cerf_adami_check(
     The three mutual informations may come from one tripartite distribution
     (classical test) or from three separate pairwise experiments (quantum
     test); ``source`` records which.  The default bound of 1 assumes uniform
-    binary marginals.  Inputs are converted to bits if needed.
+    binary marginals.  Inputs are converted to bits if needed; a NaN or
+    infinite input or bound raises :class:`~entrobound.errors.ValidationError`.
     """
+    bound = float(bound)
+    if not math.isfinite(bound):
+        raise ValidationError(f"bound must be finite, got {bound}")
     values = []
     for label, e in (("H(A:B)", hab), ("H(A:C)", hac), ("H(B:C)", hbc)):
         v = convert_base(e, 2.0).value
+        if not math.isfinite(v):
+            raise ValidationError(f"{label} = {v} is not finite")
         if v < -SATISFIED_ATOL:
             raise NegativeMutualInformationError(f"{label} = {v} is negative")
         values.append(max(v, 0.0))
@@ -163,9 +172,9 @@ def cerf_adami_check(
     return _report(
         "cerf_adami",
         lhs=abs(iab - iac) + ibc,
-        rhs=float(bound),
+        rhs=bound,
         terms={"H(A:B)": iab, "H(A:C)": iac, "H(B:C)": ibc},
-        meta={"source": source, "normalized": float(bound) == 1.0},
+        meta={"source": source, "normalized": bound == 1.0},
     )
 
 
@@ -177,22 +186,25 @@ def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | No
     |H(x:y) - H(x:z)| + H(y:z); the three pivots give the three letter
     permutations of the bound.  ``bound=None`` uses the uniform-marginal
     normalization of 1; pass :func:`marginal_bound` for non-uniform inputs.
+    The report equals what :func:`cerf_adami_check` makes of the same three
+    entries: they are in bits and already clamped to >= 0.
     """
     if pivot not in (0, 1, 2):
         raise WrongArityError(f"pivot must be 0, 1 or 2, got {pivot}")
-    h = entropy_vector(d)
-    y, z = [i for i in range(3) if i != pivot]
-    x_l, y_l, z_l = _LETTERS[pivot], _LETTERS[y], _LETTERS[z]
-    labels = (f"H({x_l}:{y_l})", f"H({x_l}:{z_l})", f"H({y_l}:{z_l})")
-    terms = {label: _entry(h, label) for label in labels}
-    used = 1.0 if bound is None else float(bound)
-    report = cerf_adami_check(*(EntropyValue(v) for v in terms.values()), bound=used, source="tripartite")
-    return replace(report, terms=terms, meta={**report.meta, "pivot": x_l})
+    rhs = 1.0 if bound is None else float(bound)
+    if not math.isfinite(rhs):
+        raise ValidationError(f"bound must be finite, got {rhs}")
+    letter, labels = _PIVOTS[pivot]
+    h = _vector(d)
+    terms = {label: h[key] for label, key in labels}
+    ixy, ixz, iyz = terms.values()
+    meta = {"source": "tripartite", "normalized": rhs == 1.0, "pivot": letter}
+    return _report("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms, meta)
 
 
 def marginal_bound(d: JointDistribution) -> float:
     """max(H(A), H(B), H(C)): the honest bound for non-uniform marginals."""
-    h = entropy_vector(d)
+    h = _vector(d)
     return max(h["H(A)"], h["H(B)"], h["H(C)"])
 
 
@@ -204,7 +216,7 @@ def dpi_check(d: JointDistribution, markov_certified: bool) -> list[InequalityRe
     and H(C:A) <= H(C:B), which require the Markov property.
     ``markov_certified`` is recorded on every report, not enforced.
     """
-    h = entropy_vector(d)
+    h = _vector(d)
     meta = {"markov_certified": bool(markov_certified)}
     return [_check(name, h, meta) for name in
             ("dpi_forward_source", "dpi_forward_chain", "dpi_reverse_source", "dpi_reverse_chain")]

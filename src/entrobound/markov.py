@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import JointDistribution
-from .entropy import EntropyValue, _clamp, _label, entropy_vector
+from .entropy import EntropyValue, _clamp, _vector
 from .errors import (
     IndexOutOfRangeError,
     InvalidPermutationError,
@@ -28,6 +28,9 @@ from .errors import (
 CMI_ATOL = 1e-9
 
 ROW_SUM_ATOL = 1e-9
+
+# given Z -> the vector keys of H(X,Z), H(Y,Z) and H(Z); + commutes, so the order of X and Y is moot
+_CMI_KEYS = (("H(A,B)", "H(A,C)", "H(A)"), ("H(A,B)", "H(B,C)", "H(B)"), ("H(A,C)", "H(B,C)", "H(C)"))
 
 
 def _check_stochastic(matrix, rows: int, name: str) -> np.ndarray:
@@ -97,8 +100,9 @@ def conditional_mutual_information(d: JointDistribution, x: int, y: int, given: 
             raise IndexOutOfRangeError(f"variable {i} out of range for {d.num_vars} variables")
     if len({x, y, given}) != 3:
         raise RepeatedIndexError(f"indices must be distinct, got ({x}, {y}, {given})")
-    h = entropy_vector(d)
-    cmi = h[_label((x, given))] + h[_label((y, given))] - h[_label((given,))] - h["H(A,B,C)"]
+    h = _vector(d)
+    xz, yz, z = _CMI_KEYS[given]
+    cmi = h[xz] + h[yz] - h[z] - h["H(A,B,C)"]
     return EntropyValue(_clamp(cmi, "conditional mutual information"), 2.0)
 
 

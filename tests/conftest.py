@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from entrobound import (
     EntropyValue,
@@ -106,20 +107,22 @@ def reference_cmi(d: JointDistribution, x: int, y: int, given: int) -> float:
     return cmi if cmi > 0.0 else 0.0
 
 
+def reference_cerf_adami(d: JointDistribution, pivot: int, bound: float = 1.0) -> InequalityReport:
+    """``cerf_adami_classical`` through ``cerf_adami_check``, one pair MI per term."""
+    y, z = [i for i in range(3) if i != pivot]
+    x_l, y_l, z_l = "ABC"[pivot], "ABC"[y], "ABC"[z]
+    values = tuple(mutual_entropy(d, i, j).value for i, j in ((pivot, y), (pivot, z), (y, z)))
+    r = cerf_adami_check(*(EntropyValue(v) for v in values), bound=bound, source="tripartite")
+    terms = dict(zip((f"H({x_l}:{y_l})", f"H({x_l}:{z_l})", f"H({y_l}:{z_l})"), values))
+    return InequalityReport(r.name, r.lhs, r.rhs, terms, r.satisfied, r.margin, {**r.meta, "pivot": x_l})
+
+
 def reference_battery(d: JointDistribution) -> list[InequalityReport]:
     """The ``inequality --markov-checks`` battery, one marginal or pair MI per term."""
     mi = lambda i, j: mutual_entropy(d, i, j).value  # noqa: E731
     h = lambda *keep: shannon_entropy(marginalize(d, set(keep))).value  # noqa: E731
     iab, ibc, iac, hb = mi(0, 1), mi(1, 2), mi(0, 2), h(1)
-    reports = []
-    for pivot in (0, 1, 2):
-        y, z = [i for i in range(3) if i != pivot]
-        x_l, y_l, z_l = "ABC"[pivot], "ABC"[y], "ABC"[z]
-        values = (mi(pivot, y), mi(pivot, z), mi(y, z))
-        r = cerf_adami_check(*(EntropyValue(v) for v in values), source="tripartite")
-        terms = dict(zip((f"H({x_l}:{y_l})", f"H({x_l}:{z_l})", f"H({y_l}:{z_l})"), values))
-        reports.append(InequalityReport(r.name, r.lhs, r.rhs, terms, r.satisfied, r.margin,
-                                        {**r.meta, "pivot": x_l}))
+    reports = [reference_cerf_adami(d, pivot) for pivot in (0, 1, 2)]
     mi_terms = {"H(A:B)": iab, "H(B:C)": ibc, "H(A:C)": iac}
     reports += [
         _ref_report("joint_triangle", h(0, 2), h(0, 1) + h(1, 2),
@@ -207,3 +210,17 @@ def noisy_copy_spec(flip: float = 0.1) -> MarkovChainSpec:
         t1=t,
         t2=t,
     )
+
+
+_weight = st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.floats(1e-9, 1.0))
+
+
+@st.composite
+def tripartite_tables(draw):
+    """Every axis of size 1-4, with exact zeros, ties and arbitrary weights."""
+    sizes = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    n = math.prod(sizes)
+    w = np.array(draw(st.lists(_weight, min_size=n, max_size=n)))
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return JointDistribution.from_flat(sizes, w / w.sum())

@@ -10,7 +10,7 @@ import pytest
 
 import entrobound
 from entrobound import JointDistribution, product_state
-from entrobound.cli import main
+from entrobound.cli import _render_json, main
 
 from conftest import random_tripartite, triangle_counterexample, noisy_copy_spec
 
@@ -75,6 +75,14 @@ def test_entropy_conditional(capsys, tri_file):
     payload = json.loads(out)
     assert payload["kind"] == "conditional H(1|0)"
     assert payload["entropy"]["value"] >= 0.0
+
+
+def test_render_json_keeps_the_sign_of_infinity():
+    assert _render_json(math.inf) == '"inf"'
+    assert _render_json(-math.inf) == '"-inf"'
+    assert _render_json(np.float64(-math.inf)) == '"-inf"'
+    assert json.loads(_render_json({"x": [-math.inf, math.inf], "y": -math.inf})) == {
+        "x": ["-inf", "inf"], "y": "-inf"}
 
 
 def test_entropy_relative_infinite(capsys, tmp_path):

@@ -73,6 +73,12 @@ def test_relative_support_escape_is_infinite():
     assert result.to_dict() == {"value": "inf", "base": 2.0}
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, np.float64(math.inf), np.float64(-math.inf)])
+def test_infinite_value_keeps_its_sign_in_to_dict(value):
+    want = "inf" if value > 0 else "-inf"
+    assert EntropyValue(value, 2.0).to_dict() == {"value": want, "base": 2.0}
+
+
 def test_relative_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         relative_entropy(bits([0.5, 0.5]), JointDistribution.uniform((2, 2)))

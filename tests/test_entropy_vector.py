@@ -8,7 +8,6 @@ battery computes it once; the memo must never hand one table's vector to
 another, or let a caller's edit leak into a later call.
 """
 import itertools
-import math
 import sys
 import threading
 from pathlib import Path
@@ -16,10 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entrobound import (
     JointDistribution,
+    cerf_adami_classical,
     conditional_mutual_information,
     dpi_check,
     entropy_vector,
@@ -40,9 +39,11 @@ from conftest import (
     brute_entropy_bits,
     random_tripartite,
     reference_battery,
+    reference_cerf_adami,
     reference_cmi,
     report_fields,
     triangle_counterexample,
+    tripartite_tables,
     xor_tripartite,
 )
 
@@ -50,20 +51,6 @@ LABELS = ["H(A)", "H(B)", "H(C)", "H(A,B)", "H(A,C)", "H(B,C)", "H(A,B,C)",
           "H(A:B)", "H(A:C)", "H(B:C)"]
 SUBSETS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 PAIRS = [(0, 1), (0, 2), (1, 2)]
-
-_weight = st.one_of(st.just(0.0), st.integers(1, 4).map(float), st.floats(1e-9, 1.0))
-
-
-@st.composite
-def tripartite_tables(draw):
-    """Every axis of size 1-4, with exact zeros, ties and arbitrary weights."""
-    sizes = tuple(draw(st.integers(1, 4)) for _ in range(3))
-    n = math.prod(sizes)
-    w = np.array(draw(st.lists(_weight, min_size=n, max_size=n)))
-    if w.sum() == 0.0:
-        w[draw(st.integers(0, n - 1))] = 1.0
-    return JointDistribution.from_flat(sizes, w / w.sum())
-
 
 def reference_vector(d):
     """Every vector entry from its one-quantity function, as (label, repr) pairs."""
@@ -124,6 +111,25 @@ def test_vector_and_checks_are_bit_identical_to_per_quantity_path(d, other):
         sys.setswitchinterval(interval)
     for order, got in zip(orders, results):
         assert got == [expected[id(t)] for t in order] * 5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=tripartite_tables())
+def test_bound_path_and_read_only_memo_are_exact(d):
+    bound = max(shannon_entropy(marginalize(d, {i})).value for i in range(3))
+    for pivot in (0, 1, 2):
+        got = cerf_adami_classical(d, pivot, bound=marginal_bound(d))
+        assert report_fields(got) == report_fields(reference_cerf_adami(d, pivot, bound))
+    _classical_battery(d, True)
+    is_markov(d, (2, 1, 0))
+    assert bits(entropy_vector(d)) == reference_vector(d)
+    # the checks read the memo itself, so nobody may write to it
+    memo = _vector(d)
+    with pytest.raises(TypeError):
+        memo["H(A)"] = -1.0
+    with pytest.raises(TypeError):
+        del memo["H(B:C)"]
+    assert bits(entropy_vector(d)) == reference_vector(d)
 
 
 def test_one_battery_computes_one_vector(capsys):

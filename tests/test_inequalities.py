@@ -17,7 +17,7 @@ from entrobound import (
     triangle_check,
     two_hb_bound_check,
 )
-from entrobound.errors import NegativeMutualInformationError, WrongArityError
+from entrobound.errors import NegativeMutualInformationError, ValidationError, WrongArityError
 
 from conftest import (
     h2,
@@ -166,6 +166,21 @@ def test_cerf_adami_converts_bases():
 def test_cerf_adami_rejects_negative_mi():
     with pytest.raises(NegativeMutualInformationError):
         cerf_adami_check(EntropyValue(-0.1, 2.0), EntropyValue(0.0, 2.0), EntropyValue(0.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cerf_adami_rejects_non_finite_inputs(bad):
+    zero = EntropyValue(0.0, 2.0)
+    with pytest.raises(ValidationError, match="bound"):
+        cerf_adami_check(zero, zero, zero, bound=bad)
+    for k in range(3):
+        values = [zero, zero, zero]
+        values[k] = EntropyValue(bad, 2.0)
+        with pytest.raises(ValidationError, match="finite"):
+            cerf_adami_check(*values)
+    for pivot in (0, 1, 2):
+        with pytest.raises(ValidationError, match="bound"):
+            cerf_adami_classical(triangle_counterexample(), pivot=pivot, bound=bad)
 
 
 def test_cerf_adami_classical_pivots():
