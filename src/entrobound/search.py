@@ -4,12 +4,14 @@ The search space is three angles in the x-z plane on [0, pi); for the
 singlet family that planar restriction is lossless.  The grid evaluator
 exploits the fact that the LHS depends only on the three pairwise mutual
 informations: it computes the ordered resolution^2 pair-MI table in one
-kernel call and reduces the resolution^3 LHS cube from it in row chunks,
-so memory stays O(resolution^2).  The trace still holds one entry per grid
-cell in lexicographic order, exactly as if every cell had been evaluated
-independently, but each entry is computed when it is read.  Local
-refinement is a derivative-free coordinate search (the LHS has
-absolute-value kinks, so no gradients).
+kernel call and reduces the resolution^3 LHS cube from it over the first
+angle first, in cache-sized tiles, to one resolution^2 table of column
+maxima.  That reduction is exact, so the max and winner are bit-identical
+to a full evaluation of the cube, and memory stays O(resolution^2).  The
+trace still holds one entry per grid cell in lexicographic order, exactly
+as if every cell had been evaluated independently, but each entry is
+computed when it is read.  Local refinement is a derivative-free
+coordinate search (the LHS has absolute-value kinks, so no gradients).
 
 Everything here is deterministic: identical inputs give identical results,
 including trace order.  Winners do not depend on last-bit rounding: the grid
@@ -32,13 +34,17 @@ from .inequalities import SATISFIED_ATOL
 from .quantum import DensityMatrix, MeasurementSettings, cerf_adami_quantum, pair_mi_table, werner_state
 
 GRID_MIN_RESOLUTION = 8
-# The pair-MI table is resolution^2 float64 and the cube is reduced in
-# chunks, so this cap bounds memory (~8 MB table) and time (~resolution^3).
+# The pair-MI table and the column maxima are resolution^2 float64 each and
+# the cube is reduced in tiles, so this cap bounds memory (~17 MiB at 1024)
+# and time (~resolution^3).
 GRID_MAX_RESOLUTION = 1024
 WERNER_MIN_RESOLUTION = 32
 WERNER_MONOTONE_ATOL = 1e-6
-# Cube cells per reduction chunk: an 8 MB buffer reused across chunks.
-_CUBE_CHUNK_CELLS = 1 << 20
+# Cells per reduction tile (512 KB of float64), also the bound on the
+# candidates and cells of one winner-search block.  At resolution 1024 the
+# table and the column maxima take 16 MiB; a tile twice this size is no
+# faster at resolution 96 and would push the peak past 17 MiB.
+_CUBE_CHUNK_CELLS = 1 << 16
 # Grid and refinement winners ignore LHS differences up to this size.
 WINNER_ATOL = 1e-12
 
@@ -46,8 +52,9 @@ WINNER_ATOL = 1e-12
 class _GridCells:
     """The resolution^3 cells of one grid, computed on access from the pair-MI table.
 
-    Cell (i, j, k) is |MI(i, j) - MI(i, k)| + MI(j, k), the same float
-    arithmetic the cube reduction uses.
+    Cell (i, j, k) is |MI(i, j) - MI(i, k)| + MI(j, k), in the same float
+    arithmetic as the winner search; the grid maximum is the largest of
+    these values, bit for bit.
     """
 
     __slots__ = ("angles", "mi")
@@ -161,34 +168,95 @@ def _lhs_at(rho: DensityMatrix, angles: tuple[float, float, float]) -> float:
     return cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs
 
 
+def _column_maxima(mi: np.ndarray) -> np.ndarray:
+    """The lhs cube reduced over i: out[j, k] = max_i lhs[i, j, k], bit for bit.
+
+    P[j, k] = max_i fl(mi[i, j] - mi[i, k]) is reduced tile by tile.  A tile
+    is some rows of i over one square block of (j, k) columns, at most
+    _CUBE_CHUNK_CELLS cells including the slab that takes the tile's max, so
+    the block's running max stays in cache while i advances.  Then
+    out = fl(|max(P, P.T)| + mi), formed in place.
+    """
+    n = len(mi)
+    side = min(n, max(1, math.isqrt(_CUBE_CHUNK_CELLS // 4)))  # >= 3 rows of i per tile at any resolution
+    rows = max(1, min(n, _CUBE_CHUNK_CELLS // (side * side) - 1))
+    tile = np.empty((rows + 1, side, side))
+    top = np.full((n, n), -np.inf)
+    for j0 in range(0, n, side):
+        for k0 in range(0, n, side):
+            acc = top[j0:j0 + side, k0:k0 + side]
+            slab = tile[rows, :acc.shape[0], :acc.shape[1]]
+            for i0 in range(0, n, rows):
+                block = mi[i0:i0 + rows]
+                diff = tile[:len(block), :acc.shape[0], :acc.shape[1]]
+                np.subtract(block[:, j0:j0 + side, None], block[:, None, k0:k0 + side], out=diff)
+                np.maximum.reduce(diff, axis=0, out=slab)
+                np.maximum(acc, slab, out=acc)
+    for j0 in range(0, n, side):  # max(P, P.T) one pair of blocks at a time: no n x n temporary
+        for k0 in range(j0, n, side):
+            upper, lower = top[j0:j0 + side, k0:k0 + side], top[k0:k0 + side, j0:j0 + side]
+            np.maximum(upper, lower.T, out=upper)
+            lower[...] = upper.T
+    np.abs(top, out=top)
+    np.add(top, mi, out=top)
+    return top
+
+
+def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[int, int, int]:
+    """Lexicographically first cell (i, j, k) with lhs >= threshold, (j, k) among ``columns``.
+
+    ``columns`` masks the (j, k) columns that can reach the threshold.  They
+    are taken in row-major slabs and each slab is scanned upward in i, only
+    below the best i found so far, so no pass holds more than
+    _CUBE_CHUNK_CELLS candidates or cells.
+    """
+    n = len(mi)
+    first = (n, 0, 0)
+    slab_rows = max(1, _CUBE_CHUNK_CELLS // n)
+    for j0 in range(0, n, slab_rows):
+        j, k = np.nonzero(columns[j0:j0 + slab_rows])
+        if not len(j):
+            continue
+        j += j0
+        m = mi[j, k]
+        rows = max(1, _CUBE_CHUNK_CELLS // len(j))
+        for i0 in range(0, first[0], rows):
+            block = mi[i0:min(i0 + rows, first[0])]
+            lhs = block[:, j]
+            np.subtract(lhs, block[:, k], out=lhs)
+            np.abs(lhs, out=lhs)
+            np.add(lhs, m, out=lhs)
+            hits = lhs >= threshold
+            if hits.any():
+                r, c = divmod(int(hits.argmax()), len(j))
+                first = (i0 + r, int(j[c]), int(k[c]))
+                break
+    return first
+
+
 def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Max of lhs[i, j, k] = |mi[i, j] - mi[i, k]| + mi[j, k] and the winning cell.
 
     The winner is the lexicographically first cell within WINNER_ATOL of the
-    max.  The cube is reduced in chunks of rows of i into one reused buffer;
-    only the first chunk that reaches the threshold is evaluated a second
-    time, and not even that when it is still in the buffer.
+    max.  The cube is reduced over i first, with two exact float identities:
+
+    * rounding of ``+`` is monotone, so max_i fl(d_i + c) = fl(max_i d_i + c);
+    * |x| = max(x, -x) and fl(b - a) = -fl(a - b), so with
+      P[j, k] = max_i fl(mi[i, j] - mi[i, k]) the largest |difference| in
+      column (j, k) is max(P[j, k], P[k, j]).
+
+    Hence the column maxima are fl(|max(P, P.T)| + mi), bit for bit (the
+    |.| only turns a -0.0 into 0.0), and only P takes resolution^3 work: one
+    subtract and one max-reduce per cache-sized tile.  The winner can only
+    lie in a column whose maximum reaches the threshold; those columns alone
+    are scanned for it, in bounded blocks.  Memory is O(resolution^2).
     """
-    n = len(mi)
-    buffer = np.empty((max(1, _CUBE_CHUNK_CELLS // (n * n)), n, n))
-
-    def fill(start: int) -> np.ndarray:
-        rows = mi[start:start + len(buffer)]
-        block = buffer[:len(rows)]
-        np.subtract(rows[:, :, None], rows[:, None, :], out=block)
-        np.abs(block, out=block)
-        np.add(block, mi, out=block)
-        return block
-
-    starts = range(0, n, len(buffer))
-    maxima = [float(fill(start).max()) for start in starts]
-    best = max(maxima)
+    top = _column_maxima(mi)
+    best = float(top.max())
     threshold = best - WINNER_ATOL
-    first = next(c for c, m in enumerate(maxima) if m >= threshold)
-    block = fill(starts[first]) if first < len(starts) - 1 else buffer[:n - starts[first]]
-    index = starts[first] * n * n + int(np.argmax(block >= threshold))
-    i, j, k = np.unravel_index(index, (n, n, n))
-    return best, (int(i), int(j), int(k))
+    columns = top >= threshold
+    del top  # the winner search needs only the mask; this keeps the res-1024 peak at ~17 MiB
+    return best, _first_cell(mi, columns, threshold)
 
 
 def grid_search(rho: DensityMatrix, resolution: int) -> SearchResult:

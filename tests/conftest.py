@@ -8,7 +8,10 @@ a per-pair projector and np.kron evaluation; the closed-form pair kernel
 must agree with it within 1e-12.  ``reference_battery`` and
 ``reference_cmi`` are the per-quantity classical checks (one marginal and
 one pair MI per term) that the entropy vector replaced; the vector-based
-checks must reproduce them bit for bit.
+checks must reproduce them bit for bit.  ``reference_cube_argmax`` is the
+four-pass grid reduction (subtract, abs, add, max over row chunks of the
+resolution^3 cube) that the reduce-over-i-first tiles replaced; the grid
+search must reproduce its maximum and winner bit for bit.
 """
 from __future__ import annotations
 
@@ -140,6 +143,34 @@ def reference_battery(d: JointDistribution) -> list[InequalityReport]:
         _ref_report("dpi_reverse_source", icb, hc, {"H(C:B)": icb, "H(C)": hc}, meta),
         _ref_report("dpi_reverse_chain", ica, icb, {"H(C:A)": ica, "H(C:B)": icb}, chain),
     ]
+
+
+def reference_cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """Max of |mi[i, j] - mi[i, k]| + mi[j, k] over the cube and its first cell within 1e-12.
+
+    Each 8 MB chunk of rows of i is filled in full (subtract, abs, add) and
+    max-reduced; the first chunk that reaches the threshold is filled again
+    and its first cell at or above the threshold wins.
+    """
+    n = len(mi)
+    buffer = np.empty((max(1, (1 << 20) // (n * n)), n, n))
+
+    def fill(start: int) -> np.ndarray:
+        rows = mi[start:start + len(buffer)]
+        block = buffer[:len(rows)]
+        np.subtract(rows[:, :, None], rows[:, None, :], out=block)
+        np.abs(block, out=block)
+        np.add(block, mi, out=block)
+        return block
+
+    starts = range(0, n, len(buffer))
+    maxima = [float(fill(start).max()) for start in starts]
+    best = max(maxima)
+    threshold = best - 1e-12
+    first = next(c for c, m in enumerate(maxima) if m >= threshold)
+    index = starts[first] * n * n + int(np.argmax(fill(starts[first]) >= threshold))
+    i, j, k = np.unravel_index(index, (n, n, n))
+    return best, (int(i), int(j), int(k))
 
 
 def report_fields(r: InequalityReport) -> str:

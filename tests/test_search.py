@@ -11,6 +11,7 @@ from scipy.optimize import brentq, minimize_scalar
 from entrobound import (
     DensityMatrix,
     MeasurementSettings,
+    bell_state,
     grid_refine,
     grid_search,
     maximally_mixed,
@@ -22,9 +23,17 @@ from entrobound import (
 )
 from entrobound.errors import ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
 from entrobound import search as search_module
+from entrobound.quantum import pair_mi_table
 from entrobound.search import GRID_MAX_RESOLUTION
 
-from conftest import brute_entropy_bits, random_mixed_state, singlet_mi, spin_projector, werner_mi
+from conftest import (
+    brute_entropy_bits,
+    random_mixed_state,
+    reference_cube_argmax,
+    singlet_mi,
+    spin_projector,
+    werner_mi,
+)
 
 # Regression constants, frozen from the first run of this implementation and
 # cross-checked against the closed-form singlet statistics (see the oracle
@@ -301,15 +310,29 @@ def test_grid_search_rejects_resolution_above_cap_before_allocating():
 
 
 def test_grid_memory_stays_quadratic_in_resolution():
-    # a res^3 cube at res 256 would take 128 MB; the chunked reduction needs ~10 MB
+    # a res^3 cube at res 256 would take 128 MB; the tiled reduction needs ~2 MB
     tracemalloc.start()
     try:
         result = grid_search(werner_state(0.9), 256)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 8 * 2**20
     assert len(result.trace) == 256 ** 3
+
+
+def test_grid_winner_search_stays_small_when_every_cell_ties():
+    # every (j, k) column of the maximally mixed state reaches the max, so
+    # the winner search has all res^2 candidates; it takes them in bounded
+    # blocks (~3 MB at res 256, where one res x res^2 candidate array is 128 MB)
+    tracemalloc.start()
+    try:
+        result = grid_search(maximally_mixed(), 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert result.best_lhs == 0.0 and result.best_settings.angles == (0.0, 0.0, 0.0)
 
 
 def test_grid_trace_sequence_semantics():
@@ -346,7 +369,7 @@ def test_grid_refine_trace_concatenates_lazily():
 
 def test_grid_search_exact_ties_keep_the_first_cell_across_chunks():
     # every cell of the maximally mixed state is exactly 0; at res 128 the
-    # cube is reduced in several chunks, and the first cell must still win
+    # cube is reduced in several tiles, and the first cell must still win
     from entrobound.search import _CUBE_CHUNK_CELLS
 
     assert 128 ** 3 > _CUBE_CHUNK_CELLS
@@ -360,25 +383,62 @@ def test_grid_search_exact_ties_keep_the_first_cell_across_chunks():
 @st.composite
 def _tied_tables(draw):
     """A small pair-MI table of a few planted levels, each entry jittered by at most 1e-13."""
-    n = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=12))
     levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n * n, max_size=n * n))
     jitter = draw(st.lists(st.floats(min_value=-1e-13, max_value=1e-13), min_size=n * n, max_size=n * n))
-    rows = draw(st.integers(min_value=1, max_value=n))  # rows of i per reduction chunk
-    return np.add(levels, jitter).reshape(n, n), rows
+    # cells per reduction tile: from one cell up to all of i over every (j, k) column
+    tile_cells = draw(st.integers(min_value=1, max_value=(n + 1) * n * n))
+    return np.add(levels, jitter).reshape(n, n), tile_cells
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_tied_tables())
 def test_cube_argmax_is_the_first_cell_within_atol_of_the_max(case):
-    mi, rows = case
+    mi, tile_cells = case
     n = len(mi)
     cells = [((i, j, k), abs(mi[i, j] - mi[i, k]) + mi[j, k])
              for i in range(n) for j in range(n) for k in range(n)]
     best = max(lhs for _, lhs in cells)
     first = next(cell for cell, lhs in cells if lhs >= best - 1e-12)
-    with pytest.MonkeyPatch.context() as mp:  # small chunks: ties straddle them, the winner's is recomputed
-        mp.setattr(search_module, "_CUBE_CHUNK_CELLS", rows * n * n)
+    with pytest.MonkeyPatch.context() as mp:  # small tiles: ties straddle rows of i and blocks of (j, k)
+        mp.setattr(search_module, "_CUBE_CHUNK_CELLS", tile_cells)
         assert search_module._cube_argmax(mi) == (best, first)
+
+
+def test_cube_argmax_of_signed_zero_tables_matches_the_cells_bit_for_bit():
+    # |x| never returns -0.0, so no cell is -0.0; every sign pattern of a 3 x 3
+    # table of zeros must give the max 0.0, not -0.0, and the first cell
+    for signs in range(2 ** 9):
+        mi = np.array([-0.0 if signs >> b & 1 else 0.0 for b in range(9)]).reshape(3, 3)
+        best, first = search_module._cube_argmax(mi)
+        assert repr(best) == "0.0" and first == (0, 0, 0), mi
+
+
+def _reduction_states():
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    states = [("singlet", singlet()), ("phi+", bell_state("phi+")), ("werner 0.97", werner_state(0.97)),
+              ("maximally mixed", maximally_mixed())]
+    for seed in (11, 12):
+        m = random_mixed_state(np.random.default_rng(seed))
+        states.append((f"seed {seed}", DensityMatrix(2, 2, m)))
+        states.append((f"seed {seed}, swap-symmetrised", DensityMatrix(2, 2, (m + swap @ m @ swap) / 2.0)))
+    return states
+
+
+@pytest.mark.parametrize("tile_cells", [None, 4096])
+@pytest.mark.parametrize("resolution", [8, 31, 96, 101, 150])
+def test_grid_reduction_is_bit_identical_to_the_four_pass_cube(monkeypatch, resolution, tile_cells):
+    # 4096-cell tiles hold 3 rows of i over a 32 x 32 block of (j, k) columns,
+    # so from res 96 on they split both i and the columns
+    if tile_cells is not None:
+        monkeypatch.setattr(search_module, "_CUBE_CHUNK_CELLS", tile_cells)
+    step = math.pi / resolution
+    angles = tuple(i * step for i in range(resolution))  # grid_search's angles, bit for bit
+    for name, rho in _reduction_states():
+        best, (i, j, k) = reference_cube_argmax(pair_mi_table(rho, angles, angles))
+        result = grid_search(rho, resolution)
+        assert repr(result.best_lhs) == repr(best), name
+        assert result.best_settings.angles == (angles[i], angles[j], angles[k]), name
 
 
 def test_grid_winner_is_the_textbook_singlet_triple():
