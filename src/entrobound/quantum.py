@@ -21,12 +21,12 @@ Matrix serialization::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import JointDistribution
-from .entropy import CLAMP_ATOL, EntropyValue, _check_base, _clamp
+from .entropy import CLAMP_ATOL, EntropyValue, _check_base, _clamp, _plogp_bits
 from .errors import (
     DimensionMismatchError,
     InternalError,
@@ -36,7 +36,7 @@ from .errors import (
     NotPureError,
     ValidationError,
 )
-from .inequalities import InequalityReport, cerf_adami_check
+from .inequalities import InequalityReport, _report
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -211,8 +211,7 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> EntropyValue:
     eigs = np.linalg.eigvalsh(rho.matrix)
     if float(eigs.min()) < -EIGENVALUE_ATOL:
         raise NotPositiveSemidefiniteError(f"eigenvalue {float(eigs.min())} below -{EIGENVALUE_ATOL}")
-    lam = eigs[eigs > 0.0]  # clamp [-1e-9, 0) to 0 by skipping
-    bits = float(-(lam * np.log2(lam)).sum())
+    bits = _plogp_bits(eigs)  # skipping eigenvalues <= 0 clamps [-1e-9, 0) to 0
     return EntropyValue(_clamp(bits / math.log2(base), "von Neumann entropy"), base)
 
 
@@ -345,10 +344,7 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
                 warnings.append(
                     f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
                 )
-    mi = _mutual_information(p)
-    report = cerf_adami_check(*(EntropyValue(float(v), 2.0) for v in mi), bound=1.0, source="pairwise")
-    meta = dict(report.meta)
-    meta["angles"] = [float(a) for a in settings.angles]
-    meta["marginals_uniform"] = not warnings
-    meta["warnings"] = warnings
-    return replace(report, meta=meta)
+    iab, iac, ibc = _mutual_information(p).tolist()  # in bits, finite and >= 0
+    meta = {"source": "pairwise", "normalized": True, "angles": [float(a) for a in settings.angles],
+            "marginals_uniform": not warnings, "warnings": warnings}
+    return _report("cerf_adami", abs(iab - iac) + ibc, 1.0, {"H(A:B)": iab, "H(A:C)": iac, "H(B:C)": ibc}, meta)

@@ -5,13 +5,15 @@ singlet family that planar restriction is lossless.  The grid evaluator
 exploits the fact that the LHS depends only on the three pairwise mutual
 informations: it computes the ordered resolution^2 pair-MI table in one
 kernel call and reduces the resolution^3 LHS cube from it over the first
-angle first, in cache-sized tiles, to one resolution^2 table of column
-maxima.  That reduction is exact, so the max and winner are bit-identical
-to a full evaluation of the cube, and memory stays O(resolution^2).  The
-trace still holds one entry per grid cell in lexicographic order, exactly
-as if every cell had been evaluated independently, but each entry is
-computed when it is read.  Local refinement is a derivative-free
-coordinate search (the LHS has absolute-value kinks, so no gradients).
+angle, one column of the second angle at a time and only over third angles
+at or above it (the LHS is symmetric in the last two), to one
+resolution^2 table of column maxima.  That reduction is exact, so the max
+and winner are bit-identical to a full evaluation of the cube, and memory
+stays O(resolution^2).  The trace still holds one entry per grid cell in
+lexicographic order, exactly as if every cell had been evaluated
+independently, but each entry is computed when it is read.  Local
+refinement is a derivative-free coordinate search (the LHS has
+absolute-value kinks, so no gradients).
 
 Everything here is deterministic: identical inputs give identical results,
 including trace order.  Winners do not depend on last-bit rounding: the grid
@@ -35,15 +37,15 @@ from .quantum import DensityMatrix, MeasurementSettings, cerf_adami_quantum, pai
 
 GRID_MIN_RESOLUTION = 8
 # The pair-MI table and the column maxima are resolution^2 float64 each and
-# the cube is reduced in tiles, so this cap bounds memory (~17 MiB at 1024)
-# and time (~resolution^3).
+# the cube is reduced in bounded blocks, so this cap bounds memory (~17 MiB
+# at 1024) and time (~resolution^3).
 GRID_MAX_RESOLUTION = 1024
 WERNER_MIN_RESOLUTION = 32
 WERNER_MONOTONE_ATOL = 1e-6
-# Cells per reduction tile (512 KB of float64), also the bound on the
-# candidates and cells of one winner-search block.  At resolution 1024 the
-# table and the column maxima take 16 MiB; a tile twice this size is no
-# faster at resolution 96 and would push the peak past 17 MiB.
+# Cells per reduction block (512 KB of float64: rows of i over one column's
+# k >= j), also the bound on the candidates and cells of one winner-search
+# block.  At resolution 1024 the table and the column maxima take 16 MiB.
+# Up to resolution 256 one block holds every row of i.
 _CUBE_CHUNK_CELLS = 1 << 16
 # Grid and refinement winners ignore LHS differences up to this size.
 WINNER_ATOL = 1e-12
@@ -164,6 +166,18 @@ class SearchResult:
         return payload
 
 
+def _check_tol(tol: float) -> float:
+    """``tol`` as a float; ValidationError unless it is positive and finite.
+
+    A NaN tolerance would stop refinement after one probe or skip the
+    Werner bisection, and an infinite one would stop before any sweep.
+    """
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    return tol
+
+
 def _lhs_at(rho: DensityMatrix, angles: tuple[float, float, float]) -> float:
     return cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs
 
@@ -171,34 +185,23 @@ def _lhs_at(rho: DensityMatrix, angles: tuple[float, float, float]) -> float:
 def _column_maxima(mi: np.ndarray) -> np.ndarray:
     """The lhs cube reduced over i: out[j, k] = max_i lhs[i, j, k], bit for bit.
 
-    P[j, k] = max_i fl(mi[i, j] - mi[i, k]) is reduced tile by tile.  A tile
-    is some rows of i over one square block of (j, k) columns, at most
-    _CUBE_CHUNK_CELLS cells including the slab that takes the tile's max, so
-    the block's running max stays in cache while i advances.  Then
-    out = fl(|max(P, P.T)| + mi), formed in place.
+    Column j is swept over k >= j only: fl(b - a) = -fl(a - b), so the spread
+    max_i |mi[i, j] - mi[i, k]| is symmetric in j and k and is mirrored into
+    out[k, j].  Each pass subtracts one scalar per row of i from a contiguous
+    slice, in blocks of at most _CUBE_CHUNK_CELLS cells.  Rounding of ``+`` is
+    monotone, so adding mi last gives the maxima of the cells.
     """
     n = len(mi)
-    side = min(n, max(1, math.isqrt(_CUBE_CHUNK_CELLS // 4)))  # >= 3 rows of i per tile at any resolution
-    rows = max(1, min(n, _CUBE_CHUNK_CELLS // (side * side) - 1))
-    tile = np.empty((rows + 1, side, side))
-    top = np.full((n, n), -np.inf)
-    for j0 in range(0, n, side):
-        for k0 in range(0, n, side):
-            acc = top[j0:j0 + side, k0:k0 + side]
-            slab = tile[rows, :acc.shape[0], :acc.shape[1]]
-            for i0 in range(0, n, rows):
-                block = mi[i0:i0 + rows]
-                diff = tile[:len(block), :acc.shape[0], :acc.shape[1]]
-                np.subtract(block[:, j0:j0 + side, None], block[:, None, k0:k0 + side], out=diff)
-                np.maximum.reduce(diff, axis=0, out=slab)
-                np.maximum(acc, slab, out=acc)
-    for j0 in range(0, n, side):  # max(P, P.T) one pair of blocks at a time: no n x n temporary
-        for k0 in range(j0, n, side):
-            upper, lower = top[j0:j0 + side, k0:k0 + side], top[k0:k0 + side, j0:j0 + side]
-            np.maximum(upper, lower.T, out=upper)
-            lower[...] = upper.T
-    np.abs(top, out=top)
-    np.add(top, mi, out=top)
+    rows = max(1, _CUBE_CHUNK_CELLS // n)
+    top = np.zeros((n, n))  # below every |difference|, and |x| is never -0.0
+    for j in range(n):
+        row = top[j, j:]
+        for i0 in range(0, n, rows):
+            diff = mi[i0:i0 + rows, j:] - mi[i0:i0 + rows, j, None]
+            np.abs(diff, out=diff)
+            np.maximum(row, diff.max(axis=0), out=row)
+        top[j:, j] = row
+    top += mi
     return top
 
 
@@ -238,18 +241,13 @@ def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Max of lhs[i, j, k] = |mi[i, j] - mi[i, k]| + mi[j, k] and the winning cell.
 
     The winner is the lexicographically first cell within WINNER_ATOL of the
-    max.  The cube is reduced over i first, with two exact float identities:
-
-    * rounding of ``+`` is monotone, so max_i fl(d_i + c) = fl(max_i d_i + c);
-    * |x| = max(x, -x) and fl(b - a) = -fl(a - b), so with
-      P[j, k] = max_i fl(mi[i, j] - mi[i, k]) the largest |difference| in
-      column (j, k) is max(P[j, k], P[k, j]).
-
-    Hence the column maxima are fl(|max(P, P.T)| + mi), bit for bit (the
-    |.| only turns a -0.0 into 0.0), and only P takes resolution^3 work: one
-    subtract and one max-reduce per cache-sized tile.  The winner can only
-    lie in a column whose maximum reaches the threshold; those columns alone
-    are scanned for it, in bounded blocks.  Memory is O(resolution^2).
+    max.  The cube is reduced over i first (``_column_maxima``), exactly:
+    rounding of ``+`` is monotone, so max_i fl(d_i + c) = fl(max_i d_i + c),
+    and fl(b - a) = -fl(a - b) makes the spread max_i |d_i| of column (j, k)
+    that of column (k, j), so only k >= j takes resolution^3 work.  The
+    winner can only lie in a column whose maximum reaches the threshold;
+    those columns alone are scanned for it, in bounded blocks.  Memory is
+    O(resolution^2).
     """
     top = _column_maxima(mi)
     best = float(top.max())
@@ -304,9 +302,7 @@ def refine(
     ``tol``, so it always converges, and never returns less than the start
     value.
     """
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):  # NaN would stop after one probe, inf before any sweep
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    tol = _check_tol(tol)
     resolution = int(resolution)
     if resolution < 1:
         raise ValidationError(f"resolution must be >= 1, got {resolution}")
@@ -343,6 +339,7 @@ def refine(
 
 def grid_refine(rho: DensityMatrix, resolution: int, tol: float = 1e-6) -> SearchResult:
     """Grid search followed by refinement from the grid optimum."""
+    tol = _check_tol(tol)  # before the grid, which would otherwise run for nothing
     coarse = grid_search(rho, resolution)
     fine = refine(rho, coarse.best_settings, tol=tol, resolution=resolution)
     best = max(coarse.best_lhs, fine.best_lhs)  # refine is monotone; max is defensive
@@ -368,9 +365,7 @@ def werner_threshold(resolution: int = 32, tol: float = 1e-3) -> float:
     resolution = int(resolution)
     if resolution < WERNER_MIN_RESOLUTION:
         raise ResolutionTooSmallError(f"resolution must be >= {WERNER_MIN_RESOLUTION}, got {resolution}")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):  # a NaN bracket test would skip the bisection
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
+    tol = _check_tol(tol)
 
     samples: list[tuple[float, float]] = []
 

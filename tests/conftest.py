@@ -5,12 +5,15 @@ paths: entropies are summed with math.log2 in a plain loop, singlet
 statistics come from the closed form, and reduced-state spectra are taken
 straight from numpy on test-side matrices.  ``reference_measure_pair`` is
 a per-pair projector and np.kron evaluation; the closed-form pair kernel
-must agree with it within 1e-12.  ``reference_battery`` and
+must agree with it within 1e-12.  ``reference_cerf_adami_quantum`` is the
+pairwise Cerf-Adami report built through ``cerf_adami_check`` and then
+extended with the quantum meta, which the one-call report replaced; the two
+must agree field for field.  ``reference_battery`` and
 ``reference_cmi`` are the per-quantity classical checks (one marginal and
 one pair MI per term) that the entropy vector replaced; the vector-based
 checks must reproduce them bit for bit.  ``reference_cube_argmax`` is the
 four-pass grid reduction (subtract, abs, add, max over row chunks of the
-resolution^3 cube) that the reduce-over-i-first tiles replaced; the grid
+resolution^3 cube) that the reduce-over-i-first sweep replaced; the grid
 search must reproduce its maximum and winner bit for bit.
 """
 from __future__ import annotations
@@ -31,6 +34,7 @@ from entrobound import (
     shannon_entropy,
 )
 from entrobound.errors import InternalError
+from entrobound.quantum import _correlations, _mutual_information, _outcome_tables
 
 
 def brute_entropy_bits(flat) -> float:
@@ -101,6 +105,27 @@ def reference_pair_mi(rho, angle_1: float, angle_2: float) -> float:
 def _ref_report(name, lhs, rhs, terms, meta=None):
     return InequalityReport(name, float(lhs), float(rhs), {k: float(v) for k, v in terms.items()},
                             bool(lhs <= rhs + 1e-9), float(rhs) - float(lhs), dict(meta or {}))
+
+
+def reference_cerf_adami_quantum(rho, settings) -> InequalityReport:
+    """``cerf_adami_quantum`` through ``cerf_adami_check``, with the quantum meta appended."""
+    theta_a, theta_b, theta_c = settings.angles
+    p, bloch_a, bloch_b = _outcome_tables(
+        _correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c])
+    )
+    warnings = []
+    pairs = (("H(A:B)", "A", "B"), ("H(A:C)", "A", "C"), ("H(B:C)", "B", "C"))
+    for (label, n1, n2), dev_1, dev_2 in zip(pairs, np.abs(bloch_a) / 2.0, np.abs(bloch_b) / 2.0):
+        for setting_name, deviation in ((n1, dev_1), (n2, dev_2)):
+            if deviation > 1e-6:
+                warnings.append(
+                    f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
+                )
+    mi = _mutual_information(p)
+    r = cerf_adami_check(*(EntropyValue(float(v), 2.0) for v in mi), bound=1.0, source="pairwise")
+    meta = {**r.meta, "angles": [float(a) for a in settings.angles], "marginals_uniform": not warnings,
+            "warnings": warnings}
+    return InequalityReport(r.name, r.lhs, r.rhs, r.terms, r.satisfied, r.margin, meta)
 
 
 def reference_cmi(d: JointDistribution, x: int, y: int, given: int) -> float:

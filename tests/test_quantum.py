@@ -43,7 +43,9 @@ from conftest import (
     random_mixed_state,
     random_pure_two_qubit,
     reference_measure_pair,
+    reference_cerf_adami_quantum,
     reference_pair_mi,
+    report_fields,
     singlet_mi,
     singlet_pair_probs,
     werner_mi,
@@ -287,6 +289,20 @@ def test_cerf_adami_quantum_flags_non_uniform_marginals():
         f"setting {name} marginal in {label} deviates from uniform by 0.5"
         for label, names in (("H(A:B)", "AB"), ("H(A:C)", "AC"), ("H(B:C)", "BC")) for name in names
     ]
+
+
+def test_cerf_adami_quantum_report_matches_the_cerf_adami_check_path():
+    rng = np.random.default_rng(93)
+    states = [singlet(), werner_state(0.5), werner_state(0.97), pure_state([1.0, 0.0, 0.0, 0.0])]
+    states += [DensityMatrix(2, 2, random_mixed_state(rng)) for _ in range(4)]  # marginals not uniform
+    warned = 0
+    for rho in states:
+        for angles in [(0.0, 0.0, 0.0), (0.0, math.pi / 8, math.pi / 4), *rng.uniform(0.0, math.pi, (20, 3))]:
+            settings = MeasurementSettings(tuple(angles))
+            report = cerf_adami_quantum(rho, settings)
+            assert report_fields(report) == report_fields(reference_cerf_adami_quantum(rho, settings))
+            warned += bool(report.meta["warnings"])
+    assert warned > 40
 
 
 def test_product_states_never_violate_sweep():

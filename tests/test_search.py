@@ -310,7 +310,7 @@ def test_grid_search_rejects_resolution_above_cap_before_allocating():
 
 
 def test_grid_memory_stays_quadratic_in_resolution():
-    # a res^3 cube at res 256 would take 128 MB; the tiled reduction needs ~2 MB
+    # a res^3 cube at res 256 would take 128 MB; the column sweep needs ~2 MB
     tracemalloc.start()
     try:
         result = grid_search(werner_state(0.9), 256)
@@ -368,8 +368,9 @@ def test_grid_refine_trace_concatenates_lazily():
 
 
 def test_grid_search_exact_ties_keep_the_first_cell_across_chunks():
-    # every cell of the maximally mixed state is exactly 0; at res 128 the
-    # cube is reduced in several tiles, and the first cell must still win
+    # every cell of the maximally mixed state is exactly 0, so every (j, k)
+    # column ties; at res 128 the winner search takes them in several blocks,
+    # and the first cell must still win
     from entrobound.search import _CUBE_CHUNK_CELLS
 
     assert 128 ** 3 > _CUBE_CHUNK_CELLS
@@ -386,22 +387,22 @@ def _tied_tables(draw):
     n = draw(st.integers(min_value=1, max_value=12))
     levels = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n * n, max_size=n * n))
     jitter = draw(st.lists(st.floats(min_value=-1e-13, max_value=1e-13), min_size=n * n, max_size=n * n))
-    # cells per reduction tile: from one cell up to all of i over every (j, k) column
-    tile_cells = draw(st.integers(min_value=1, max_value=(n + 1) * n * n))
-    return np.add(levels, jitter).reshape(n, n), tile_cells
+    # cells per reduction block: from one cell (one row of i) to more than the whole cube
+    block_cells = draw(st.integers(min_value=1, max_value=(n + 1) * n * n))
+    return np.add(levels, jitter).reshape(n, n), block_cells
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_tied_tables())
 def test_cube_argmax_is_the_first_cell_within_atol_of_the_max(case):
-    mi, tile_cells = case
+    mi, block_cells = case
     n = len(mi)
     cells = [((i, j, k), abs(mi[i, j] - mi[i, k]) + mi[j, k])
              for i in range(n) for j in range(n) for k in range(n)]
     best = max(lhs for _, lhs in cells)
     first = next(cell for cell, lhs in cells if lhs >= best - 1e-12)
-    with pytest.MonkeyPatch.context() as mp:  # small tiles: ties straddle rows of i and blocks of (j, k)
-        mp.setattr(search_module, "_CUBE_CHUNK_CELLS", tile_cells)
+    with pytest.MonkeyPatch.context() as mp:  # small blocks: ties straddle blocks of i and of (j, k) candidates
+        mp.setattr(search_module, "_CUBE_CHUNK_CELLS", block_cells)
         assert search_module._cube_argmax(mi) == (best, first)
 
 
@@ -425,13 +426,13 @@ def _reduction_states():
     return states
 
 
-@pytest.mark.parametrize("tile_cells", [None, 4096])
-@pytest.mark.parametrize("resolution", [8, 31, 96, 101, 150])
-def test_grid_reduction_is_bit_identical_to_the_four_pass_cube(monkeypatch, resolution, tile_cells):
-    # 4096-cell tiles hold 3 rows of i over a 32 x 32 block of (j, k) columns,
-    # so from res 96 on they split both i and the columns
-    if tile_cells is not None:
-        monkeypatch.setattr(search_module, "_CUBE_CHUNK_CELLS", tile_cells)
+@pytest.mark.parametrize("block_cells", [None, 4096])
+@pytest.mark.parametrize("resolution", [8, 31, 96, 101, 150, 257])
+def test_grid_reduction_is_bit_identical_to_the_four_pass_cube(monkeypatch, resolution, block_cells):
+    # a block holds block_cells // resolution rows of i: 4096-cell blocks split
+    # i from res 96 on (42 rows), the default 65536 only at res 257 (255 rows)
+    if block_cells is not None:
+        monkeypatch.setattr(search_module, "_CUBE_CHUNK_CELLS", block_cells)
     step = math.pi / resolution
     angles = tuple(i * step for i in range(resolution))  # grid_search's angles, bit for bit
     for name, rho in _reduction_states():
@@ -439,6 +440,20 @@ def test_grid_reduction_is_bit_identical_to_the_four_pass_cube(monkeypatch, reso
         result = grid_search(rho, resolution)
         assert repr(result.best_lhs) == repr(best), name
         assert result.best_settings.angles == (angles[i], angles[j], angles[k]), name
+
+
+@pytest.mark.parametrize("block_cells", [None, 4096, 20])
+@pytest.mark.parametrize("resolution", [8, 31, 96])
+def test_column_maxima_are_the_cube_maxima_byte_for_byte(monkeypatch, resolution, block_cells):
+    # 20-cell blocks hold at most 2 rows of i, so every column is swept in pieces
+    if block_cells is not None:
+        monkeypatch.setattr(search_module, "_CUBE_CHUNK_CELLS", block_cells)
+    step = math.pi / resolution
+    angles = tuple(i * step for i in range(resolution))
+    for name, rho in _reduction_states():
+        mi = pair_mi_table(rho, angles, angles)
+        cube = np.abs(mi[:, :, None] - mi[:, None, :]) + mi
+        assert search_module._column_maxima(mi).tobytes() == cube.max(axis=0).tobytes(), name
 
 
 def test_grid_winner_is_the_textbook_singlet_triple():
@@ -464,6 +479,9 @@ def test_search_rejects_a_bad_tolerance_before_evaluating(monkeypatch, tol):
         refine(singlet(), MeasurementSettings((0.0, 0.0, 0.0)), tol=tol)
     with pytest.raises(ValidationError, match="tol must be positive and finite"):
         werner_threshold(32, tol)
+    monkeypatch.setattr(search_module, "grid_search", lambda *args: calls.append(args))
+    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+        grid_refine(singlet(), 512, tol=tol)  # the module's own function; only its callees are patched
     assert calls == []
 
 
