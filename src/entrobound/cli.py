@@ -40,6 +40,7 @@ from .inequalities import (
 )
 from .markov import MarkovChainSpec, build_tripartite, conditional_mutual_information, is_markov
 from .quantum import (
+    PURITY_ATOL,
     DensityMatrix,
     MeasurementSettings,
     bell_state,
@@ -146,32 +147,24 @@ def _emit(payload: dict, fmt: str, out: TextIO) -> None:
 
 # --- input loading ---------------------------------------------------------------
 
-def _load_json(path: str) -> dict:
+def _load(path: str, kind: str, from_dict):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deeply nested to parse
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load(path: str, kind: str, from_dict):
-    payload = _load_json(path)
     try:
         return from_dict(payload)
     except KeyError as exc:
         raise ParseError(f"{path} is not a {kind} file: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinite size
         raise ParseError(f"{path} is not a {kind} file: {exc}") from exc
 
 
 def _load_distribution(path: str) -> JointDistribution:
     return _load(path, "distribution", JointDistribution.from_dict)
-
-
-def _load_markov_spec(path: str) -> MarkovChainSpec:
-    return _load(path, "Markov spec", MarkovChainSpec.from_dict)
 
 
 def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
@@ -256,7 +249,7 @@ def _cmd_inequality(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_markov(args: argparse.Namespace) -> tuple[dict, int]:
-    spec = _load_markov_spec(args.spec)
+    spec = _load(args.spec, "Markov spec", MarkovChainSpec.from_dict)
     d = build_tripartite(spec)
     cmi = conditional_mutual_information(d, 0, 2, 1)
     reports = dpi_check(d, markov_certified=True) + [triangle_check(d)]
@@ -289,7 +282,7 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[dict, int]:
         "S(B|A)": s_b_given_a.value,
         "purity": purity,
     }
-    if purity >= 1.0 - 1e-9:
+    if purity >= 1.0 - PURITY_ATOL:
         diagnostics["entangled"] = is_entangled_pure(rho)
     payload = {
         "command": "quantum",

@@ -57,8 +57,8 @@ class EntropyValue:
 
 def _check_base(base: float) -> float:
     base = float(base)
-    if not base > 1.0:
-        raise InvalidBaseError(f"logarithm base must be > 1, got {base}")
+    if not (math.isfinite(base) and base > 1.0):
+        raise InvalidBaseError(f"logarithm base must be finite and > 1, got {base}")
     return base
 
 

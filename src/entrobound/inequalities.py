@@ -32,7 +32,8 @@ SATISFIED_ATOL = 1e-9
 class InequalityReport:
     """Outcome of one inequality evaluation, in ``lhs <= rhs`` form.
 
-    ``margin`` is ``rhs - lhs`` exactly; ``terms`` holds the named
+    ``satisfied`` (``lhs <= rhs + 1e-9``) and ``margin`` (``rhs - lhs``)
+    are computed from the two sides, never stored; ``terms`` holds the named
     sub-quantities that entered the comparison; ``meta`` carries structural
     context (certification flags, warnings, sources).
     """
@@ -41,9 +42,15 @@ class InequalityReport:
     lhs: float
     rhs: float
     terms: dict[str, float]
-    satisfied: bool
-    margin: float
     meta: dict = field(default_factory=dict)
+
+    @property
+    def satisfied(self) -> bool:
+        return bool(self.lhs <= self.rhs + SATISFIED_ATOL)
+
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
     def to_dict(self) -> dict:
         return {
@@ -55,18 +62,6 @@ class InequalityReport:
             "margin": self.margin,
             "meta": dict(self.meta),
         }
-
-
-def _report(name: str, lhs: float, rhs: float, terms: dict[str, float], meta: dict | None = None) -> InequalityReport:
-    return InequalityReport(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        terms={k: float(v) for k, v in terms.items()},
-        satisfied=bool(lhs <= rhs + SATISFIED_ATOL),
-        margin=float(rhs) - float(lhs),
-        meta=dict(meta or {}),
-    )
 
 
 # A row is a linear form over the entropy vector: ((coefficient, vector key), ...).
@@ -110,8 +105,8 @@ def _form(h, row) -> float:
 
 def _check(name: str, h, meta: dict | None = None) -> InequalityReport:
     lhs, rhs, terms, check_meta = _CHECKS[name]
-    return _report(name, _form(h, lhs), _form(h, rhs), {label: h[key] for label, key in terms},
-                   {**(meta or {}), **check_meta})
+    return InequalityReport(name, _form(h, lhs), _form(h, rhs), {label: h[key] for label, key in terms},
+                            {**(meta or {}), **check_meta})
 
 
 def triangle_check(d: JointDistribution) -> InequalityReport:
@@ -162,14 +157,14 @@ def cerf_adami_check(
         raise ValidationError(f"bound must be finite, got {bound}")
     values = []
     for label, e in (("H(A:B)", hab), ("H(A:C)", hac), ("H(B:C)", hbc)):
-        v = convert_base(e, 2.0).value
+        v = float(convert_base(e, 2.0).value)
         if not math.isfinite(v):
             raise ValidationError(f"{label} = {v} is not finite")
         if v < -SATISFIED_ATOL:
             raise NegativeMutualInformationError(f"{label} = {v} is negative")
         values.append(max(v, 0.0))
     iab, iac, ibc = values
-    return _report(
+    return InequalityReport(
         "cerf_adami",
         lhs=abs(iab - iac) + ibc,
         rhs=bound,
@@ -199,7 +194,7 @@ def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | No
     terms = {label: h[key] for label, key in labels}
     ixy, ixz, iyz = terms.values()
     meta = {"source": "tripartite", "normalized": rhs == 1.0, "pivot": letter}
-    return _report("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms, meta)
+    return InequalityReport("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms, meta)
 
 
 def marginal_bound(d: JointDistribution) -> float:

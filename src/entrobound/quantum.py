@@ -36,7 +36,7 @@ from .errors import (
     NotPureError,
     ValidationError,
 )
-from .inequalities import InequalityReport, _report
+from .inequalities import InequalityReport
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -292,17 +292,23 @@ def _mutual_information(p: np.ndarray) -> np.ndarray:
     return np.where(mi > 0.0, mi, 0.0)
 
 
+def _finite_angles(angles) -> np.ndarray:
+    a = np.array([float(v) for v in angles])
+    if not np.isfinite(a).all():
+        raise ValidationError(f"angles must be finite, got {a[~np.isfinite(a)][0]}")
+    return a
+
+
 def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
     """Mutual information in bits of every ordered pair of spin measurements.
 
     ``table[x, y]`` is H(X:Y) of measuring angles_x[x] on the first qubit and
     angles_y[y] on the second, computed in closed form from the state's eight
     x-z correlations.  Rows are evaluated in chunks, so working memory stays
-    bounded for any table size.
+    bounded for any table size.  A non-finite angle raises ValidationError.
     """
     c = _correlations(rho)
-    x = np.array([float(a) for a in angles_x])
-    y = np.array([float(a) for a in angles_y])
+    x, y = _finite_angles(angles_x), _finite_angles(angles_y)
     table = np.empty((len(x), len(y)))
     rows = max(1, _CHUNK_PAIRS // max(1, len(y)))
     for start in range(0, len(x), rows):
@@ -317,7 +323,8 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     and index 1 to outcome -1 on each side:
     p(i, j) = tr[rho (P_i(angle_1) x P_j(angle_2))].
     """
-    return JointDistribution((2, 2), _outcome_tables(_correlations(rho), float(angle_1), float(angle_2))[0])
+    x, y = _finite_angles((angle_1, angle_2))
+    return JointDistribution((2, 2), _outcome_tables(_correlations(rho), x, y)[0])
 
 
 def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> InequalityReport:
@@ -347,4 +354,5 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
     iab, iac, ibc = _mutual_information(p).tolist()  # in bits, finite and >= 0
     meta = {"source": "pairwise", "normalized": True, "angles": [float(a) for a in settings.angles],
             "marginals_uniform": not warnings, "warnings": warnings}
-    return _report("cerf_adami", abs(iab - iac) + ibc, 1.0, {"H(A:B)": iab, "H(A:C)": iac, "H(B:C)": ibc}, meta)
+    terms = {"H(A:B)": iab, "H(A:C)": iac, "H(B:C)": ibc}
+    return InequalityReport("cerf_adami", abs(iab - iac) + ibc, 1.0, terms, meta)

@@ -139,14 +139,17 @@ class Trace(Sequence):
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best settings found, the LHS there, and the full evaluation trace."""
+    """Best settings found, the LHS there (``margin`` is ``best_lhs - 1``), and the full evaluation trace."""
 
     best_settings: MeasurementSettings
     best_lhs: float
-    margin: float
     trace: Trace
     grid_resolution: int
     refined: bool
+
+    @property
+    def margin(self) -> float:
+        return self.best_lhs - 1.0
 
     @property
     def violation_found(self) -> bool:
@@ -279,7 +282,6 @@ def grid_search(rho: DensityMatrix, resolution: int) -> SearchResult:
     return SearchResult(
         best_settings=MeasurementSettings((angles[bi], angles[bj], angles[bk])),
         best_lhs=best,
-        margin=best - 1.0,
         trace=Trace(_GridCells(angles, mi)),
         grid_resolution=resolution,
         refined=False,
@@ -330,7 +332,6 @@ def refine(
     return SearchResult(
         best_settings=MeasurementSettings(tuple(current)),
         best_lhs=current_lhs,
-        margin=current_lhs - 1.0,
         trace=Trace(tuple(trace)),
         grid_resolution=resolution,
         refined=True,
@@ -342,12 +343,10 @@ def grid_refine(rho: DensityMatrix, resolution: int, tol: float = 1e-6) -> Searc
     tol = _check_tol(tol)  # before the grid, which would otherwise run for nothing
     coarse = grid_search(rho, resolution)
     fine = refine(rho, coarse.best_settings, tol=tol, resolution=resolution)
-    best = max(coarse.best_lhs, fine.best_lhs)  # refine is monotone; max is defensive
-    winner = fine if fine.best_lhs >= coarse.best_lhs else coarse
+    winner = fine if fine.best_lhs >= coarse.best_lhs else coarse  # refine is monotone; this is defensive
     return SearchResult(
         best_settings=winner.best_settings,
-        best_lhs=best,
-        margin=best - 1.0,
+        best_lhs=winner.best_lhs,
         trace=coarse.trace + fine.trace,
         grid_resolution=coarse.grid_resolution,
         refined=True,

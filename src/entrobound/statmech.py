@@ -115,16 +115,19 @@ def coin_reversal_monte_carlo(sequence_length: int, trials: int, seed: int) -> f
     """
     n = int(sequence_length)
     trials = int(trials)
+    seed = int(seed)
     if n < 1:
         raise ValidationError(f"sequence length must be >= 1, got {n}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     _check_coins(n)
     if n * trials > MAX_COIN_FLIPS:
         raise TooManyCoinsError(
             f"Monte Carlo capped at {MAX_COIN_FLIPS} flips (length x trials), got {n} x {trials}"
         )
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     matches = 0
     remaining = trials
     chunk = max(1, min(trials, 10_000_000 // n))

@@ -103,8 +103,8 @@ def reference_pair_mi(rho, angle_1: float, angle_2: float) -> float:
 
 
 def _ref_report(name, lhs, rhs, terms, meta=None):
-    return InequalityReport(name, float(lhs), float(rhs), {k: float(v) for k, v in terms.items()},
-                            bool(lhs <= rhs + 1e-9), float(rhs) - float(lhs), dict(meta or {}))
+    terms = {k: float(v) for k, v in terms.items()}
+    return InequalityReport(name, float(lhs), float(rhs), terms, dict(meta or {}))
 
 
 def reference_cerf_adami_quantum(rho, settings) -> InequalityReport:
@@ -125,7 +125,7 @@ def reference_cerf_adami_quantum(rho, settings) -> InequalityReport:
     r = cerf_adami_check(*(EntropyValue(float(v), 2.0) for v in mi), bound=1.0, source="pairwise")
     meta = {**r.meta, "angles": [float(a) for a in settings.angles], "marginals_uniform": not warnings,
             "warnings": warnings}
-    return InequalityReport(r.name, r.lhs, r.rhs, r.terms, r.satisfied, r.margin, meta)
+    return InequalityReport(r.name, r.lhs, r.rhs, r.terms, meta)
 
 
 def reference_cmi(d: JointDistribution, x: int, y: int, given: int) -> float:
@@ -142,7 +142,7 @@ def reference_cerf_adami(d: JointDistribution, pivot: int, bound: float = 1.0) -
     values = tuple(mutual_entropy(d, i, j).value for i, j in ((pivot, y), (pivot, z), (y, z)))
     r = cerf_adami_check(*(EntropyValue(v) for v in values), bound=bound, source="tripartite")
     terms = dict(zip((f"H({x_l}:{y_l})", f"H({x_l}:{z_l})", f"H({y_l}:{z_l})"), values))
-    return InequalityReport(r.name, r.lhs, r.rhs, terms, r.satisfied, r.margin, {**r.meta, "pivot": x_l})
+    return InequalityReport(r.name, r.lhs, r.rhs, terms, {**r.meta, "pivot": x_l})
 
 
 def reference_battery(d: JointDistribution) -> list[InequalityReport]:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entrobound
-from entrobound import JointDistribution, product_state
+from entrobound import JointDistribution, product_state, singlet
 from entrobound.cli import _render_json, main
 
 from conftest import random_tripartite, triangle_counterexample, noisy_copy_spec
@@ -316,6 +320,31 @@ def test_non_utf8_file_is_exit_2(capsys, tmp_path):
     assert_input_error(code, out, err, "is not valid JSON")
 
 
+# 1e999 parses as an infinite float, which int() cannot convert
+_INFINITE_SIZE_FILES = {
+    "dist": '{"alphabet_sizes": [1e999, 2], "probs": [0.5, 0.5]}',
+    "state": '{"dims": [1e999, 2], "re": [[1.0]], "im": [[0.0]]}',
+}
+
+
+@pytest.mark.parametrize("argv, case", [
+    (["entropy", "--dist"], "dist"),
+    (["quantum", "--angles", "0,0,0", "--state-file"], "state"),
+])
+def test_infinite_size_in_file_is_exit_2(capsys, tmp_path, argv, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(_INFINITE_SIZE_FILES[case])
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_input_error(code, out, err, "cannot convert float infinity to integer")
+
+
+def test_too_deeply_nested_file_is_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "inequality", "--dist", str(path))
+    assert_input_error(code, out, err, "is not valid JSON")
+
+
 def test_non_numeric_werner_parameter_is_exit_2(capsys):
     code, out, err = run_cli(capsys, "quantum", "--state", "werner:abc", "--angles", "0,0,0")
     assert_input_error(code, out, err, "bad Werner parameter")
@@ -368,6 +397,7 @@ def test_statmech_long_coin_sequence_with_heads(capsys):
     (["--coins", "10001", "--heads", "3"], "coin sequences capped at 10000, got 10001"),
     (["--coins", "1000000000", "--trials", "1"], "coin sequences capped at 10000, got 1000000000"),
     (["--coins", "1000", "--trials", "1000000"], "Monte Carlo capped at 100000000 flips"),
+    (["--coins", "5", "--trials", "100", "--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_statmech_coin_caps_are_exit_2(capsys, extra, fragment):
     code, out, err = run_cli(capsys, "statmech", *extra)
@@ -408,3 +438,113 @@ def test_trace_output_is_streamed_in_every_format():
     assert all(code == 1 for code, _ in peaks.values()), peaks  # the singlet violates
     for fmt in ("json", "csv", "human"):
         assert peaks[fmt][1] < peaks["untraced"][1] + 16, peaks
+
+
+# --- fuzzed argv and input files -------------------------------------------------
+#
+# Files are named in argv as "@name" and written once per module; "@missing" is never written.
+_FUZZ_FILES = {
+    "tri": json.dumps(random_tripartite(np.random.default_rng(5)).to_dict()),
+    "counter": json.dumps(triangle_counterexample().to_dict()),
+    "pair": json.dumps(JointDistribution.from_flat((2, 2), [0.4, 0.1, 0.1, 0.4]).to_dict()),
+    "spec": json.dumps(noisy_copy_spec(0.1).to_dict()),
+    "singlet": json.dumps(singlet().to_dict()),
+    "inf_dist": _INFINITE_SIZE_FILES["dist"],
+    "inf_state": _INFINITE_SIZE_FILES["state"],
+    "nan_dist": '{"alphabet_sizes": [2], "probs": [NaN, 1.0]}',
+    "nan_state": json.dumps({"dims": [2, 2], "re": [[math.nan] * 4] * 4, "im": [_ZERO_ROW] * 4}),
+    "nan_spec": '{"initial": [0.5, 0.5], "t1": [[NaN, 1], [0, 1]], "t2": [[1, 0], [0, 1]]}',
+    "ragged_dist": '{"alphabet_sizes": [2, 2], "probs": [[0.5], [0.25, 0.25]]}',
+    "ragged_state": '{"dims": [2, 2], "re": [[0.5, 0], [0.5]], "im": [[0, 0], [0, 0]]}',
+    "ragged_spec": '{"initial": [0.5, 0.5], "t1": [[1, 0], [0]], "t2": [[1, 0], [0, 1]]}',
+    "list": "[0.5, 0.5]",
+    "empty": "",
+    "deep": "[" * 100_000,
+    "not_utf8": b"\xff\xfe\x00",
+}
+
+
+def _arg(good, bad=()):
+    """One flag argument: the values a clean draw takes, and the bad values it adds otherwise."""
+    return tuple(good), tuple(bad)
+
+
+_GOOD_FILES = ("tri", "counter", "pair", "spec", "singlet")
+_FILE = _arg((f"@{name}" for name in _GOOD_FILES),
+             [f"@{name}" for name in sorted(_FUZZ_FILES) if name not in _GOOD_FILES] + ["@missing"])
+_INDEX = _arg(("0", "1", "2"), ("3", "-1", "x"))
+_STATE = _arg(("singlet", "bell-phi-plus", "bell-psi-plus", "werner:0.9", "werner:0.3"),
+              ("werner:2", "werner:nan", "werner:x", "ghz", ""))
+# flag -> its arguments, none for a switch; search always gets a small or bad --resolution
+_COMMON = {
+    "--format": (_arg(("json", "csv", "human"), ("xml",)),),
+    "--base": (_arg(("2", "10", "2.718281828"), ("1", "0.5", "-3", "inf", "nan", "1e999", "x")),),
+    "--tolerance": (_arg(("1e-3", "1e-6"), ("0", "-1", "nan", "inf", "x")),),
+    "--seed": (_arg(("0", "7"), ("-1", "x")),),
+    "--trace": (),
+}
+_FLAGS = {
+    "entropy": {"--dist": (_FILE,), "--mutual": (_INDEX, _INDEX), "--conditional": (_INDEX, _INDEX),
+                "--relative": (_FILE,)},
+    "inequality": {"--dist": (_FILE,), "--markov-checks": ()},
+    "markov": {"--spec": (_FILE,), "--emit-joint": ()},
+    "quantum": {"--state": (_STATE,), "--state-file": (_FILE,),
+                "--angles": (_arg(("0,0.3927,0.7854", "0.5,0.5,0.5", "0,0,0", "-1,4,9"),
+                                  ("nan,0,0", "inf,0,0", "1e999,0,0", "1,2", "a,b,c", "0,1,2,3")),)},
+    "search": {"--state": (_STATE,), "--state-file": (_FILE,),
+               "--resolution": (_arg(("8", "12", "16"), ("7", "0", "-4", "1025", "x")),),
+               "--no-refine": (), "--werner-threshold": ()},
+    "statmech": {"--dice": (_arg(("2", "6"), ("9", "0", "x")), _arg(("7", "30"), ("0", "-1"))),
+                 "--combine": (_arg(("3", "10" * 15), ("0", "-2")), _arg(("4", "1"))),
+                 "--coins": (_arg(("5", "2000"), ("10001", "0", "x")),),
+                 "--trials": (_arg(("0", "100", "100000"), ("-5",)),),
+                 "--heads": (_arg(("0", "3"), ("6", "-1")),),
+                 "--mix": (_arg(("1", "20"), ("60", "0", "x")), _arg(("1", "20"))),
+                 "--same-species": ()},
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand and a random subset of its flags; a clean draw takes only good values."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    clean = draw(st.booleans())
+    argv = [command]
+    for flag, arguments in {**_FLAGS[command], **_COMMON}.items():
+        if flag == "--resolution" or draw(st.booleans()):
+            argv.append(flag)
+            argv += [draw(st.sampled_from(good if clean else good + bad)) for good, bad in arguments]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _FUZZ_FILES.items():
+        path = root / f"{name}.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return root
+
+
+@settings(max_examples=200, deadline=None)
+@example(argv=["entropy", "--dist", "@inf_dist"])
+@example(argv=["quantum", "--state-file", "@inf_state", "--angles", "0,0,0"])
+@given(argv=_argv())
+def test_main_keeps_its_exit_contract_on_any_input(fuzz_dir, argv):
+    """0, 1 or 2 and nothing raised; 2 is one ``error:`` line; 1 only with a violation."""
+    argv = [str(fuzz_dir / f"{a[1:]}.json") if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        return
+    assert err == "" and out
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if fmt == "json":
+        payload = json.loads(out)
+        violated = payload.get("violations", 0) > 0 or payload.get("result", {}).get("violation_found", False)
+        assert violated is (code == 1)

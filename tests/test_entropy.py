@@ -14,6 +14,8 @@ from entrobound import (
     product,
     relative_entropy,
     shannon_entropy,
+    singlet,
+    von_neumann_entropy,
     EntropyValue,
 )
 from entrobound.errors import (
@@ -54,6 +56,19 @@ def test_shannon_other_base():
 def test_shannon_invalid_base():
     with pytest.raises(InvalidBaseError):
         shannon_entropy(bits([0.5, 0.5]), base=1.0)
+
+
+@pytest.mark.parametrize("base", [math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda base: shannon_entropy(bits([0.5, 0.5]), base),
+    lambda base: relative_entropy(bits([0.5, 0.5]), bits([0.5, 0.5]), base),
+    lambda base: convert_base(EntropyValue(1.0), base),
+    lambda base: boltzmann_entropy(6, base),
+    lambda base: von_neumann_entropy(singlet(), base),
+], ids=["shannon", "relative", "convert", "boltzmann", "von_neumann"])
+def test_non_finite_base_is_rejected(call, base):
+    with pytest.raises(InvalidBaseError, match="must be finite and > 1"):
+        call(base)
 
 
 def test_relative_identical_is_zero():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,17 +7,22 @@ import pytest
 from entrobound import (
     EntropyValue,
     JointDistribution,
+    MeasurementSettings,
     build_tripartite,
     cerf_adami_check,
     cerf_adami_classical,
+    cerf_adami_quantum,
     dpi_check,
     joint_triangle_check,
     marginal_bound,
     narrowed_bound_check,
     reports_to_csv,
+    singlet,
     triangle_check,
     two_hb_bound_check,
+    werner_state,
 )
+from entrobound.cli import _classical_battery
 from entrobound.errors import NegativeMutualInformationError, ValidationError, WrongArityError
 
 from conftest import (
@@ -40,11 +46,33 @@ def ghz_like():
     return JointDistribution.from_flat((2, 2, 2), flat)
 
 
+def _every_report():
+    rng = np.random.default_rng(7)
+    tables = [independent_bits(), ghz_like(), triangle_counterexample(), xor_tripartite(),
+              build_tripartite(noisy_copy_spec()), random_tripartite(rng), random_tripartite(rng, (2, 3, 2), True)]
+    reports = [r for d in tables for r in _classical_battery(d, True)]
+    for rho, angles in ((singlet(), (0.0, math.pi / 8, math.pi / 4)), (werner_state(0.5), (0.1, 0.7, 2.0))):
+        reports.append(cerf_adami_quantum(rho, MeasurementSettings(angles)))
+    return reports
+
+
 def test_report_fields_are_consistent():
     r = narrowed_bound_check(independent_bits())
-    assert r.satisfied == (r.lhs <= r.rhs + 1e-9)
-    assert r.margin == r.rhs - r.lhs
     assert set(r.terms) == {"H(A:B)", "H(B:C)", "H(A:C)", "H(B)"}
+    assert [f.name for f in dataclasses.fields(r)] == ["name", "lhs", "rhs", "terms", "meta"]
+    reports = _every_report()
+    assert {r.satisfied for r in reports} == {True, False}
+    for r in reports:
+        assert r.satisfied is (r.lhs <= r.rhs + 1e-9)
+        assert r.margin == r.rhs - r.lhs
+        assert r.to_dict()["satisfied"] is r.satisfied and r.to_dict()["margin"] == r.margin
+
+
+def test_replaced_report_recomputes_satisfied_and_margin():
+    for r in _every_report():
+        moved = dataclasses.replace(r, lhs=r.rhs + 1.0)
+        assert moved.satisfied is False
+        assert moved.margin == r.rhs - (r.rhs + 1.0)
 
 
 def test_triangle_on_markov_chain():

@@ -327,6 +327,15 @@ def test_measurement_settings_rejects_non_finite():
         MeasurementSettings((math.nan, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pair_measurements_reject_non_finite_angles(bad):
+    rho = singlet()
+    for call in (lambda: pair_mi_table(rho, [bad], [0.0]), lambda: pair_mi_table(rho, [0.0], [0.0, bad]),
+                 lambda: measure_pair(rho, bad, 0.0), lambda: measure_pair(rho, 0.0, bad)):
+        with pytest.raises(ValidationError, match="angles must be finite"):
+            call()
+
+
 def test_bell_state_unknown_name():
     with pytest.raises(ValidationError):
         bell_state("sigma+")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -170,6 +171,14 @@ def test_search_result_serialization():
     assert payload["grid_resolution"] == 8
     with_trace = result.to_dict(include_trace=True)
     assert len(with_trace["trace"]) == 8 ** 3
+
+
+def test_replaced_search_result_recomputes_margin():
+    result = dataclasses.replace(grid_search(singlet(), 8), best_lhs=0.5)
+    assert result.margin == -0.5 and result.to_dict()["margin"] == -0.5
+    assert not result.violation_found
+    assert [f.name for f in dataclasses.fields(result)] == [
+        "best_settings", "best_lhs", "trace", "grid_resolution", "refined"]
 
 
 def test_werner_endpoints():

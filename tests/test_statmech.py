@@ -131,6 +131,11 @@ def test_monte_carlo_is_seed_deterministic():
     assert a == b
 
 
+def test_monte_carlo_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        coin_reversal_monte_carlo(5, 10, seed=-1)
+
+
 def test_monte_carlo_converges_to_analytic():
     trials = 1_000_000
     p = 0.03125
