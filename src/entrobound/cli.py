@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 from typing import TextIO
@@ -62,6 +63,11 @@ from .statmech import (
     dice_multiplicity,
     mixing_demo,
 )
+
+# A trace has about resolution^3 entries and streams at ~100k entries/s: at 128
+# it is 2.1e6 entries, 136 MB of JSON and ~21 s; at the grid's own cap (1024) it
+# would be 1.07e9 entries, hours and ~70 GB.
+TRACE_MAX_RESOLUTION = 128
 
 
 # --- deterministic rendering ---------------------------------------------------
@@ -159,7 +165,7 @@ def _load(path: str, kind: str, from_dict):
         return from_dict(payload)
     except KeyError as exc:
         raise ParseError(f"{path} is not a {kind} file: missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # int() of an infinite size
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float
         raise ParseError(f"{path} is not a {kind} file: {exc}") from exc
 
 
@@ -168,8 +174,6 @@ def _load_distribution(path: str) -> JointDistribution:
 
 
 def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
-    if (name is None) == (path is None):
-        raise ValidationError("provide exactly one of --state or --state-file")
     if path is not None:
         return _load(path, "density-matrix", DensityMatrix.from_dict)
     key = name.strip().lower()
@@ -205,6 +209,8 @@ def _parse_angles(text: str) -> MeasurementSettings:
 # Each handler takes the parsed argv and returns (payload, exit code).
 
 def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
+    if not math.isfinite(args.base) or args.base <= 1.0:
+        raise ValidationError(f"base must be finite and > 1, got {args.base}")
     d = _load_distribution(args.dist)
     if args.mutual is not None:
         x, y = args.mutual
@@ -294,6 +300,8 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
+    if not math.isfinite(args.tolerance) or args.tolerance <= 0.0:
+        raise ValidationError(f"tolerance must be positive and finite, got {args.tolerance}")
     if args.werner_threshold:
         threshold = werner_threshold(args.resolution, args.tolerance)
         payload = {
@@ -304,6 +312,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
             "threshold": threshold,
         }
         return payload, 0
+    if args.trace and args.resolution > TRACE_MAX_RESOLUTION:
+        raise ValidationError(f"--trace capped at resolution {TRACE_MAX_RESOLUTION}, got {args.resolution}")
     rho = _resolve_state(args.state, args.state_file)
     if args.no_refine:
         result = grid_search(rho, args.resolution)
@@ -338,13 +348,11 @@ def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
         if args.trials:
             estimate = coin_reversal_monte_carlo(n, args.trials, args.seed)
             payload["monte_carlo"] = {"trials": args.trials, "seed": args.seed, "estimate": estimate}
-    elif args.mix is not None:
+    else:  # --mix: the parser requires exactly one mode
         n_a, n_b = args.mix
         value = mixing_demo(n_a, n_b, args.same_species)
         payload.update(mode="mixing", n_a=n_a, n_b=n_b, same_species=args.same_species,
                        mixing_entropy=value.to_dict())
-    else:
-        raise ValidationError("statmech needs one of --dice, --combine, --coins, --mix")
     return payload, 0
 
 
@@ -358,17 +366,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "human"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--base", type=float, default=2.0,
-                        help="logarithm base for entropy outputs (default 2)")
-    common.add_argument("--tolerance", type=float, default=1e-6,
-                        help="refinement / bisection tolerance (default 1e-6); "
-                             "inequality satisfaction tolerance is fixed at 1e-9")
-    common.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
-    common.add_argument("--trace", action="store_true", help="include the search trace in output")
-
     parser = _ArgumentParser(
         prog="entrobound",
         description="Entropic quantities and Cerf-Adami inequality checks. "
@@ -378,12 +375,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=summary)
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=("json", "csv", "human"), default="json",
+                       help="output format (default json)")
         return p
 
     p = command("entropy", _cmd_entropy, "entropies of a distribution file")
     p.add_argument("--dist", required=True, help="JSON distribution file")
+    p.add_argument("--base", type=float, default=2.0, help="logarithm base of the output (default 2)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--mutual", nargs=2, type=int, metavar=("X", "Y"))
     group.add_argument("--conditional", nargs=2, type=int, metavar=("TARGET", "GIVEN"))
@@ -400,45 +400,55 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-joint", action="store_true", help="include the joint table in output")
 
     p = command("quantum", _cmd_quantum, "Cerf-Adami check on pairwise measurements")
-    p.add_argument("--state", help="named state: singlet, bell-phi-plus, ..., werner:p")
-    p.add_argument("--state-file", help="JSON density-matrix file")
-    # Parsed here, so a bad angle is reported before a bad --tolerance or --base.
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--state", help="named state: singlet, bell-phi-plus, ..., werner:p")
+    group.add_argument("--state-file", help="JSON density-matrix file")
+    # Parsed here, so a bad angle is reported before an unrecognized argument.
     p.add_argument("--angles", required=True, type=_parse_angles,
                    help="three angles in radians, comma separated")
 
     p = command("search", _cmd_search, "violation search over settings")
-    p.add_argument("--state", help="named state (see quantum)")
-    p.add_argument("--state-file", help="JSON density-matrix file")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--state", help="named state (see quantum)")
+    group.add_argument("--state-file", help="JSON density-matrix file")
+    group.add_argument("--werner-threshold", action="store_true",
+                       help="bisect the Werner parameter instead of searching one state")
     p.add_argument("--resolution", type=int, default=32)
     p.add_argument("--no-refine", action="store_true", help="grid search only")
-    p.add_argument("--werner-threshold", action="store_true",
-                   help="bisect the Werner parameter instead of searching one state")
+    p.add_argument("--tolerance", type=float, default=1e-6,
+                   help="refinement / bisection tolerance (default 1e-6); "
+                        "inequality satisfaction tolerance is fixed at 1e-9")
+    p.add_argument("--trace", action="store_true",
+                   help=f"include the search trace in output (resolution <= {TRACE_MAX_RESOLUTION})")
 
     p = command("statmech", _cmd_statmech, "multiplicities, coins, mixing")
-    p.add_argument("--dice", nargs=2, type=int, metavar=("NUM", "TOTAL"))
-    p.add_argument("--combine", nargs=2, type=int, metavar=("M1", "M2"))
-    p.add_argument("--coins", type=int, metavar="LENGTH")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--dice", nargs=2, type=int, metavar=("NUM", "TOTAL"))
+    group.add_argument("--combine", nargs=2, type=int, metavar=("M1", "M2"))
+    group.add_argument("--coins", type=int, metavar="LENGTH")
+    group.add_argument("--mix", nargs=2, type=int, metavar=("N_A", "N_B"))
     p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials for --coins")
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
     p.add_argument("--heads", type=int, help="also report the unordered-match probability")
-    p.add_argument("--mix", nargs=2, type=int, metavar=("N_A", "N_B"))
     p.add_argument("--same-species", action="store_true")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse, validate, run one command and print its result; returns the exit code."""
+    """Parse, run one command and print its result; returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        if not math.isfinite(args.tolerance) or args.tolerance <= 0.0:
-            raise ValidationError(f"tolerance must be positive and finite, got {args.tolerance}")
-        if not math.isfinite(args.base) or args.base <= 1.0:
-            raise ValidationError(f"base must be finite and > 1, got {args.base}")
         payload, code = args.handler(args)
+        _emit(payload, args.format, sys.stdout)
+        sys.stdout.flush()
     except EntroboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.format, sys.stdout)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): send the rest to devnull,
+        # so the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -34,6 +34,23 @@ NORMALIZATION_ATOL = 1e-9
 MAX_VARS = 3
 
 
+def _as_size(value) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral finite float.
+
+    ``int()`` alone would truncate 2.9 to 2, read True as 1 and "2" as 2.
+    """
+    if type(value) is int or isinstance(value, np.integer):  # not bool, a subclass of int
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        try:
+            size = int(value)
+        except (OverflowError, ValueError) as exc:  # infinity, NaN
+            raise ValidationError(f"sizes must be finite: {exc}") from exc
+        if size == value:
+            return size
+    raise ValidationError(f"sizes must be integers, got {value!r}")
+
+
 def validate_table(alphabet_sizes: Sequence[int], probs) -> None:
     """Check the raw table invariants, raising on the first violation.
 
@@ -41,7 +58,7 @@ def validate_table(alphabet_sizes: Sequence[int], probs) -> None:
     to 1 within ``NORMALIZATION_ATOL``, table length equals the product of
     the alphabet sizes.
     """
-    sizes = tuple(int(s) for s in alphabet_sizes)
+    sizes = tuple(_as_size(s) for s in alphabet_sizes)
     if len(sizes) == 0:
         raise ShapeMismatchError("need at least one variable")
     if len(sizes) > MAX_VARS:
@@ -76,7 +93,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.alphabet_sizes)
+        sizes = tuple(_as_size(s) for s in self.alphabet_sizes)
         validate_table(sizes, self.probs)
         table = np.asarray(self.probs, dtype=float).reshape(sizes)
         table = table / table.sum()
@@ -95,14 +112,14 @@ class JointDistribution:
 
     @classmethod
     def uniform(cls, alphabet_sizes: Sequence[int]) -> "JointDistribution":
-        sizes = tuple(int(s) for s in alphabet_sizes)
+        sizes = tuple(_as_size(s) for s in alphabet_sizes)
         n = math.prod(sizes)
         return cls(sizes, np.full(n, 1.0 / n))
 
     @classmethod
     def point_mass(cls, alphabet_sizes: Sequence[int], outcome: Sequence[int]) -> "JointDistribution":
         """All mass on a single outcome tuple."""
-        sizes = tuple(int(s) for s in alphabet_sizes)
+        sizes = tuple(_as_size(s) for s in alphabet_sizes)
         table = np.zeros(sizes)
         table[tuple(int(i) for i in outcome)] = 1.0
         return cls(sizes, table)

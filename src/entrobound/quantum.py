@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointDistribution
+from .dist import JointDistribution, _as_size
 from .entropy import CLAMP_ATOL, EntropyValue, _check_base, _clamp, _plogp_bits
 from .errors import (
     DimensionMismatchError,
@@ -65,7 +65,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        da, db = int(self.dim_a), int(self.dim_b)
+        da, db = _as_size(self.dim_a), _as_size(self.dim_b)
         if da < 1 or db < 1:
             raise InvalidDensityMatrixError(f"dimensions must be positive, got ({da}, {db})")
         n = da * db
@@ -99,7 +99,7 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DensityMatrix":
-        da, db = (int(x) for x in payload["dims"])
+        da, db = payload["dims"]
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
         if re.shape != im.shape:
@@ -186,7 +186,7 @@ def product_state(rho_a, rho_b) -> DensityMatrix:
 
 
 def maximally_mixed(dim_a: int = 2, dim_b: int = 2) -> DensityMatrix:
-    n = int(dim_a) * int(dim_b)
+    n = _as_size(dim_a) * _as_size(dim_b)
     return DensityMatrix(dim_a, dim_b, np.eye(n) / n)
 
 

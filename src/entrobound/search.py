@@ -155,8 +155,8 @@ class SearchResult:
     def violation_found(self) -> bool:
         return self.best_lhs > 1.0 + SATISFIED_ATOL
 
-    def to_dict(self, include_trace: bool = False) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "best_settings": self.best_settings.to_dict(),
             "best_lhs": self.best_lhs,
             "margin": self.margin,
@@ -164,9 +164,6 @@ class SearchResult:
             "refined": self.refined,
             "violation_found": self.violation_found,
         }
-        if include_trace:
-            payload["trace"] = [[list(angles), lhs] for angles, lhs in self.trace]
-        return payload
 
 
 def _check_tol(tol: float) -> float:

@@ -320,6 +320,26 @@ def test_non_utf8_file_is_exit_2(capsys, tmp_path):
     assert_input_error(code, out, err, "is not valid JSON")
 
 
+_NON_INTEGER_SIZE_FILES = {
+    "fraction_dist": '{"alphabet_sizes": [2.9, 2], "probs": [0.25, 0.25, 0.25, 0.25]}',
+    "bool_dist": '{"alphabet_sizes": [true, 4], "probs": [0.25, 0.25, 0.25, 0.25]}',
+    "string_dist": '{"alphabet_sizes": ["2", "2"], "probs": [0.25, 0.25, 0.25, 0.25]}',
+    "fraction_state": json.dumps({"dims": [2.5, 2.99], "re": (np.eye(4) / 4).tolist(), "im": [_ZERO_ROW] * 4}),
+}
+
+
+@pytest.mark.parametrize("case, fragment", [
+    ("fraction_dist", "got 2.9"), ("bool_dist", "got True"), ("string_dist", "got '2'"),
+    ("fraction_state", "got 2.5"),
+])
+def test_non_integer_size_in_file_is_exit_2(capsys, tmp_path, case, fragment):
+    path = tmp_path / f"{case}.json"
+    path.write_text(_NON_INTEGER_SIZE_FILES[case])
+    argv = ["quantum", "--angles", "0,0,0", "--state-file"] if case.endswith("state") else ["entropy", "--dist"]
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_input_error(code, out, err, f"sizes must be integers, {fragment}")
+
+
 # 1e999 parses as an infinite float, which int() cannot convert
 _INFINITE_SIZE_FILES = {
     "dist": '{"alphabet_sizes": [1e999, 2], "probs": [0.5, 0.5]}',
@@ -365,17 +385,69 @@ def test_non_finite_base_is_exit_2(capsys, tri_file, value):
 @pytest.mark.parametrize("argv, fragment", [
     (["entropy"], "the following arguments are required: --dist"),
     (["nosuch"], "argument command: invalid choice: 'nosuch'"),
-    (["inequality", "--dist", "x", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["statmech", "--coins", "5", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["statmech", "--dice", "2", "7", "--mix", "10", "10"], "argument --mix: not allowed with argument --dice"),
+    (["search", "--werner-threshold", "--state", "singlet"],
+     "argument --state: not allowed with argument --werner-threshold"),
+    (["quantum", "--state", "singlet", "--state-file", "rho.json", "--angles", "0,0,0"],
+     "argument --state-file: not allowed with argument --state"),
 ])
 def test_usage_error_is_one_line_and_exit_2(capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
     assert_input_error(code, out, err, fragment)
 
 
+DATA = Path(__file__).parent / "data"
+# a valid invocation of each subcommand
+_VALID_ARGV = {
+    "entropy": ["entropy", "--dist", str(DATA / "uniform.json")],
+    "inequality": ["inequality", "--dist", str(DATA / "uniform.json")],
+    "markov": ["markov", "--spec", str(DATA / "noisy_copy_spec.json")],
+    "quantum": ["quantum", "--state", "singlet", "--angles", "0.5,0.5,0.5"],
+    "search": ["search", "--state", "singlet", "--resolution", "8", "--no-refine"],
+    "statmech": ["statmech", "--dice", "2", "7"],
+}
+# the flags among --base, --tolerance, --seed and --trace that each subcommand reads
+_OWN_FLAGS = {"entropy": {"--base"}, "search": {"--tolerance", "--trace"}, "statmech": {"--seed"}}
+_FOREIGN = [(command, flag) for command in sorted(_VALID_ARGV)
+            for flag in ("--base", "--tolerance", "--seed", "--trace")
+            if flag not in _OWN_FLAGS.get(command, ())]
+
+
+@pytest.mark.parametrize("command, flag", _FOREIGN)
+def test_flag_of_another_subcommand_is_exit_2(capsys, command, flag):
+    value = {"--base": ["10"], "--tolerance": ["1e-3"], "--seed": ["1"], "--trace": []}[flag]
+    code, out, err = run_cli(capsys, *_VALID_ARGV[command], flag, *value)
+    assert_input_error(code, out, err, f"unrecognized arguments: {flag}")
+
+
+def test_trace_above_cap_is_exit_2_before_any_search(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(entrobound.cli, "grid_search", refuse)
+    monkeypatch.setattr(entrobound.cli, "grid_refine", refuse)
+    for extra in (["--no-refine"], []):
+        code, out, err = run_cli(capsys, "search", "--state", "singlet", "--resolution", "129", "--trace", *extra)
+        assert_input_error(code, out, err, "--trace capped at resolution 128, got 129")
+
+
+def test_stdout_closed_early_is_quiet_and_keeps_the_exit_code():
+    """About 1.5 MB of trace into a pipe that the reader closes after 100 bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(entrobound.__file__).parents[1])}
+    argv = ["search", "--state", "werner:0.3", "--resolution", "32", "--no-refine", "--trace"]
+    child = subprocess.Popen([sys.executable, "-m", "entrobound", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(), err) == (0, b"")
+
+
 @pytest.mark.parametrize("argv, first_line", [
     (["--version"], f"entrobound {entrobound.__version__}"),
     (["-h"], "usage: entrobound [-h] [--version]"),
-    (["search", "-h"], "usage: entrobound search [-h] [--format {json,csv,human}] [--base BASE]"),
+    (["search", "-h"], "usage: entrobound search [-h] [--format {json,csv,human}]"),
 ])
 def test_version_and_help_exit_0(capsys, argv, first_line):
     with pytest.raises(SystemExit) as exc:
@@ -451,6 +523,7 @@ _FUZZ_FILES = {
     "singlet": json.dumps(singlet().to_dict()),
     "inf_dist": _INFINITE_SIZE_FILES["dist"],
     "inf_state": _INFINITE_SIZE_FILES["state"],
+    **_NON_INTEGER_SIZE_FILES,
     "nan_dist": '{"alphabet_sizes": [2], "probs": [NaN, 1.0]}',
     "nan_state": json.dumps({"dims": [2, 2], "re": [[math.nan] * 4] * 4, "im": [_ZERO_ROW] * 4}),
     "nan_spec": '{"initial": [0.5, 0.5], "t1": [[NaN, 1], [0, 1]], "t2": [[1, 0], [0, 1]]}',
@@ -476,42 +549,59 @@ _INDEX = _arg(("0", "1", "2"), ("3", "-1", "x"))
 _STATE = _arg(("singlet", "bell-phi-plus", "bell-psi-plus", "werner:0.9", "werner:0.3"),
               ("werner:2", "werner:nan", "werner:x", "ghz", ""))
 # flag -> its arguments, none for a switch; search always gets a small or bad --resolution
-_COMMON = {
-    "--format": (_arg(("json", "csv", "human"), ("xml",)),),
-    "--base": (_arg(("2", "10", "2.718281828"), ("1", "0.5", "-3", "inf", "nan", "1e999", "x")),),
-    "--tolerance": (_arg(("1e-3", "1e-6"), ("0", "-1", "nan", "inf", "x")),),
-    "--seed": (_arg(("0", "7"), ("-1", "x")),),
-    "--trace": (),
-}
+_FORMAT = {"--format": (_arg(("json", "csv", "human"), ("xml",)),)}
 _FLAGS = {
     "entropy": {"--dist": (_FILE,), "--mutual": (_INDEX, _INDEX), "--conditional": (_INDEX, _INDEX),
-                "--relative": (_FILE,)},
+                "--relative": (_FILE,),
+                "--base": (_arg(("2", "10", "2.718281828"), ("1", "0.5", "-3", "inf", "nan", "1e999", "x")),)},
     "inequality": {"--dist": (_FILE,), "--markov-checks": ()},
     "markov": {"--spec": (_FILE,), "--emit-joint": ()},
     "quantum": {"--state": (_STATE,), "--state-file": (_FILE,),
                 "--angles": (_arg(("0,0.3927,0.7854", "0.5,0.5,0.5", "0,0,0", "-1,4,9"),
                                   ("nan,0,0", "inf,0,0", "1e999,0,0", "1,2", "a,b,c", "0,1,2,3")),)},
     "search": {"--state": (_STATE,), "--state-file": (_FILE,),
-               "--resolution": (_arg(("8", "12", "16"), ("7", "0", "-4", "1025", "x")),),
-               "--no-refine": (), "--werner-threshold": ()},
+               "--resolution": (_arg(("8", "12", "16"), ("7", "0", "-4", "200", "1025", "x")),),
+               "--no-refine": (), "--werner-threshold": (),
+               "--tolerance": (_arg(("1e-3", "1e-6"), ("0", "-1", "nan", "inf", "x")),), "--trace": ()},
     "statmech": {"--dice": (_arg(("2", "6"), ("9", "0", "x")), _arg(("7", "30"), ("0", "-1"))),
                  "--combine": (_arg(("3", "10" * 15), ("0", "-2")), _arg(("4", "1"))),
                  "--coins": (_arg(("5", "2000"), ("10001", "0", "x")),),
                  "--trials": (_arg(("0", "100", "100000"), ("-5",)),),
+                 "--seed": (_arg(("0", "7"), ("-1", "x")),),
                  "--heads": (_arg(("0", "3"), ("6", "-1")),),
                  "--mix": (_arg(("1", "20"), ("60", "0", "x")), _arg(("1", "20"))),
                  "--same-species": ()},
 }
 
 
+# the required choices: a clean draw names exactly one of them
+_EXCLUSIVE = {"quantum": ("--state", "--state-file"),
+              "search": ("--state", "--state-file", "--werner-threshold"),
+              "statmech": ("--dice", "--combine", "--coins", "--mix")}
+_ANY_FLAG = {flag: arguments for flags in _FLAGS.values() for flag, arguments in flags.items()}
+
+
 @st.composite
 def _argv(draw):
-    """A subcommand and a random subset of its flags; a clean draw takes only good values."""
+    """A subcommand and a random subset of its flags.
+
+    A clean draw takes only good values and one of each required choice; any
+    other draw may add a flag that only another subcommand reads.
+    """
     command = draw(st.sampled_from(sorted(_FLAGS)))
     clean = draw(st.booleans())
+    flags = {**_FLAGS[command], **_FORMAT}
+    always = {"--resolution"}
+    if clean and command in _EXCLUSIVE:
+        choice = draw(st.sampled_from(_EXCLUSIVE[command]))
+        always.add(choice)
+        flags = {f: a for f, a in flags.items() if f == choice or f not in _EXCLUSIVE[command]}
+    elif not clean and draw(st.booleans()):
+        foreign = draw(st.sampled_from(sorted(set(_ANY_FLAG) - set(flags))))
+        flags[foreign] = _ANY_FLAG[foreign]
     argv = [command]
-    for flag, arguments in {**_FLAGS[command], **_COMMON}.items():
-        if flag == "--resolution" or draw(st.booleans()):
+    for flag, arguments in flags.items():
+        if flag in always or draw(st.booleans()):
             argv.append(flag)
             argv += [draw(st.sampled_from(good if clean else good + bad)) for good, bad in arguments]
     return argv
@@ -529,6 +619,8 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 @example(argv=["entropy", "--dist", "@inf_dist"])
 @example(argv=["quantum", "--state-file", "@inf_state", "--angles", "0,0,0"])
+@example(argv=["entropy", "--dist", "@fraction_dist"])
+@example(argv=["inequality", "--dist", "@tri", "--base", "10"])
 @given(argv=_argv())
 def test_main_keeps_its_exit_contract_on_any_input(fuzz_dir, argv):
     """0, 1 or 2 and nothing raised; 2 is one ``error:`` line; 1 only with a violation."""

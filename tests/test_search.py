@@ -169,8 +169,6 @@ def test_search_result_serialization():
     payload = result.to_dict()
     assert "trace" not in payload
     assert payload["grid_resolution"] == 8
-    with_trace = result.to_dict(include_trace=True)
-    assert len(with_trace["trace"]) == 8 ** 3
 
 
 def test_replaced_search_result_recomputes_margin():
