@@ -303,6 +303,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
     if not math.isfinite(args.tolerance) or args.tolerance <= 0.0:
         raise ValidationError(f"tolerance must be positive and finite, got {args.tolerance}")
     if args.werner_threshold:
+        if args.trace or args.no_refine:
+            flag = "--trace" if args.trace else "--no-refine"
+            raise ValidationError(f"{flag} does not apply to --werner-threshold")
         threshold = werner_threshold(args.resolution, args.tolerance)
         payload = {
             "command": "search",
@@ -326,6 +329,13 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
+    mode = next(m for m in ("dice", "combine", "coins", "mix") if getattr(args, m) is not None)
+    for flag, owner, given in (("--trials", "coins", args.trials is not None),
+                               ("--seed", "coins", args.seed is not None),
+                               ("--heads", "coins", args.heads is not None),
+                               ("--same-species", "mix", args.same_species)):
+        if given and mode != owner:
+            raise ValidationError(f"{flag} does not apply to --{mode}")
     payload: dict = {"command": "statmech"}
     if args.dice is not None:
         spec = dice_multiplicity(*args.dice)
@@ -346,8 +356,9 @@ def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
         if args.heads is not None:
             payload["unordered_probability"] = coin_reversal_unordered_probability(n, args.heads)
         if args.trials:
-            estimate = coin_reversal_monte_carlo(n, args.trials, args.seed)
-            payload["monte_carlo"] = {"trials": args.trials, "seed": args.seed, "estimate": estimate}
+            seed = 0 if args.seed is None else args.seed
+            estimate = coin_reversal_monte_carlo(n, args.trials, seed)
+            payload["monte_carlo"] = {"trials": args.trials, "seed": seed, "estimate": estimate}
     else:  # --mix: the parser requires exactly one mode
         n_a, n_b = args.mix
         value = mixing_demo(n_a, n_b, args.same_species)
@@ -427,8 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--combine", nargs=2, type=int, metavar=("M1", "M2"))
     group.add_argument("--coins", type=int, metavar="LENGTH")
     group.add_argument("--mix", nargs=2, type=int, metavar=("N_A", "N_B"))
-    p.add_argument("--trials", type=int, default=0, help="Monte Carlo trials for --coins")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default 0)")
+    # --trials and --seed default to None, not 0, so that another mode can tell they were given.
+    p.add_argument("--trials", type=int, help="Monte Carlo trials for --coins")
+    p.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
     p.add_argument("--heads", type=int, help="also report the unordered-match probability")
     p.add_argument("--same-species", action="store_true")
 

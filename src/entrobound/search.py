@@ -4,16 +4,16 @@ The search space is three angles in the x-z plane on [0, pi); for the
 singlet family that planar restriction is lossless.  The grid evaluator
 exploits the fact that the LHS depends only on the three pairwise mutual
 informations: it computes the ordered resolution^2 pair-MI table in one
-kernel call and reduces the resolution^3 LHS cube from it over the first
-angle, one column of the second angle at a time and only over third angles
-at or above it (the LHS is symmetric in the last two), to one
-resolution^2 table of column maxima.  That reduction is exact, so the max
-and winner are bit-identical to a full evaluation of the cube, and memory
-stays O(resolution^2).  The trace still holds one entry per grid cell in
-lexicographic order, exactly as if every cell had been evaluated
-independently, but each entry is computed when it is read.  Local
-refinement is a derivative-free coordinate search (the LHS has
-absolute-value kinks, so no gradients).
+kernel call and finds the max of the resolution^3 LHS cube by branch and
+bound over its (second angle, third angle) columns: a few exact pivot
+columns bound all others, by the triangle inequality and by a shift bound,
+and only columns that could hold the max are swept over the first angle.
+That reduction is exact, so the max and winner are bit-identical to a full
+evaluation of the cube, and memory stays O(resolution^2).  The trace still
+holds one entry per grid cell in lexicographic order, exactly as if every
+cell had been evaluated independently, but each entry is computed when it
+is read.  Local refinement is a derivative-free coordinate search (the LHS
+has absolute-value kinks, so no gradients).
 
 Everything here is deterministic: identical inputs give identical results,
 including trace order.  Winners do not depend on last-bit rounding: the grid
@@ -36,16 +36,16 @@ from .inequalities import SATISFIED_ATOL
 from .quantum import DensityMatrix, MeasurementSettings, cerf_adami_quantum, pair_mi_table, werner_state
 
 GRID_MIN_RESOLUTION = 8
-# The pair-MI table and the column maxima are resolution^2 float64 each and
-# the cube is reduced in bounded blocks, so this cap bounds memory (~17 MiB
-# at 1024) and time (~resolution^3).
+# The pair-MI table and the column bounds are resolution^2 float64 each and
+# the rest is reduced in bounded blocks, so this cap bounds memory (~19 MiB
+# at 1024 under tracemalloc) and time (~resolution^3 when no column can be
+# pruned, as for a table of i.i.d. noise).
 GRID_MAX_RESOLUTION = 1024
 WERNER_MIN_RESOLUTION = 32
 WERNER_MONOTONE_ATOL = 1e-6
-# Cells per reduction block (512 KB of float64: rows of i over one column's
-# k >= j), also the bound on the candidates and cells of one winner-search
-# block.  At resolution 1024 the table and the column maxima take 16 MiB.
-# Up to resolution 256 one block holds every row of i.
+# Cells per reduction block (512 KB of float64: rows of i over a set of
+# column pairs, at least one row), also the bound on the column pairs swept
+# at once and on the candidates and cells of one winner-search block.
 _CUBE_CHUNK_CELLS = 1 << 16
 # Grid and refinement winners ignore LHS differences up to this size.
 WINNER_ATOL = 1e-12
@@ -182,27 +182,26 @@ def _lhs_at(rho: DensityMatrix, angles: tuple[float, float, float]) -> float:
     return cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs
 
 
-def _column_maxima(mi: np.ndarray) -> np.ndarray:
-    """The lhs cube reduced over i: out[j, k] = max_i lhs[i, j, k], bit for bit.
+def _spreads(mi: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """max_i |mi[i, j] - mi[i, k]| for column indices j and k broadcast together, bit for bit.
 
-    Column j is swept over k >= j only: fl(b - a) = -fl(a - b), so the spread
-    max_i |mi[i, j] - mi[i, k]| is symmetric in j and k and is mirrored into
-    out[k, j].  Each pass subtracts one scalar per row of i from a contiguous
-    slice, in blocks of at most _CUBE_CHUNK_CELLS cells.  Rounding of ``+`` is
-    monotone, so adding mi last gives the maxima of the cells.
+    Gathered from rows of i in blocks of _CUBE_CHUNK_CELLS cells, at least one
+    row; |x| is never -0.0, so starting from 0.0 changes no maximum.
     """
-    n = len(mi)
-    rows = max(1, _CUBE_CHUNK_CELLS // n)
-    top = np.zeros((n, n))  # below every |difference|, and |x| is never -0.0
-    for j in range(n):
-        row = top[j, j:]
-        for i0 in range(0, n, rows):
-            diff = mi[i0:i0 + rows, j:] - mi[i0:i0 + rows, j, None]
-            np.abs(diff, out=diff)
-            np.maximum(row, diff.max(axis=0), out=row)
-        top[j:, j] = row
-    top += mi
-    return top
+    out = np.zeros(np.broadcast_shapes(j.shape, k.shape))
+    rows = max(1, _CUBE_CHUNK_CELLS // max(1, out.size))
+    for i0 in range(0, len(mi), rows):
+        block = mi[i0:i0 + rows]
+        diff = block.take(j, axis=1) - block.take(k, axis=1)
+        np.abs(diff, out=diff)
+        np.maximum(out, diff.max(axis=0), out=out)
+    return out
+
+
+def _circulant(v: np.ndarray) -> np.ndarray:
+    """The read-only view c[a, b] = v[(b - a) % len(v)]."""
+    n = len(v)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((v, v)), n)[n:0:-1]
 
 
 def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[int, int, int]:
@@ -237,23 +236,69 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
     return first
 
 
+def _upper_bounds(mi: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Upper bounds on the column maxima fl(S[j, k] + mi[j, k]) of the lhs cube.
+
+    Each row of spread is S[r] for one pivot column r.  S[j, k] is bounded by
+    the smaller of the triangle inequality S[j, r] + S[r, k] at the best
+    pivot and the shift bound D[(k - j) % n] + 2 eps, for a table within eps
+    of the circulant f[(b - a) % n], f = mi[0], D[d] = max_u |f[u] - f[u + d]|;
+    the latter is tight for the singlet and Werner states, whose MI depends
+    only on the angle difference.
+    """
+    n = len(mi)
+    circulant = _circulant(mi[0])
+    top = mi - circulant  # in place from here on: the table, top and one block are the peak
+    eps = float(np.abs(top, out=top).max())
+    shift = np.abs(np.subtract(circulant, mi[0], out=top), out=top).max(axis=1)  # D[d] = max_u |f[u - d] - f[u]|
+    slab = max(1, _CUBE_CHUNK_CELLS // spread.size)
+    for j0 in range(0, n, slab):
+        np.min(spread[:, j0:j0 + slab, None] + spread[:, None, :], axis=0, out=top[j0:j0 + slab])
+    np.minimum(top, _circulant(shift + 2.0 * eps), out=top)
+    # Both bounds hold for the real differences.  The floats differ from them
+    # by three roundings, each within a relative 2^-53 and exact below
+    # 2^-1022: a difference inside S, one inside a pivot spread, D or eps,
+    # and the sum above.  So S[j, k] <= (1 + 2^-53) / (1 - 2^-53)^2 * top, and
+    # the rounded product top * (1 + 2^-50) still covers that factor.
+    top *= 1.0 + 2.0 ** -50
+    top += mi  # rounding of + is monotone
+    return top
+
+
 def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Max of lhs[i, j, k] = |mi[i, j] - mi[i, k]| + mi[j, k] and the winning cell.
 
     The winner is the lexicographically first cell within WINNER_ATOL of the
-    max.  The cube is reduced over i first (``_column_maxima``), exactly:
-    rounding of ``+`` is monotone, so max_i fl(d_i + c) = fl(max_i d_i + c),
-    and fl(b - a) = -fl(a - b) makes the spread max_i |d_i| of column (j, k)
-    that of column (k, j), so only k >= j takes resolution^3 work.  The
-    winner can only lie in a column whose maximum reaches the threshold;
-    those columns alone are scanned for it, in bounded blocks.  Memory is
-    O(resolution^2).
+    max.  Rounding of ``+`` is monotone, so column (j, k) peaks at
+    fl(S[j, k] + mi[j, k]) with S[j, k] = max_i |mi[i, j] - mi[i, k]|, and
+    fl(b - a) = -fl(a - b) makes S symmetric.  Branch and bound: S is exact
+    for ~sqrt(n) evenly spaced pivot columns, whose column maxima give the
+    lower bound LB; ``_upper_bounds`` bounds every column, and only the pairs
+    of columns (j, k) and (k, j) bounded above LB are swept.  The winner lies
+    in a column whose exact maximum, or unswept bound, reaches the threshold;
+    only those are scanned, in bounded blocks.  Memory is O(resolution^2).
     """
-    top = _column_maxima(mi)
+    n = len(mi)
+    pivots = np.arange(math.isqrt(n)) * n // math.isqrt(n)
+    spread = _spreads(mi, pivots[:, None], np.arange(n)[None, :])
+    top = _upper_bounds(mi, spread)
+    top[pivots] = spread + mi[pivots]
+    top[:, pivots] = spread.T + mi[:, pivots]
+    lb = max(top[pivots].max(), top[:, pivots].max())
+    alive = np.triu((top > lb) | (top.T > lb))
+    rows = max(1, _CUBE_CHUNK_CELLS // n)
+    for j0 in range(0, n, rows):
+        j, k = np.nonzero(alive[j0:j0 + rows])
+        j += j0
+        s = _spreads(mi, j, k)
+        top[j, k] = s + mi[j, k]
+        top[k, j] = s + mi[k, j]
+    # top now holds each column's exact maximum where it was computed and an
+    # upper bound no larger than LB elsewhere, so its max is the cube's
     best = float(top.max())
     threshold = best - WINNER_ATOL
     columns = top >= threshold
-    del top  # the winner search needs only the mask; this keeps the res-1024 peak at ~17 MiB
+    del top  # the winner search needs only the mask
     return best, _first_cell(mi, columns, threshold)
 
 

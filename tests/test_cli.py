@@ -432,6 +432,31 @@ def test_trace_above_cap_is_exit_2_before_any_search(capsys, monkeypatch):
         assert_input_error(code, out, err, "--trace capped at resolution 128, got 129")
 
 
+@pytest.mark.parametrize("argv, flag, mode", [
+    (["search", "--werner-threshold", "--resolution", "32", "--trace"], "--trace", "--werner-threshold"),
+    (["search", "--werner-threshold", "--resolution", "32", "--no-refine"], "--no-refine", "--werner-threshold"),
+    (["statmech", "--dice", "2", "7", "--trials", "0"], "--trials", "--dice"),
+    (["statmech", "--mix", "10", "10", "--seed", "3"], "--seed", "--mix"),
+    (["statmech", "--combine", "6", "5", "--heads", "1"], "--heads", "--combine"),
+    (["statmech", "--coins", "5", "--same-species"], "--same-species", "--coins"),
+])
+def test_flag_the_chosen_mode_ignores_is_exit_2_before_any_work(capsys, monkeypatch, argv, flag, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    for name in ("werner_threshold", "dice_multiplicity", "combine_multiplicities", "coin_reversal_probability",
+                 "mixing_demo"):
+        monkeypatch.setattr(entrobound.cli, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert_input_error(code, out, err, f"{flag} does not apply to {mode}")
+
+
+def test_statmech_coins_seed_defaults_to_0(capsys):
+    code, out, _ = run_cli(capsys, "statmech", "--coins", "5", "--trials", "2000")
+    assert code == 0 and json.loads(out)["monte_carlo"]["seed"] == 0
+    assert run_cli(capsys, "statmech", "--coins", "5", "--trials", "2000", "--seed", "0") == (0, out, "")
+
+
 def test_stdout_closed_early_is_quiet_and_keeps_the_exit_code():
     """About 1.5 MB of trace into a pipe that the reader closes after 100 bytes."""
     env = {**os.environ, "PYTHONPATH": str(Path(entrobound.__file__).parents[1])}

@@ -84,6 +84,7 @@ def _cases() -> dict[str, list[str]]:
         "error-missing-file": ["entropy", "--dist", "no-such-dir/missing.json"],
         "error-angles-before-tolerance": ["quantum", "--state", "singlet", "--angles", "0,1,nan",
                                           "--tolerance", "nan"],
+        "error-trace-above-cap": ["search", "--state", "singlet", "--resolution", "129", "--trace"],
     }
     for name, argv in more.items():
         for fmt in FORMATS:

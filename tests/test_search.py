@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
@@ -328,6 +328,22 @@ def test_grid_memory_stays_quadratic_in_resolution():
     assert len(result.trace) == 256 ** 3
 
 
+@pytest.mark.parametrize("state", ["singlet", "phi-", "maximally mixed"])
+def test_grid_memory_at_the_resolution_cap(state):
+    # the table and the column bounds are 8 MiB each at 1024; a transposed
+    # copy of the table would take another 8 MiB
+    rho = {"singlet": singlet(), "phi-": bell_state("phi-"), "maximally mixed": maximally_mixed()}[state]
+    tracemalloc.start()
+    try:
+        result = grid_search(rho, GRID_MAX_RESOLUTION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+    if state == "singlet":
+        assert SINGLET_OPTIMUM_LHS - 1e-5 < result.best_lhs <= SINGLET_OPTIMUM_LHS
+
+
 def test_grid_winner_search_stays_small_when_every_cell_ties():
     # every (j, k) column of the maximally mixed state reaches the max, so
     # the winner search has all res^2 candidates; it takes them in bounded
@@ -452,15 +468,73 @@ def test_grid_reduction_is_bit_identical_to_the_four_pass_cube(monkeypatch, reso
 @pytest.mark.parametrize("block_cells", [None, 4096, 20])
 @pytest.mark.parametrize("resolution", [8, 31, 96])
 def test_column_maxima_are_the_cube_maxima_byte_for_byte(monkeypatch, resolution, block_cells):
-    # 20-cell blocks hold at most 2 rows of i, so every column is swept in pieces
+    # every column maximum the branch and bound computes, of the pivot columns
+    # and of the swept ones; 20-cell blocks split each sweep into a few rows of i
     if block_cells is not None:
         monkeypatch.setattr(search_module, "_CUBE_CHUNK_CELLS", block_cells)
+    spreads, computed = search_module._spreads, []
+
+    def recorded(mi, j, k):
+        s = spreads(mi, j, k)
+        computed.append((*np.broadcast_arrays(j, k), s))
+        return s
+
+    monkeypatch.setattr(search_module, "_spreads", recorded)
     step = math.pi / resolution
     angles = tuple(i * step for i in range(resolution))
+    swept = 0
     for name, rho in _reduction_states():
         mi = pair_mi_table(rho, angles, angles)
-        cube = np.abs(mi[:, :, None] - mi[:, None, :]) + mi
-        assert search_module._column_maxima(mi).tobytes() == cube.max(axis=0).tobytes(), name
+        top = (np.abs(mi[:, :, None] - mi[:, None, :]) + mi).max(axis=0)
+        computed.clear()
+        search_module._cube_argmax(mi)
+        assert computed[0][0].shape == (math.isqrt(resolution), resolution), name  # the pivot columns
+        for j, k, s in computed:
+            assert (s + mi[j, k]).tobytes() == top[j, k].tobytes(), name
+            assert (s + mi[k, j]).tobytes() == top[k, j].tobytes(), name
+        swept += sum(s.size for _, _, s in computed[1:])
+    assert swept > 0
+
+
+@st.composite
+def _bound_tables(draw):
+    """A square table and a non-empty set of pivot columns.
+
+    Tables are i.i.d. entries spread over five decades, circulant tables
+    with noise of exactly 0 or +-delta (so eps = delta and the shift bound is
+    tight) near the rounding of the entries, tables of one value, and tables
+    of signed zeros.
+    """
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "circulant", "ties", "signed zeros"]))
+    if kind == "random":
+        mi = rng.random((n, n)) * 10.0 ** rng.integers(-3, 3, (n, n))
+    elif kind == "circulant":
+        f = rng.random(n)
+        noise = rng.choice([-1.0, 0.0, 1.0], (n, n)) * draw(st.sampled_from([0.0, 1e-17, 1e-16, 1e-15, 1e-13, 1e-9]))
+        mi = f[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n] + noise
+    elif kind == "ties":
+        mi = np.full((n, n), draw(st.sampled_from([0.0, 0.25, 1.0, rng.random()])))
+    else:
+        mi = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+    pivots = np.flatnonzero(rng.random(n) < 0.5)
+    return mi, pivots if len(pivots) else np.array([int(rng.integers(n))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(case=(np.array([[0.07872579379890905, 0.688896824749785, 0.0009263145604956078],
+                         [0.004898036887229915, 0.7024378150343941, 86.77546688910041],
+                         [0.10719702303854828, 0.04698551588747218, 8.799425840450004e-05]]),
+               np.array([1])))  # without the rounding slack the pivot bound falls an ulp short here
+@given(case=_bound_tables())
+def test_column_upper_bounds_are_at_least_the_cube_maxima(case):
+    # the pivot bound and the shift bound enter as their minimum, which is at
+    # least the column maximum everywhere exactly when each of them is
+    mi, pivots = case
+    spreads = np.abs(mi[:, :, None] - mi[:, None, :])
+    bounds = search_module._upper_bounds(mi, spreads.max(axis=0)[pivots])
+    assert (bounds >= (spreads + mi).max(axis=0)).all()
 
 
 def test_grid_winner_is_the_textbook_singlet_triple():
