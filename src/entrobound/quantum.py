@@ -8,8 +8,12 @@ convention is the minimal standard Bell-test setup and is the one the
 violation search optimizes over.
 
 For such measurements a two-qubit state enters only through eight numbers,
-its x-z Bloch components and correlations (``_correlations``), and every pair
-measurement is one closed form over them (``_outcome_tables``).
+its x-z Bloch components and correlations (``_correlations``; Horodecki et
+al., Phys. Lett. A 200, 340, 1995).  Every pair measurement and its mutual
+information H(X) + H(Y) - H(X,Y) is one closed form over them
+(``_pair_mi``).  H(X) depends on one angle only, so the marginal entropies
+are computed once per angle (``_sides``) and only H(X,Y), four logs, once
+per pair.
 
 Quantum entropies default to bits so they compose with the classical side
 and the Cerf-Adami bound of 1.
@@ -48,8 +52,10 @@ _PAULI = {"I": np.eye(2), "x": np.array([[0.0, 1.0], [1.0, 0.0]]), "z": np.array
 _CORRELATORS = np.array(
     [np.kron(_PAULI[k], _PAULI[l]) for k, l in ("xI", "zI", "Ix", "Iz", "xx", "xz", "zx", "zz")]
 )
-# Pairs per kernel chunk: bounds the kernel's temporaries to well under 1 MB.
+# Pairs per kernel chunk: bounds the kernel's buffer to 256 KB for any table size.
 _CHUNK_PAIRS = 4096
+# log2 of a probability clamped to this is finite, so 0 log2 0 adds 0 without a mask
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,42 +260,55 @@ def _correlations(rho: DensityMatrix) -> np.ndarray:
     return np.einsum("ab,kba->k", rho.matrix, _CORRELATORS).real
 
 
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    """-sum p log2 p over axis 0, zero terms adding 0."""
-    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=0)
+def _sides(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[tuple, tuple]:
+    """Per-angle terms of measuring x on qubit 1 and y on qubit 2, for ``_pair_mi``.
 
-
-def _outcome_tables(c: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome tables p, a(x) and b(y) of measuring angle x on qubit 1 and y on qubit 2.
-
-    Broadcasts over the angle arrays x and y.  With a(x) = a_x sin x + a_z cos x,
-    b(y) likewise and E = n(x)^T T n(y), p(s, t) = (1 + s a + t b + s t E)/4
-    for outcomes s, t = +/-1, laid out as p[i, j, ...] with index 0 meaning +1.
-    A probability below -1e-9 raises InternalError; the rest are clamped at 0
-    and renormalised.
+    (sin x, cos x, a/4, H(X)) and ((T n(y))_x / 4, (T n(y))_z / 4, b/4, H(Y)), with a(x) = a_x sin x + a_z cos x
+    and b(y) likewise; the outcomes of x are (1/2 + a/2, 1/2 - a/2).  Quartering c first is exact.
     """
-    ax, az, bx, bz, txx, txz, tzx, tzz = c
+    ax, az, bx, bz, txx, txz, tzx, tzz = (c / 4.0).tolist()
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
-    a = ax * sx + az * cx
-    b = bx * sy + bz * cy
-    e = sx * (txx * sy + txz * cy) + cx * (tzx * sy + tzz * cy)
-    p = np.array([[1.0 + a + b + e, 1.0 + a - b - e], [1.0 - a + b - e, 1.0 - a - b + e]]) / 4.0
-    low = p < -EIGENVALUE_ATOL
-    if low.any():
-        raise InternalError(f"measurement probability {p[low][0]} below -{EIGENVALUE_ATOL}")
-    p = np.maximum(p, 0.0)
-    p /= p.sum(axis=(0, 1))
-    return p, a, b
+    a4, b4 = ax * sx + az * cx, bx * sy + bz * cy
+    half = 2.0 * np.concatenate((a4, b4))
+    h = np.maximum(np.array([0.5 + half, 0.5 - half]), 0.0)  # both sides' outcomes in one pass
+    h *= np.log2(np.maximum(h, _TINY))
+    h = -(h[0] + h[1])
+    return (sx, cx, a4, h[:len(x)]), (txx * sy + txz * cy, tzx * sy + tzz * cy, b4, h[len(x):])
 
 
-def _mutual_information(p: np.ndarray) -> np.ndarray:
-    """H(X:Y) in bits of outcome tables p[i, j, ...], clamped like entropy._clamp."""
-    joint = _entropy_bits(p.reshape(4, *p.shape[2:]))
-    mi = _entropy_bits(p.sum(axis=1)) + _entropy_bits(p.sum(axis=0)) - joint
-    bad = ~(mi >= -CLAMP_ATOL)
-    if bad.any():
-        raise InternalError(f"mutual entropy = {mi[bad][0]}, negative beyond tolerance {CLAMP_ATOL}")
-    return np.where(mi > 0.0, mi, 0.0)
+def _pair_mi(first, second, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """H(X:Y) = H(X) + H(Y) - H(X,Y) in bits of the ``_sides`` pairs into ``out``, clamped like entropy._clamp.
+
+    Only H(X,Y) is per pair, four logs.  ``buffer`` is (2, 4, *out.shape); buffer[0] receives the joint
+    p(s, t) = ((1 + s a) + t b + s t E)/4, E = n(x)^T T n(y), for (s, t) = (+, +), (+, -), (-, +), (-, -),
+    clamped at 0; below -1e-9 it raises InternalError.
+    """
+    (sx, cx, a4, hx), (tx, tz, b4, hy) = first, second
+    p, logs = buffer
+    e = np.multiply(sx, tx, out=logs[0])
+    e += np.multiply(cx, tz, out=logs[1])  # E/4
+    up, um = 0.25 + a4, 0.25 - a4  # per angle
+    np.add(up, b4, out=p[0])
+    np.subtract(up, b4, out=p[1])
+    np.add(um, b4, out=p[2])
+    np.subtract(um, b4, out=p[3])
+    p[::3] += e
+    p[1:3] -= e
+    low = float(np.minimum.reduce(p, axis=None, initial=0.0))
+    if low < -EIGENVALUE_ATOL:
+        raise InternalError(f"measurement probability {low} below -{EIGENVALUE_ATOL}")
+    np.maximum(p, 0.0, out=p)
+    np.log2(np.maximum(p, _TINY, out=logs), out=logs)
+    logs *= p  # p log2 p, 0 where p = 0
+    np.add(logs[0], logs[1], out=out)
+    out += logs[2]
+    out += logs[3]
+    out += np.add(hx, hy, out=logs[0])
+    low = float(np.minimum.reduce(out, axis=None, initial=0.0))
+    if not low >= -CLAMP_ATOL:
+        raise InternalError(f"mutual entropy = {low}, negative beyond tolerance {CLAMP_ATOL}")
+    out[out <= 0.0] = 0.0  # -0.0 included
+    return out
 
 
 def _finite_angles(angles) -> np.ndarray:
@@ -307,12 +326,15 @@ def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
     x-z correlations.  Rows are evaluated in chunks, so working memory stays
     bounded for any table size.  A non-finite angle raises ValidationError.
     """
-    c = _correlations(rho)
-    x, y = _finite_angles(angles_x), _finite_angles(angles_y)
+    x = _finite_angles(angles_x)
+    y = x if angles_y is angles_x else _finite_angles(angles_y)
+    first, second = _sides(_correlations(rho), x, y)
     table = np.empty((len(x), len(y)))
     rows = max(1, _CHUNK_PAIRS // max(1, len(y)))
+    buffer = np.empty((2, 4, min(rows, len(x)), len(y)))
     for start in range(0, len(x), rows):
-        table[start:start + rows] = _mutual_information(_outcome_tables(c, x[start:start + rows, None], y)[0])
+        part = table[start:start + rows]
+        _pair_mi(tuple(v[start:start + rows, None] for v in first), second, buffer[:, :, :len(part)], part)
     return table
 
 
@@ -323,8 +345,10 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     and index 1 to outcome -1 on each side:
     p(i, j) = tr[rho (P_i(angle_1) x P_j(angle_2))].
     """
-    x, y = _finite_angles((angle_1, angle_2))
-    return JointDistribution((2, 2), _outcome_tables(_correlations(rho), x, y)[0])
+    angles = _finite_angles((angle_1, angle_2))
+    buffer = np.empty((2, 4, 1))
+    _pair_mi(*_sides(_correlations(rho), angles[:1], angles[1:]), buffer, np.empty(1))
+    return JointDistribution((2, 2), buffer[0].reshape(2, 2))
 
 
 def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> InequalityReport:
@@ -339,19 +363,19 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
     """
     theta_a, theta_b, theta_c = settings.angles
     # the experiments (A, B), (A, C) and (B, C), elementwise
-    p, bloch_a, bloch_b = _outcome_tables(
+    first, second = _sides(
         _correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c])
     )
     warnings: list[str] = []
     # a setting's marginal is ((1 + a)/2, (1 - a)/2): it deviates from uniform by |a|/2
     pairs = (("H(A:B)", "A", "B"), ("H(A:C)", "A", "C"), ("H(B:C)", "B", "C"))
-    for (label, n1, n2), dev_1, dev_2 in zip(pairs, np.abs(bloch_a) / 2.0, np.abs(bloch_b) / 2.0):
+    for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(first[2]), 2.0 * np.abs(second[2])):
         for setting_name, deviation in ((n1, dev_1), (n2, dev_2)):
             if deviation > MARGINAL_UNIFORM_ATOL:
                 warnings.append(
                     f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
                 )
-    iab, iac, ibc = _mutual_information(p).tolist()  # in bits, finite and >= 0
+    iab, iac, ibc = _pair_mi(first, second, np.empty((2, 4, 3)), np.empty(3)).tolist()  # in bits, finite and >= 0
     meta = {"source": "pairwise", "normalized": True, "angles": [float(a) for a in settings.angles],
             "marginals_uniform": not warnings, "warnings": warnings}
     terms = {"H(A:B)": iab, "H(A:C)": iac, "H(B:C)": ibc}

@@ -209,7 +209,8 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
 
     ``columns`` masks the (j, k) columns that can reach the threshold.  They
     are taken in row-major slabs and each slab is scanned upward in i, only
-    below the best i found so far, so no pass holds more than
+    below the best i found so far, in blocks that grow from one row of i,
+    doubling, so a winner at small i costs little.  No pass holds more than
     _CUBE_CHUNK_CELLS candidates or cells.
     """
     n = len(mi)
@@ -221,8 +222,8 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
             continue
         j += j0
         m = mi[j, k]
-        rows = max(1, _CUBE_CHUNK_CELLS // len(j))
-        for i0 in range(0, first[0], rows):
+        i0, rows, cap = 0, 1, max(1, _CUBE_CHUNK_CELLS // len(j))
+        while i0 < first[0]:
             block = mi[i0:min(i0 + rows, first[0])]
             lhs = block[:, j]
             np.subtract(lhs, block[:, k], out=lhs)
@@ -233,6 +234,7 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
                 r, c = divmod(int(hits.argmax()), len(j))
                 first = (i0 + r, int(j[c]), int(k[c]))
                 break
+            i0, rows = i0 + rows, min(2 * rows, cap)
     return first
 
 

@@ -14,14 +14,15 @@ by exact integer algebra, so editing a row breaks its proof.
 """
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from entrobound import JointDistribution, cerf_adami_classical
+from entrobound import JointDistribution, cerf_adami_classical, marginal_bound
 from entrobound.cli import _classical_battery
 from entrobound.inequalities import _CHECKS
 
-from conftest import brute_entropy_bits, tripartite_tables
+from conftest import brute_entropy_bits, h2, tripartite_tables
 
 VARS = "ABC"
 
@@ -191,5 +192,40 @@ def test_margins_equal_their_certificates(d):
     for pivot in (0, 1, 2):
         ixy, ixz, _ = cerf_adami_classical(d, pivot).terms.values()
         _, bound, certificate = branch(pivot, 0 if ixy >= ixz else 1)
-        r = cerf_adami_classical(d, pivot, bound=h[frozenset(bound[2])])
+        assert abs(marginal_bound(d, pivot) - h[frozenset(bound[2])]) <= 1e-12
+        r = cerf_adami_classical(d, pivot, bound=marginal_bound(d, pivot))
         assert abs(r.margin - certified_slack(certificate, h)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=tripartite_tables())
+def test_tight_cerf_adami_bound_holds_on_every_table(d):
+    for pivot in (0, 1, 2):
+        assert cerf_adami_classical(d, pivot).lhs <= marginal_bound(d, pivot) + 1e-12
+        assert marginal_bound(d, pivot) <= marginal_bound(d)
+
+
+def roles_table(pivot: int, probs_xyz) -> JointDistribution:
+    """A table given over the roles (x, y, z) of ``pivot``, laid out over (A, B, C)."""
+    letters = pivot_letters(pivot)
+    return JointDistribution.from_flat((2, 2, 2), np.transpose(probs_xyz, [letters.index(v) for v in VARS]).ravel())
+
+
+@pytest.mark.parametrize("pivot", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1])
+def test_tight_cerf_adami_bound_is_attained(pivot, k):
+    # Both certificate terms of branch k vanish, so the LHS meets its bound:
+    # branch 0, y = z a biased bit and x an independent fair one;
+    # branch 1, x = z a biased bit and y an independent fair one.
+    # The loose bound, max H = 1, stays above.
+    t = np.zeros((2, 2, 2))
+    for fair in (0, 1):
+        for bit, weight in ((0, 0.2), (1, 0.8)):
+            t[(fair, bit, bit) if k == 0 else (bit, fair, bit)] = weight / 2
+    d = roles_table(pivot, t)
+    ixy, ixz, _ = cerf_adami_classical(d, pivot).terms.values()
+    assert (ixy >= ixz) is (k == 0)
+    lhs = cerf_adami_classical(d, pivot).lhs
+    assert abs(lhs - marginal_bound(d, pivot)) <= 1e-12
+    assert abs(lhs - h2(0.2)) <= 1e-12
+    assert marginal_bound(d) == pytest.approx(1.0, abs=1e-12)

@@ -227,6 +227,9 @@ def test_cerf_adami_classical_custom_bound():
     r = cerf_adami_classical(d, bound=bound)
     assert r.rhs == bound
     assert r.meta["normalized"] == (bound == 1.0)
+    for bad in (-1, 3, "A"):
+        with pytest.raises(WrongArityError):
+            marginal_bound(d, bad)
 
 
 def test_dpi_noisy_copy_chain():

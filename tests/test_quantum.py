@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from entrobound.errors import (
     NotPureError,
     ValidationError,
 )
+from entrobound import quantum as quantum_module
 from entrobound.quantum import _correlations
 
 from conftest import (
@@ -300,9 +302,47 @@ def test_cerf_adami_quantum_report_matches_the_cerf_adami_check_path():
         for angles in [(0.0, 0.0, 0.0), (0.0, math.pi / 8, math.pi / 4), *rng.uniform(0.0, math.pi, (20, 3))]:
             settings = MeasurementSettings(tuple(angles))
             report = cerf_adami_quantum(rho, settings)
-            assert report_fields(report) == report_fields(reference_cerf_adami_quantum(rho, settings))
+            reference = reference_cerf_adami_quantum(rho, settings)
+            assert report_fields(report) == report_fields(reference)
+            a, b, c = settings.angles
+            for value, (x, y) in zip(reference.terms.values(), ((a, b), (a, c), (b, c))):
+                assert abs(value - reference_pair_mi(rho, x, y)) <= 1e-12
             warned += bool(report.meta["warnings"])
     assert warned > 40
+
+
+def test_cerf_adami_quantum_terms_are_the_pair_mi_table():
+    # one kernel: the three experiments of a report are cells of the table at the same angles
+    rng = np.random.default_rng(94)
+    states = [singlet(), werner_state(0.8), pure_state([1.0, 0.0, 0.0, 0.0]), bell_state("phi+")]
+    states += [DensityMatrix(2, 2, random_mixed_state(rng)) for _ in range(4)]
+    for rho in states:
+        for angles in [(0.0, 0.0, math.pi / 2), *rng.uniform(0.0, math.pi, (10, 3))]:
+            settings = MeasurementSettings(tuple(angles))
+            a, b, c = settings.angles
+            table = pair_mi_table(rho, [a, b], [b, c])
+            terms = cerf_adami_quantum(rho, settings).terms
+            for label, cell in (("H(A:B)", table[0, 0]), ("H(A:C)", table[0, 1]), ("H(B:C)", table[1, 1])):
+                assert abs(terms[label] - cell) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["00", "phi+", "phi-", "psi+", "psi-"])
+def test_exact_zero_probabilities_match_the_reference_without_warnings(name):
+    # aligned and orthogonal settings: outcome probabilities of exactly 0 (and of 1)
+    rho = pure_state([1.0, 0.0, 0.0, 0.0]) if name == "00" else bell_state(name)
+    angles = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = pair_mi_table(rho, angles, angles)
+        reports = [cerf_adami_quantum(rho, MeasurementSettings(s)) for s in ((0.0, 0.0, math.pi / 2),
+                                                                            (0.0, math.pi / 2, math.pi / 2))]
+    expected = np.array([[reference_pair_mi(rho, a, b) for b in angles] for a in angles])
+    assert np.max(np.abs(table - expected)) <= 1e-12
+    assert not np.signbit(table).any()
+    for report in reports:
+        a, b, c = report.meta["angles"]
+        want = [reference_pair_mi(rho, x, y) for x, y in ((a, b), (a, c), (b, c))]
+        assert max(abs(v - w) for v, w in zip(report.terms.values(), want)) <= 1e-12
 
 
 def test_product_states_never_violate_sweep():
@@ -432,13 +472,19 @@ def test_pair_mi_table_werner_closed_form(p):
             assert abs(table[x, y] - werner_mi(p, a, b)) <= 1e-12
 
 
-def test_pair_mi_table_spans_chunks():
+def test_pair_mi_table_spans_chunks(monkeypatch):
     # more rows than fit one chunk: the chunked rows equal row-by-row calls
     rho = DensityMatrix(2, 2, random_mixed_state(np.random.default_rng(91)))
     angles = np.linspace(0.0, math.pi, 130, endpoint=False)
     table = pair_mi_table(rho, angles, angles)
     for x in (0, 31, 32, 64, 129):
         assert np.array_equal(table[x], pair_mi_table(rho, angles[x:x + 1], angles)[0])
+    # every chunk size, from one pair to the whole table, gives the same bytes
+    angles_x, angles_y = angles[:23], angles[::10]
+    table = pair_mi_table(rho, angles_x, angles_y)
+    for chunk in range(1, table.size + 1):
+        monkeypatch.setattr(quantum_module, "_CHUNK_PAIRS", chunk)
+        assert pair_mi_table(rho, angles_x, angles_y).tobytes() == table.tobytes(), chunk
 
 
 def test_pair_mi_table_raises_on_negative_probability():
