@@ -198,19 +198,16 @@ def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | No
 
 
 def marginal_bound(d: JointDistribution, pivot: int | None = None) -> float:
-    """A bound on the Cerf-Adami LHS for non-uniform marginals.
+    """max(H(A), H(B), H(C)): the honest bound for non-uniform marginals.
 
-    max(H(A), H(B), H(C)) holds for every pivot; for pivot x the tight bound
-    is H(y) when H(x:y) >= H(x:z), and H(z) otherwise.
+    For pivot x the tight bound: H(y) when H(x:y) >= H(x:z), else H(z).
     """
     h = _vector(d)
     if pivot is None:
         return max(h["H(A)"], h["H(B)"], h["H(C)"])
-    if pivot not in (0, 1, 2):
-        raise WrongArityError(f"pivot must be 0, 1 or 2, got {pivot}")
-    y, z = (v for i, v in enumerate("ABC") if i != pivot)
-    (_, ixy), (_, ixz), _ = _PIVOTS[pivot][1]
-    return h[f"H({y})"] if h[ixy] >= h[ixz] else h[f"H({z})"]
+    ixy, ixz, _ = cerf_adami_classical(d, pivot).terms.values()
+    hy, hz = (h[f"H({v})"] for i, v in enumerate("ABC") if i != pivot)
+    return hy if ixy >= ixz else hz
 
 
 def dpi_check(d: JointDistribution, markov_certified: bool) -> list[InequalityReport]:

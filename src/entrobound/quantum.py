@@ -9,11 +9,9 @@ violation search optimizes over.
 
 For such measurements a two-qubit state enters only through eight numbers,
 its x-z Bloch components and correlations (``_correlations``; Horodecki et
-al., Phys. Lett. A 200, 340, 1995).  Every pair measurement and its mutual
-information H(X) + H(Y) - H(X,Y) is one closed form over them
-(``_pair_mi``).  H(X) depends on one angle only, so the marginal entropies
-are computed once per angle (``_sides``) and only H(X,Y), four logs, once
-per pair.
+al., Phys. Lett. A 200, 340, 1995).  H(X:Y) = H(X) + H(Y) - H(X,Y) of a pair
+is one closed form over them (``_pair_mi``), with H(X) and H(Y) computed
+once per angle (``_sides``) and H(X,Y), four logs, once per pair.
 
 Quantum entropies default to bits so they compose with the classical side
 and the Cerf-Adami bound of 1.
@@ -260,30 +258,33 @@ def _correlations(rho: DensityMatrix) -> np.ndarray:
     return np.einsum("ab,kba->k", rho.matrix, _CORRELATORS).real
 
 
-def _sides(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[tuple, tuple]:
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p over axis 0 of probabilities p >= 0, zero terms adding 0."""
+    return -(p * np.log2(np.maximum(p, _TINY))).sum(axis=0)
+
+
+def _sides(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     """Per-angle terms of measuring x on qubit 1 and y on qubit 2, for ``_pair_mi``.
 
-    (sin x, cos x, a/4, H(X)) and ((T n(y))_x / 4, (T n(y))_z / 4, b/4, H(Y)), with a(x) = a_x sin x + a_z cos x
+    sin x, cos x, a/4, H(X), (T n(y))_x / 4, (T n(y))_z / 4, b/4, H(Y), with a(x) = a_x sin x + a_z cos x
     and b(y) likewise; the outcomes of x are (1/2 + a/2, 1/2 - a/2).  Quartering c first is exact.
     """
     ax, az, bx, bz, txx, txz, tzx, tzz = (c / 4.0).tolist()
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
     a4, b4 = ax * sx + az * cx, bx * sy + bz * cy
-    half = 2.0 * np.concatenate((a4, b4))
-    h = np.maximum(np.array([0.5 + half, 0.5 - half]), 0.0)  # both sides' outcomes in one pass
-    h *= np.log2(np.maximum(h, _TINY))
-    h = -(h[0] + h[1])
-    return (sx, cx, a4, h[:len(x)]), (txx * sy + txz * cy, tzx * sy + tzz * cy, b4, h[len(x):])
+    hx = _entropy_bits(np.maximum([0.5 + 2.0 * a4, 0.5 - 2.0 * a4], 0.0))
+    hy = _entropy_bits(np.maximum([0.5 + 2.0 * b4, 0.5 - 2.0 * b4], 0.0))
+    return sx, cx, a4, hx, txx * sy + txz * cy, tzx * sy + tzz * cy, b4, hy
 
 
-def _pair_mi(first, second, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pair_mi(sides: tuple, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
     """H(X:Y) = H(X) + H(Y) - H(X,Y) in bits of the ``_sides`` pairs into ``out``, clamped like entropy._clamp.
 
-    Only H(X,Y) is per pair, four logs.  ``buffer`` is (2, 4, *out.shape); buffer[0] receives the joint
-    p(s, t) = ((1 + s a) + t b + s t E)/4, E = n(x)^T T n(y), for (s, t) = (+, +), (+, -), (-, +), (-, -),
-    clamped at 0; below -1e-9 it raises InternalError.
+    ``buffer`` is (2, 4, *out.shape); buffer[0] receives the joint p(s, t) = ((1 + s a) + t b + s t E)/4,
+    E = n(x)^T T n(y), for (s, t) = (+, +), (+, -), (-, +), (-, -); below -1e-9 it raises InternalError.
+    A pair with a negative entry is clamped at 0 and renormalised, and takes H(X) and H(Y) from that joint.
     """
-    (sx, cx, a4, hx), (tx, tz, b4, hy) = first, second
+    sx, cx, a4, hx, tx, tz, b4, hy = sides
     p, logs = buffer
     e = np.multiply(sx, tx, out=logs[0])
     e += np.multiply(cx, tz, out=logs[1])  # E/4
@@ -297,7 +298,12 @@ def _pair_mi(first, second, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
     low = float(np.minimum.reduce(p, axis=None, initial=0.0))
     if low < -EIGENVALUE_ATOL:
         raise InternalError(f"measurement probability {low} below -{EIGENVALUE_ATOL}")
-    np.maximum(p, 0.0, out=p)
+    if low < 0.0:
+        bad = (p < 0.0).any(axis=0)
+        q = np.maximum(p[:, bad], 0.0)
+        p[:, bad] = q = q / q.sum(axis=0)
+        hx, hy = (np.broadcast_to(h, bad.shape).copy() for h in (hx, hy))
+        hx[bad], hy[bad] = _entropy_bits(q[::2] + q[1::2]), _entropy_bits(q[:2] + q[2:])
     np.log2(np.maximum(p, _TINY, out=logs), out=logs)
     logs *= p  # p log2 p, 0 where p = 0
     np.add(logs[0], logs[1], out=out)
@@ -326,15 +332,14 @@ def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
     x-z correlations.  Rows are evaluated in chunks, so working memory stays
     bounded for any table size.  A non-finite angle raises ValidationError.
     """
-    x = _finite_angles(angles_x)
-    y = x if angles_y is angles_x else _finite_angles(angles_y)
-    first, second = _sides(_correlations(rho), x, y)
+    x, y = _finite_angles(angles_x), _finite_angles(angles_y)
+    sides = _sides(_correlations(rho), x, y)
     table = np.empty((len(x), len(y)))
     rows = max(1, _CHUNK_PAIRS // max(1, len(y)))
     buffer = np.empty((2, 4, min(rows, len(x)), len(y)))
     for start in range(0, len(x), rows):
         part = table[start:start + rows]
-        _pair_mi(tuple(v[start:start + rows, None] for v in first), second, buffer[:, :, :len(part)], part)
+        _pair_mi(tuple(v[start:start + rows, None] for v in sides[:4]) + sides[4:], buffer[:, :, :len(part)], part)
     return table
 
 
@@ -345,9 +350,8 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     and index 1 to outcome -1 on each side:
     p(i, j) = tr[rho (P_i(angle_1) x P_j(angle_2))].
     """
-    angles = _finite_angles((angle_1, angle_2))
     buffer = np.empty((2, 4, 1))
-    _pair_mi(*_sides(_correlations(rho), angles[:1], angles[1:]), buffer, np.empty(1))
+    _pair_mi(_sides(_correlations(rho), *_finite_angles((angle_1, angle_2))[:, None]), buffer, np.empty(1))
     return JointDistribution((2, 2), buffer[0].reshape(2, 2))
 
 
@@ -363,19 +367,17 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
     """
     theta_a, theta_b, theta_c = settings.angles
     # the experiments (A, B), (A, C) and (B, C), elementwise
-    first, second = _sides(
-        _correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c])
-    )
+    sides = _sides(_correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c]))
     warnings: list[str] = []
     # a setting's marginal is ((1 + a)/2, (1 - a)/2): it deviates from uniform by |a|/2
     pairs = (("H(A:B)", "A", "B"), ("H(A:C)", "A", "C"), ("H(B:C)", "B", "C"))
-    for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(first[2]), 2.0 * np.abs(second[2])):
+    for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(sides[2]), 2.0 * np.abs(sides[6])):
         for setting_name, deviation in ((n1, dev_1), (n2, dev_2)):
             if deviation > MARGINAL_UNIFORM_ATOL:
                 warnings.append(
                     f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
                 )
-    iab, iac, ibc = _pair_mi(first, second, np.empty((2, 4, 3)), np.empty(3)).tolist()  # in bits, finite and >= 0
+    iab, iac, ibc = _pair_mi(sides, np.empty((2, 4, 3)), np.empty(3)).tolist()  # in bits, finite and >= 0
     meta = {"source": "pairwise", "normalized": True, "angles": [float(a) for a in settings.angles],
             "marginals_uniform": not warnings, "warnings": warnings}
     terms = {"H(A:B)": iab, "H(A:C)": iac, "H(B:C)": ibc}

@@ -111,18 +111,16 @@ def _ref_report(name, lhs, rhs, terms, meta=None):
 def reference_cerf_adami_quantum(rho, settings) -> InequalityReport:
     """``cerf_adami_quantum`` through ``cerf_adami_check``, with the quantum meta appended."""
     theta_a, theta_b, theta_c = settings.angles
-    first, second = _sides(
-        _correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c])
-    )
+    sides = _sides(_correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c]))
     warnings = []
     pairs = (("H(A:B)", "A", "B"), ("H(A:C)", "A", "C"), ("H(B:C)", "B", "C"))
-    for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(first[2]), 2.0 * np.abs(second[2])):
+    for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(sides[2]), 2.0 * np.abs(sides[6])):
         for setting_name, deviation in ((n1, dev_1), (n2, dev_2)):
             if deviation > 1e-6:
                 warnings.append(
                     f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
                 )
-    mi = _pair_mi(first, second, np.empty((2, 4, 3)), np.empty(3))
+    mi = _pair_mi(sides, np.empty((2, 4, 3)), np.empty(3))
     r = cerf_adami_check(*(EntropyValue(float(v), 2.0) for v in mi), bound=1.0, source="pairwise")
     meta = {**r.meta, "angles": [float(a) for a in settings.angles], "marginals_uniform": not warnings,
             "warnings": warnings}

@@ -497,6 +497,32 @@ def test_pair_mi_table_raises_on_negative_probability():
         pair_mi_table(bad, [0.0], [0.0])
 
 
+@pytest.mark.parametrize("diagonal", [
+    (1 + 0.9e-9, 0.0, 0.0, -0.9e-9),
+    (1.0, 0.0, 0.9e-9, -0.9e-9),
+    (1.0, 0.9e-9, 0.0, -0.9e-9),
+    (0.5, 0.5 + 0.9e-9, 0.0, -0.9e-9),
+])
+def test_clamped_outcome_probabilities_keep_the_marginals_of_the_clamped_joint(diagonal):
+    # valid states (eigenvalue -0.9e-9 >= -1e-9) with p(-, -) = -0.9e-9 at angle 0: that pair is
+    # clamped and renormalised, and its H(X), H(Y) come from the clamped joint, as the reference's do
+    rho = DensityMatrix(2, 2, np.diag(diagonal).astype(complex))
+    angles = [0.0, math.pi / 3, math.pi / 2]
+    table = pair_mi_table(rho, angles, angles)
+    expected = np.array([[reference_pair_mi(rho, a, b) for b in angles] for a in angles])
+    assert np.max(np.abs(table - expected)) <= 1e-12
+    assert table[0, 0] <= 1e-15
+    assert table[:1].tobytes() == pair_mi_table(rho, angles[:1], angles).tobytes()
+    for settings in ((0.0, 0.0, 0.0), (0.0, math.pi / 3, math.pi / 2)):
+        a, b, c = settings
+        want = [reference_pair_mi(rho, x, y) for x, y in ((a, b), (a, c), (b, c))]
+        got = cerf_adami_quantum(rho, MeasurementSettings(settings)).terms.values()
+        assert max(abs(v - w) for v, w in zip(got, want)) <= 1e-12
+    probs = measure_pair(rho, 0.0, 0.0).probs
+    assert probs.min() >= 0.0 and probs.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(probs - reference_measure_pair(rho, 0.0, 0.0).probs)) <= 1e-12
+
+
 def test_pair_mi_table_rejects_wrong_dims():
     with pytest.raises(DimensionMismatchError):
         pair_mi_table(partial_trace(singlet(), keep=0), [0.0], [0.0])
