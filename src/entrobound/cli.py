@@ -7,62 +7,33 @@ inequality check was satisfied, 1 means a violation was found (so shell
 pipelines can branch on "violation found"), and 2 means a usage or input
 error.  Output is deterministic byte-for-byte for identical invocations:
 keys are emitted in fixed order and floats with 12 significant digits.
+
+Imports are lazy: this module loads the standard library and
+:mod:`~entrobound.errors` only, and each handler imports the modules it
+computes with.  The exact statistical mechanics (``statmech --dice``,
+``--combine``, ``--mix``, ``--coins`` without ``--trials``) and ``--version``
+thus never load numpy, which costs more than interpreter start.  An input
+file is read and parsed as JSON before any module that needs numpy, so a
+missing or malformed file is reported without loading it either.
 """
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from collections.abc import Sequence
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from . import __version__
-from .dist import JointDistribution
-from .entropy import (
-    boltzmann_entropy,
-    conditional_entropy,
-    convert_base,
-    mutual_entropy,
-    relative_entropy,
-    shannon_entropy,
-)
 from .errors import EntroboundError, ParseError, ValidationError
-from .inequalities import (
-    InequalityReport,
-    cerf_adami_classical,
-    dpi_check,
-    joint_triangle_check,
-    narrowed_bound_check,
-    reports_to_csv,
-    triangle_check,
-    two_hb_bound_check,
-)
-from .markov import MarkovChainSpec, build_tripartite, conditional_mutual_information, is_markov
-from .quantum import (
-    PURITY_ATOL,
-    DensityMatrix,
-    MeasurementSettings,
-    bell_state,
-    cerf_adami_quantum,
-    conditional_quantum_entropy,
-    is_entangled_pure,
-    partial_trace,
-    singlet,
-    von_neumann_entropy,
-    werner_state,
-)
-from .search import grid_refine, grid_search, werner_threshold
-from .statmech import (
-    MacrostateSpec,
-    coin_reversal_monte_carlo,
-    coin_reversal_probability,
-    coin_reversal_unordered_probability,
-    combine_multiplicities,
-    dice_multiplicity,
-    mixing_demo,
-)
+
+if TYPE_CHECKING:
+    from .dist import JointDistribution
+    from .inequalities import InequalityReport
+    from .quantum import DensityMatrix, MeasurementSettings
 
 # A trace has about resolution^3 entries and streams at ~100k entries/s: at 128
 # it is 2.1e6 entries, 136 MB of JSON and ~21 s; at the grid's own cap (1024) it
@@ -132,6 +103,8 @@ def _flatten(prefix: str, obj):
 def _emit(payload: dict, fmt: str, out: TextIO) -> None:
     reports = payload.get("reports")
     if fmt == "csv" and reports is not None:
+        from .inequalities import reports_to_csv
+
         out.write(reports_to_csv(reports))
         return
     if reports is not None:
@@ -153,7 +126,8 @@ def _emit(payload: dict, fmt: str, out: TextIO) -> None:
 
 # --- input loading ---------------------------------------------------------------
 
-def _load(path: str, kind: str, from_dict):
+def _load(path: str, kind: str, module: str, cls: str):
+    """``cls.from_dict`` of the JSON file at ``path``; ``module`` defines ``cls`` and is imported once it parses."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -161,6 +135,7 @@ def _load(path: str, kind: str, from_dict):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deeply nested to parse
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    from_dict = getattr(importlib.import_module(f".{module}", __package__), cls).from_dict
     try:
         return from_dict(payload)
     except KeyError as exc:
@@ -170,12 +145,14 @@ def _load(path: str, kind: str, from_dict):
 
 
 def _load_distribution(path: str) -> JointDistribution:
-    return _load(path, "distribution", JointDistribution.from_dict)
+    return _load(path, "distribution", "dist", "JointDistribution")
 
 
 def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
     if path is not None:
-        return _load(path, "density-matrix", DensityMatrix.from_dict)
+        return _load(path, "density-matrix", "quantum", "DensityMatrix")
+    from .quantum import bell_state, singlet, werner_state
+
     key = name.strip().lower()
     if key == "singlet" or key == "bell-psi-minus":
         return singlet()
@@ -195,6 +172,8 @@ def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
 
 
 def _parse_angles(text: str) -> MeasurementSettings:
+    from .quantum import MeasurementSettings
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ValidationError(f"--angles needs three comma-separated values, got {text!r}")
@@ -212,6 +191,8 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     if not math.isfinite(args.base) or args.base <= 1.0:
         raise ValidationError(f"base must be finite and > 1, got {args.base}")
     d = _load_distribution(args.dist)
+    from .entropy import conditional_entropy, convert_base, mutual_entropy, relative_entropy, shannon_entropy
+
     if args.mutual is not None:
         x, y = args.mutual
         value = convert_base(mutual_entropy(d, x, y), args.base)
@@ -232,6 +213,10 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _classical_battery(d: JointDistribution, markov_checks: bool) -> list[InequalityReport]:
+    from .inequalities import (cerf_adami_classical, dpi_check, joint_triangle_check, narrowed_bound_check,
+                               triangle_check, two_hb_bound_check)
+    from .markov import is_markov
+
     reports = [cerf_adami_classical(d, pivot=p) for p in (0, 1, 2)]
     reports += [joint_triangle_check(d), two_hb_bound_check(d), narrowed_bound_check(d)]
     if markov_checks:
@@ -243,6 +228,8 @@ def _classical_battery(d: JointDistribution, markov_checks: bool) -> list[Inequa
 
 def _cmd_inequality(args: argparse.Namespace) -> tuple[dict, int]:
     d = _load_distribution(args.dist)
+    from .markov import is_markov
+
     reports = _classical_battery(d, args.markov_checks)
     violations = sum(0 if r.satisfied else 1 for r in reports)
     payload = {
@@ -255,7 +242,10 @@ def _cmd_inequality(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_markov(args: argparse.Namespace) -> tuple[dict, int]:
-    spec = _load(args.spec, "Markov spec", MarkovChainSpec.from_dict)
+    spec = _load(args.spec, "Markov spec", "markov", "MarkovChainSpec")
+    from .inequalities import dpi_check, triangle_check
+    from .markov import build_tripartite, conditional_mutual_information, is_markov
+
     d = build_tripartite(spec)
     cmi = conditional_mutual_information(d, 0, 2, 1)
     reports = dpi_check(d, markov_certified=True) + [triangle_check(d)]
@@ -275,6 +265,9 @@ def _cmd_markov(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_quantum(args: argparse.Namespace) -> tuple[dict, int]:
     rho = _resolve_state(args.state, args.state_file)
+    from .quantum import (PURITY_ATOL, cerf_adami_quantum, conditional_quantum_entropy, is_entangled_pure,
+                          partial_trace, von_neumann_entropy)
+
     report = cerf_adami_quantum(rho, args.angles)
     s_joint = von_neumann_entropy(rho)
     s_a = von_neumann_entropy(partial_trace(rho, 0))
@@ -306,6 +299,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
         if args.trace or args.no_refine:
             flag = "--trace" if args.trace else "--no-refine"
             raise ValidationError(f"{flag} does not apply to --werner-threshold")
+        from .search import werner_threshold
+
         threshold = werner_threshold(args.resolution, args.tolerance)
         payload = {
             "command": "search",
@@ -318,6 +313,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
     if args.trace and args.resolution > TRACE_MAX_RESOLUTION:
         raise ValidationError(f"--trace capped at resolution {TRACE_MAX_RESOLUTION}, got {args.resolution}")
     rho = _resolve_state(args.state, args.state_file)
+    from .search import grid_refine, grid_search
+
     if args.no_refine:
         result = grid_search(rho, args.resolution)
     else:
@@ -336,6 +333,11 @@ def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
                                ("--same-species", "mix", args.same_species)):
         if given and mode != owner:
             raise ValidationError(f"{flag} does not apply to --{mode}")
+    from .statmech import (MacrostateSpec, coin_reversal_monte_carlo, coin_reversal_probability,
+                           coin_reversal_unordered_probability, combine_multiplicities, dice_multiplicity,
+                           mixing_demo)
+    from .value import boltzmann_entropy
+
     payload: dict = {"command": "statmech"}
     if args.dice is not None:
         spec = dice_multiplicity(*args.dice)

@@ -2,17 +2,17 @@
 
 All quantities default to bits (base 2); the Boltzmann form defaults to the
 natural log, matching its usual statistical-mechanics convention, and
-:func:`convert_base` moves between bases losslessly.  The 0*log(0) = 0
-convention is implemented by skipping zero-probability terms exactly, never
-by epsilon-shifting, so inequality margins stay uncorrupted.  Results within
-1e-9 below zero are clamped to 0; anything more negative raises
-:class:`~entrobound.errors.InternalError` because it indicates a bug rather
-than physics.
+:func:`convert_base` moves between bases losslessly; both live, with
+:class:`EntropyValue`, in the numpy-free :mod:`entrobound.value`.  The
+0*log(0) = 0 convention is implemented by skipping zero-probability terms
+exactly, never by epsilon-shifting, so inequality margins stay uncorrupted.
+Results within 1e-9 below zero are clamped to 0; anything more negative
+raises :class:`~entrobound.errors.InternalError` because it indicates a bug
+rather than physics.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
@@ -24,42 +24,15 @@ from .dist import JointDistribution, marginalize, mix
 from .errors import (
     IndexOutOfRangeError,
     InternalError,
-    InvalidBaseError,
     MixtureMismatchError,
     SameVariableError,
     ShapeMismatchError,
     WrongArityError,
-    ZeroMultiplicityError,
 )
+from .value import EntropyValue, _check_base, boltzmann_entropy, convert_base  # noqa: F401 - re-exported
 
 CLAMP_ATOL = 1e-9
 MIXTURE_ATOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """An entropy with its logarithm base recorded explicitly."""
-
-    value: float
-    base: float = 2.0
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    def to_dict(self) -> dict:
-        value = float(self.value)  # str(value) keeps the sign of an infinity
-        return {"value": str(value) if self.is_infinite else value, "base": float(self.base)}
-
-    def __repr__(self) -> str:
-        return f"EntropyValue({self.value!r}, base={self.base!r})"
-
-
-def _check_base(base: float) -> float:
-    base = float(base)
-    if not (math.isfinite(base) and base > 1.0):
-        raise InvalidBaseError(f"logarithm base must be finite and > 1, got {base}")
-    return base
 
 
 def _clamp(value: float, what: str) -> float:
@@ -194,23 +167,6 @@ def conditional_entropy(d: JointDistribution, target: int, given: int) -> Entrop
     h_pair = _plogp_bits(pair.probs.ravel())
     h_given = _plogp_bits(pair.probs.sum(axis=1 - given_axis))
     return EntropyValue(_clamp(h_pair - h_given, "conditional entropy"), 2.0)
-
-
-def boltzmann_entropy(multiplicity: int, base: float = math.e) -> EntropyValue:
-    """log(multiplicity), natural base by default (the unitless S/k form)."""
-    base = _check_base(base)
-    m = int(multiplicity)
-    if m < 1:
-        raise ZeroMultiplicityError(f"multiplicity must be >= 1, got {m}")
-    return EntropyValue(math.log(m) / math.log(base), base)
-
-
-def convert_base(e: EntropyValue, new_base: float) -> EntropyValue:
-    """Rescale an entropy to a new logarithm base."""
-    new_base = _check_base(new_base)
-    if new_base == e.base or e.is_infinite:
-        return EntropyValue(e.value, new_base)
-    return EntropyValue(e.value * (math.log(e.base) / math.log(new_base)), new_base)
 
 
 def mixing_entropy(

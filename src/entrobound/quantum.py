@@ -213,9 +213,13 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> EntropyValue:
     """-tr(rho log rho): the Shannon entropy of the spectrum."""
     base = _check_base(base)
     eigs = np.linalg.eigvalsh(rho.matrix)
-    if float(eigs.min()) < -EIGENVALUE_ATOL:
-        raise NotPositiveSemidefiniteError(f"eigenvalue {float(eigs.min())} below -{EIGENVALUE_ATOL}")
-    bits = _plogp_bits(eigs)  # skipping eigenvalues <= 0 clamps [-1e-9, 0) to 0
+    low = float(eigs.min())
+    if low < -EIGENVALUE_ATOL:
+        raise NotPositiveSemidefiniteError(f"eigenvalue {low} below -{EIGENVALUE_ATOL}")
+    if low < 0.0:  # clamp [-1e-9, 0) to 0 and renormalise, as _pair_mi does outcome tables
+        eigs = np.maximum(eigs, 0.0)
+        eigs /= eigs.sum()
+    bits = _plogp_bits(eigs)
     return EntropyValue(_clamp(bits / math.log2(base), "von Neumann entropy"), base)
 
 

@@ -1,16 +1,15 @@
 """Multiplicity counting, coin-flip reversal odds, and lattice mixing.
 
-Multiplicities are counted by exact enumeration (capped where enumeration
-stops being exact or sane), mixing is modeled combinatorially as lattice
+Multiplicities are counted exactly with Python integers (capped where the
+count stops being sane), mixing is modeled combinatorially as lattice
 arrangements, and the Monte Carlo estimator owns a private seeded generator
-so nothing here touches global RNG state.
+so nothing here touches global RNG state.  Only that estimator needs numpy,
+and it imports numpy itself, so the exact counts run without it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     MixingOverflowError,
@@ -19,7 +18,7 @@ from .errors import (
     TotalOutOfRangeError,
     ValidationError,
 )
-from .entropy import EntropyValue
+from .value import EntropyValue
 
 MAX_DICE = 8
 MAX_MIXING_PARTICLES = 60
@@ -47,7 +46,7 @@ class MacrostateSpec:
 
 
 def dice_multiplicity(num_dice: int, total: int) -> MacrostateSpec:
-    """Count ordered dice outcomes summing to ``total``, by exact enumeration.
+    """Count ordered dice outcomes summing to ``total``, exactly.
 
     Unreachable positive totals count 0; totals below 1 are rejected since
     no roll of any number of dice can produce them.
@@ -60,11 +59,14 @@ def dice_multiplicity(num_dice: int, total: int) -> MacrostateSpec:
         raise TooManyDiceError(f"enumeration capped at {MAX_DICE} dice, got {num_dice}")
     if total < 1:
         raise TotalOutOfRangeError(f"no dice roll totals {total}")
-    faces = np.arange(1, 7)
-    sums = np.zeros(1, dtype=np.int64)
+    ways = [1]  # ways[s]: ordered rolls of the dice so far that sum to s
     for _ in range(num_dice):
-        sums = (sums[:, None] + faces[None, :]).ravel()
-    count = int((sums == total).sum())
+        rolled = [0] * (len(ways) + 6)
+        for face in range(1, 7):
+            for s, w in enumerate(ways):
+                rolled[s + face] += w
+        ways = rolled
+    count = ways[total] if total < len(ways) else 0
     return MacrostateSpec(f"{num_dice} dice totaling {total}", count)
 
 
@@ -127,6 +129,8 @@ def coin_reversal_monte_carlo(sequence_length: int, trials: int, seed: int) -> f
         raise TooManyCoinsError(
             f"Monte Carlo capped at {MAX_COIN_FLIPS} flips (length x trials), got {n} x {trials}"
         )
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     matches = 0
     remaining = trials

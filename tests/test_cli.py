@@ -425,8 +425,8 @@ def test_trace_above_cap_is_exit_2_before_any_search(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(entrobound.cli, "grid_search", refuse)
-    monkeypatch.setattr(entrobound.cli, "grid_refine", refuse)
+    monkeypatch.setattr(entrobound.search, "grid_search", refuse)
+    monkeypatch.setattr(entrobound.search, "grid_refine", refuse)
     for extra in (["--no-refine"], []):
         code, out, err = run_cli(capsys, "search", "--state", "singlet", "--resolution", "129", "--trace", *extra)
         assert_input_error(code, out, err, "--trace capped at resolution 128, got 129")
@@ -444,9 +444,9 @@ def test_flag_the_chosen_mode_ignores_is_exit_2_before_any_work(capsys, monkeypa
     def refuse(*args, **kwargs):
         raise AssertionError("the command ran")
 
-    for name in ("werner_threshold", "dice_multiplicity", "combine_multiplicities", "coin_reversal_probability",
-                 "mixing_demo"):
-        monkeypatch.setattr(entrobound.cli, name, refuse)
+    monkeypatch.setattr(entrobound.search, "werner_threshold", refuse)
+    for name in ("dice_multiplicity", "combine_multiplicities", "coin_reversal_probability", "mixing_demo"):
+        monkeypatch.setattr(entrobound.statmech, name, refuse)
     code, out, err = run_cli(capsys, *argv)
     assert_input_error(code, out, err, f"{flag} does not apply to {mode}")
 

@@ -1,0 +1,70 @@
+"""The package namespace: lazy public names, and which runs load numpy."""
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import entrobound
+
+# Runs ``python -m entrobound`` with the given arguments (or only imports the
+# package when there are none), then reports the exit code and whether numpy
+# was loaded, as the last stderr line.
+_PROBE = """
+import runpy, sys
+code = 0
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("entrobound", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    import entrobound
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 0),
+    (["--version"], 0),
+    (["statmech", "--dice", "2", "7"], 0),
+    (["statmech", "--combine", "6", "5", "--format", "csv"], 0),
+    (["statmech", "--mix", "10", "10", "--format", "human"], 0),
+    (["statmech", "--coins", "6", "--heads", "3"], 0),
+    (["entropy", "--dist", "{tmp}/missing.json"], 2),
+    (["inequality", "--dist", "{tmp}/bad.json"], 2),
+], ids=["import", "version", "dice", "combine", "mix", "coins-heads", "missing-file", "bad-json"])
+def test_runs_without_array_work_never_load_numpy(tmp_path, argv, code):
+    (tmp_path / "bad.json").write_text('{"alphabet_sizes": [2, 2], "probs": [0.5,', encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(entrobound.__file__).parents[1])}
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == f"{code} False"
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    namespace = dir(entrobound)
+    for name in entrobound.__all__:
+        obj = getattr(entrobound, name)
+        assert name in namespace
+        if name == "__version__":
+            assert obj == "0.1.0"
+        elif inspect.ismodule(obj):
+            assert obj is sys.modules[f"entrobound.{name}"]
+        else:
+            assert getattr(sys.modules[obj.__module__], name) is obj
+            assert obj.__module__.startswith("entrobound.")
+
+
+def test_star_import_and_submodule_attributes():
+    namespace = {}
+    exec("from entrobound import *", namespace)
+    assert set(entrobound.__all__) <= set(namespace)
+    for module in ("cli", "dist", "entropy", "inequalities", "markov", "quantum", "search", "statmech", "value"):
+        assert getattr(entrobound, module) is sys.modules[f"entrobound.{module}"]
+    with pytest.raises(AttributeError):
+        entrobound.no_such_name

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -38,6 +39,7 @@ from entrobound.errors import (
     ValidationError,
 )
 from entrobound import quantum as quantum_module
+from entrobound.cli import main
 from entrobound.quantum import _correlations
 
 from conftest import (
@@ -497,12 +499,29 @@ def test_pair_mi_table_raises_on_negative_probability():
         pair_mi_table(bad, [0.0], [0.0])
 
 
-@pytest.mark.parametrize("diagonal", [
+# Valid states (eigenvalue -0.9e-9 >= -1e-9) whose spectra and outcome tables hold a negative entry.
+_CLAMPED_DIAGONALS = [
     (1 + 0.9e-9, 0.0, 0.0, -0.9e-9),
     (1.0, 0.0, 0.9e-9, -0.9e-9),
     (1.0, 0.9e-9, 0.0, -0.9e-9),
     (0.5, 0.5 + 0.9e-9, 0.0, -0.9e-9),
-])
+]
+
+
+@pytest.mark.parametrize("diagonal", _CLAMPED_DIAGONALS)
+def test_clamped_spectrum_is_renormalised_before_its_entropy(diagonal, tmp_path, capsys):
+    # an eigenvalue 1 + 0.9e-9, of the state or of a reduced state, alone gives S = -1.3e-9
+    rho = DensityMatrix(2, 2, np.diag(diagonal).astype(complex))
+    for s in (von_neumann_entropy(rho), conditional_quantum_entropy(rho, 1, 0),
+              conditional_quantum_entropy(rho, 0, 1)):
+        assert math.isfinite(s.value) and s.value >= 0.0
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(rho.to_dict()))
+    assert main(["quantum", "--state-file", str(path), "--angles", "0,0.5,1.0"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("diagonal", _CLAMPED_DIAGONALS)
 def test_clamped_outcome_probabilities_keep_the_marginals_of_the_clamped_joint(diagonal):
     # valid states (eigenvalue -0.9e-9 >= -1e-9) with p(-, -) = -0.9e-9 at angle 0: that pair is
     # clamped and renormalised, and its H(X), H(Y) come from the clamped joint, as the reference's do

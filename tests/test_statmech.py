@@ -22,7 +22,7 @@ from entrobound.errors import (
     ValidationError,
     ZeroMultiplicityError,
 )
-from entrobound.statmech import MAX_COIN_FLIPS, MAX_COINS
+from entrobound.statmech import MAX_COIN_FLIPS, MAX_COINS, MAX_DICE
 
 
 def test_two_dice_seven():
@@ -39,10 +39,16 @@ def test_impossible_total_counts_zero():
 
 
 def test_dice_brute_force_cross_check():
-    # independent oracle: enumerate tuples with itertools
+    # independent oracles: enumerate tuples with itertools, and the inclusion-exclusion closed form
+    # sum_k (-1)^k C(n, k) C(t - 6k - 1, n - 1) over the k dice forced above 6
     for total in range(1, 20):
         expected = sum(1 for roll in iproduct(range(1, 7), repeat=3) if sum(roll) == total)
         assert dice_multiplicity(3, total).multiplicity == expected
+    for n in range(1, MAX_DICE + 1):
+        for total in range(1, 6 * n + 2):
+            expected = sum((-1) ** k * math.comb(n, k) * math.comb(total - 6 * k - 1, n - 1)
+                           for k in range(n + 1) if total - 6 * k - 1 >= 0)
+            assert dice_multiplicity(n, total).multiplicity == expected, (n, total)
 
 
 def test_dice_errors():
