@@ -3,24 +3,23 @@
 All quantities default to bits (base 2); the Boltzmann form defaults to the
 natural log, matching its usual statistical-mechanics convention, and
 :func:`convert_base` moves between bases losslessly; both live, with
-:class:`EntropyValue`, in the numpy-free :mod:`entrobound.value`.  The
+:class:`EntropyValue`, in :mod:`entrobound.value`.  Like
+:mod:`entrobound.dist`, this module is stdlib-only and follows its two
+summation rules, so a result does not depend on the Python version.  The
 0*log(0) = 0 convention is implemented by skipping zero-probability terms
-exactly, never by epsilon-shifting, so inequality margins stay uncorrupted.
-Results within 1e-9 below zero are clamped to 0; anything more negative
-raises :class:`~entrobound.errors.InternalError` because it indicates a bug
-rather than physics.
+exactly, never by epsilon-shifting, so inequality margins stay
+uncorrupted.  Results within 1e-9 below zero are clamped to 0; anything
+more negative raises :class:`~entrobound.errors.InternalError` because it
+indicates a bug rather than physics.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Sequence
 
-import numpy as np
-
-from .dist import JointDistribution, marginalize, mix
+from .dist import JointDistribution, _total, marginalize, mix
 from .errors import (
     IndexOutOfRangeError,
     InternalError,
@@ -44,10 +43,26 @@ def _clamp(value: float, what: str) -> float:
     raise InternalError(f"{what} = {value}, negative beyond tolerance {CLAMP_ATOL}")
 
 
-def _plogp_bits(flat: np.ndarray) -> float:
-    """-sum p log2 p with zero terms skipped."""
-    p = flat[flat > 0.0]
-    return float(-(p * np.log2(p)).sum())
+def _plogp_bits(flat) -> float:
+    """-sum p log2 p with zero terms skipped, added left to right."""
+    total = 0.0
+    for p in flat:
+        if p > 0.0:
+            total += p * math.log2(p)
+    return -total
+
+
+def _row_col_sums(pair, rows: int, cols: int) -> tuple[list[float], list[float]]:
+    """Row and column sums of a row-major ``rows`` x ``cols`` table, each added in table order."""
+    row_sums, col_sums = [0.0] * rows, [0.0] * cols
+    k = 0
+    for i in range(rows):
+        for j in range(cols):
+            p = pair[k]
+            k += 1
+            row_sums[i] += p
+            col_sums[j] += p
+    return row_sums, col_sums
 
 
 def shannon_entropy(d: JointDistribution, base: float = 2.0) -> EntropyValue:
@@ -57,7 +72,7 @@ def shannon_entropy(d: JointDistribution, base: float = 2.0) -> EntropyValue:
     this single functional also computes joint entropies.
     """
     base = _check_base(base)
-    bits = _plogp_bits(d.probs.ravel())
+    bits = _plogp_bits(d.flat)
     return EntropyValue(_clamp(bits / math.log2(base), "entropy"), base)
 
 
@@ -71,14 +86,12 @@ def relative_entropy(d: JointDistribution, ref: JointDistribution, base: float =
     base = _check_base(base)
     if d.alphabet_sizes != ref.alphabet_sizes:
         raise ShapeMismatchError(f"shapes differ: {d.alphabet_sizes} vs {ref.alphabet_sizes}")
-    p = d.probs.ravel()
-    q = ref.probs.ravel()
-    support = p > 0.0
-    if np.any(q[support] == 0.0):
-        return EntropyValue(math.inf, base)
-    ps = p[support]
-    qs = q[support]
-    bits = float((ps * np.log2(ps / qs)).sum())
+    bits = 0.0
+    for p, q in zip(d.flat, ref.flat):
+        if p > 0.0:
+            if q == 0.0:
+                return EntropyValue(math.inf, base)
+            bits += p * math.log2(p / q)
     return EntropyValue(_clamp(bits / math.log2(base), "relative entropy"), base)
 
 
@@ -99,15 +112,12 @@ def mutual_entropy(d: JointDistribution, var_x: int, var_y: int) -> EntropyValue
     """
     var_x, var_y = _pair_indices(d, int(var_x), int(var_y))
     pair = marginalize(d, {var_x, var_y})
-    hx = _plogp_bits(pair.probs.sum(axis=1))
-    hy = _plogp_bits(pair.probs.sum(axis=0))
-    hxy = _plogp_bits(pair.probs.ravel())
-    return EntropyValue(_clamp(hx + hy - hxy, "mutual entropy"), 2.0)
+    rows, cols = _row_col_sums(pair.flat, *pair.alphabet_sizes)
+    return EntropyValue(_clamp(_plogp_bits(rows) + _plogp_bits(cols) - _plogp_bits(pair.flat), "mutual entropy"), 2.0)
 
 
-# The vector's keys in order; the first six subsets are reached by summing away these axes.
+# The vector's keys in order.
 _LABELS = ("H(A)", "H(B)", "H(C)", "H(A,B)", "H(A,C)", "H(B,C)", "H(A,B,C)", "H(A:B)", "H(A:C)", "H(B:C)")
-_DROPS = ((1, 2), (0, 2), (0, 1), (2,), (1,), (0,))
 
 
 def entropy_vector(d: JointDistribution) -> dict[str, float]:
@@ -127,31 +137,44 @@ def entropy_vector(d: JointDistribution) -> dict[str, float]:
     return dict(_vector(d))
 
 
-# One slot: keyed by identity (JointDistribution is eq=False), and the strong
-# reference it holds to that one table keeps its id from being reused.  The
-# package's own checks read the memo itself, so it is handed out read-only.
+# One slot: keyed by identity (JointDistribution compares by identity), and the
+# strong reference it holds to that one table keeps its id from being reused.
+# The package's own checks read the memo itself, so it is handed out read-only.
 @lru_cache(maxsize=1)
 def _vector(d: JointDistribution) -> MappingProxyType:
     if d.num_vars != 3:
         raise WrongArityError(f"need a tripartite distribution, got {d.num_vars} variables")
-    # Every sum stays its own np.add.reduce, as on the one-quantity path: the
-    # marginals, their totals, the pair sub-marginals and each entropy's terms.
-    # Only the elementwise p log p work runs once, over all 13 arrays.
-    arrays = []
-    for drop in _DROPS:
-        m = np.add.reduce(d.probs, axis=drop)
-        arrays.append(m / np.add.reduce(m, axis=None))
-    arrays += [d.probs] + [np.add.reduce(m, axis=axis) for m in arrays[3:] for axis in (1, 0)]
-    flat = np.concatenate(arrays, axis=None)
-    positive = flat > 0.0
-    p = flat[positive]
-    plogp = p * np.log2(p)
-    counts = np.cumsum(positive).tolist()
-    ends = [counts[stop - 1] for stop in accumulate(a.size for a in arrays)]
-    bits = [-float(np.add.reduce(plogp[i:j])) for i, j in zip([0] + ends, ends)]
-    h = {label: _clamp(b, "entropy") for label, b in zip(_LABELS[:7], bits)}
-    for k, label in enumerate(_LABELS[7:]):
-        h[label] = _clamp(bits[7 + 2 * k] + bits[8 + 2 * k] - bits[3 + k], "mutual entropy")
+    na, nb, nc = d.alphabet_sizes
+    flat = d.flat
+    # One pass: each marginal cell adds its entries in table order, as
+    # _marginal_sums does; each marginal is then renormalized as the
+    # constructor does.
+    a_sums, b_sums, c_sums = [0.0] * na, [0.0] * nb, [0.0] * nc
+    ab_sums, ac_sums, bc_sums = [0.0] * (na * nb), [0.0] * (na * nc), [0.0] * (nb * nc)
+    k = 0
+    for a in range(na):
+        ac = a * nc
+        for b in range(nb):
+            ab, bc = a * nb + b, b * nc
+            for c in range(nc):
+                p = flat[k]
+                k += 1
+                a_sums[a] += p
+                b_sums[b] += p
+                c_sums[c] += p
+                ab_sums[ab] += p
+                ac_sums[ac + c] += p
+                bc_sums[bc + c] += p
+    marginals = []
+    for m in (a_sums, b_sums, c_sums, ab_sums, ac_sums, bc_sums):
+        total = _total(m)
+        marginals.append([x / total for x in m])
+    bits = [_plogp_bits(m) for m in marginals] + [_plogp_bits(flat)]
+    h = {label: _clamp(b, "entropy") for label, b in zip(_LABELS, bits)}
+    # Each pair MI from its own pair table's row and column sums, as in mutual_entropy.
+    for label, pair, hxy, shape in zip(_LABELS[7:], marginals[3:], bits[3:6], ((na, nb), (na, nc), (nb, nc))):
+        rows, cols = _row_col_sums(pair, *shape)
+        h[label] = _clamp(_plogp_bits(rows) + _plogp_bits(cols) - hxy, "mutual entropy")
     return MappingProxyType(h)
 
 
@@ -164,8 +187,8 @@ def conditional_entropy(d: JointDistribution, target: int, given: int) -> Entrop
     target, given = _pair_indices(d, int(target), int(given))
     pair = marginalize(d, {target, given})
     given_axis = 0 if given < target else 1
-    h_pair = _plogp_bits(pair.probs.ravel())
-    h_given = _plogp_bits(pair.probs.sum(axis=1 - given_axis))
+    h_pair = _plogp_bits(pair.flat)
+    h_given = _plogp_bits(_row_col_sums(pair.flat, *pair.alphabet_sizes)[given_axis])
     return EntropyValue(_clamp(h_pair - h_given, "conditional entropy"), 2.0)
 
 
@@ -183,11 +206,13 @@ def mixing_entropy(
     mixture = mix(components, weights)  # validates weights and shapes
     if after.alphabet_sizes != mixture.alphabet_sizes:
         raise ShapeMismatchError(f"shapes differ: {after.alphabet_sizes} vs {mixture.alphabet_sizes}")
-    deviation = float(np.max(np.abs(after.probs - mixture.probs)))
+    deviation = max(abs(a - m) for a, m in zip(after.flat, mixture.flat))
     if deviation > MIXTURE_ATOL:
         raise MixtureMismatchError(
             f"claimed mixture deviates from the weighted mixture by {deviation}"
         )
-    h_after = _plogp_bits(after.probs.ravel())
-    h_parts = sum(w * _plogp_bits(c.probs.ravel()) for w, c in zip(weights, components))
+    h_after = _plogp_bits(after.flat)
+    h_parts = 0.0
+    for w, c in zip(weights, components):
+        h_parts += float(w) * _plogp_bits(c.flat)
     return EntropyValue(_clamp(h_after - h_parts, "mixing entropy"), 2.0)

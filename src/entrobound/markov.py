@@ -4,7 +4,8 @@ Markovianity is treated purely as the factorization property
 p(a,b,c) = p(a) t1(a,b) t2(b,c), equivalently I(A;C|B) = 0.  Building the
 joint from a :class:`MarkovChainSpec` guarantees the property by
 construction; :func:`is_markov` provides the independent after-the-fact
-check.  No temporal ordering is modeled.
+check.  No temporal ordering is modeled.  Like :mod:`entrobound.dist`,
+this module is stdlib-only: a spec's matrices are tuples of row tuples.
 
 Spec serialization::
 
@@ -12,11 +13,10 @@ Spec serialization::
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dist import JointDistribution
+from .dist import JointDistribution, _entries, _reals, _total
 from .entropy import EntropyValue, _clamp, _vector
 from .errors import (
     IndexOutOfRangeError,
@@ -33,23 +33,24 @@ ROW_SUM_ATOL = 1e-9
 _CMI_KEYS = (("H(A,B)", "H(A,C)", "H(A)"), ("H(A,B)", "H(B,C)", "H(B)"), ("H(A,C)", "H(B,C)", "H(C)"))
 
 
-def _check_stochastic(matrix, rows: int, name: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
-        raise InvalidSpecError(f"{name} must be a matrix, got ndim={m.ndim}")
-    if m.shape[0] != rows:
-        raise InvalidSpecError(f"{name} must have {rows} rows, got {m.shape[0]}")
-    if not np.all(np.isfinite(m)):
+def _check_stochastic(matrix, rows: int, name: str) -> tuple[tuple[float, ...], ...]:
+    m = matrix.tolist() if hasattr(matrix, "tolist") else matrix
+    if not isinstance(m, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in m):
+        raise InvalidSpecError(f"{name} must be a matrix, a list of rows")
+    if len(m) != rows:
+        raise InvalidSpecError(f"{name} must have {rows} rows, got {len(m)}")
+    if len({len(r) for r in m}) > 1:
+        raise InvalidSpecError(f"{name} is ragged: its rows must all have one length")
+    m = [_reals(r, f"{name} entries", InvalidSpecError) for r in m]
+    if not all(math.isfinite(x) for r in m for x in r):
         raise InvalidSpecError(f"{name} contains non-finite entries")
-    if np.any(m < 0.0):
+    if any(x < 0.0 for r in m for x in r):
         raise InvalidSpecError(f"{name} contains negative entries")
-    row_sums = m.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_ATOL):
-        worst = float(np.max(np.abs(row_sums - 1.0)))
+    row_sums = [_total(r) for r in m]
+    worst = max(abs(s - 1.0) for s in row_sums)
+    if worst > ROW_SUM_ATOL:
         raise InvalidSpecError(f"{name} rows must sum to 1 within {ROW_SUM_ATOL} (worst deviation {worst})")
-    m = m / row_sums[:, None]
-    m.setflags(write=False)
-    return m
+    return tuple(tuple([x / s for x in r]) for r, s in zip(m, row_sums))
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,39 +58,39 @@ class MarkovChainSpec:
     """Initial distribution plus two row-stochastic transition matrices."""
 
     initial: JointDistribution
-    t1: np.ndarray
-    t2: np.ndarray
+    t1: tuple[tuple[float, ...], ...]
+    t2: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         if self.initial.num_vars != 1:
             raise InvalidSpecError(f"initial must be single-variable, got {self.initial.num_vars}")
         t1 = _check_stochastic(self.t1, self.initial.alphabet_sizes[0], "t1")
-        t2 = _check_stochastic(self.t2, t1.shape[1], "t2")
+        t2 = _check_stochastic(self.t2, len(t1[0]), "t2")
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MarkovChainSpec":
-        initial = np.asarray(payload["initial"], dtype=float)
+        initial = _entries(payload["initial"])
         return cls(
-            initial=JointDistribution.from_flat((initial.size,), initial),
+            initial=JointDistribution.from_flat((len(initial),), initial),
             t1=payload["t1"],
             t2=payload["t2"],
         )
 
     def to_dict(self) -> dict:
         return {
-            "initial": [float(p) for p in self.initial.probs],
-            "t1": [[float(x) for x in row] for row in self.t1],
-            "t2": [[float(x) for x in row] for row in self.t2],
+            "initial": list(self.initial.flat),
+            "t1": [list(row) for row in self.t1],
+            "t2": [list(row) for row in self.t2],
         }
 
 
 def build_tripartite(spec: MarkovChainSpec) -> JointDistribution:
     """p(a,b,c) = initial(a) * t1(a,b) * t2(b,c)."""
-    table = np.einsum("a,ab,bc->abc", spec.initial.probs, spec.t1, spec.t2)
-    sizes = (spec.initial.alphabet_sizes[0], spec.t1.shape[1], spec.t2.shape[1])
-    return JointDistribution(sizes, table)
+    t2 = spec.t2
+    table = [pa * x * y for pa, row in zip(spec.initial.flat, spec.t1) for x, t2_row in zip(row, t2) for y in t2_row]
+    return JointDistribution((len(spec.t1), len(t2), len(t2[0])), table)
 
 
 def conditional_mutual_information(d: JointDistribution, x: int, y: int, given: int) -> EntropyValue:

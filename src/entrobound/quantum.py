@@ -219,7 +219,7 @@ def von_neumann_entropy(rho: DensityMatrix, base: float = 2.0) -> EntropyValue:
     if low < 0.0:  # clamp [-1e-9, 0) to 0 and renormalise, as _pair_mi does outcome tables
         eigs = np.maximum(eigs, 0.0)
         eigs /= eigs.sum()
-    bits = _plogp_bits(eigs)
+    bits = _plogp_bits(eigs.tolist())
     return EntropyValue(_clamp(bits / math.log2(base), "von Neumann entropy"), base)
 
 

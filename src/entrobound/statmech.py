@@ -9,7 +9,6 @@ and it imports numpy itself, so the exact counts run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     MixingOverflowError,
@@ -18,7 +17,7 @@ from .errors import (
     TotalOutOfRangeError,
     ValidationError,
 )
-from .value import EntropyValue
+from .value import EntropyValue, _Frozen
 
 MAX_DICE = 8
 MAX_MIXING_PARTICLES = 60
@@ -28,21 +27,20 @@ MAX_COINS = 10_000
 MAX_COIN_FLIPS = 100_000_000
 
 
-@dataclass(frozen=True)
-class MacrostateSpec:
+class MacrostateSpec(_Frozen):
     """A labeled macrostate with its microstate count.
 
     Multiplicity 0 marks an impossible macrostate (e.g. a dice total no
     roll produces); taking its Boltzmann entropy is refused downstream.
     """
 
-    description: str
-    multiplicity: int
+    __slots__ = ("description", "multiplicity")
 
-    def __post_init__(self) -> None:
-        if int(self.multiplicity) < 0:
-            raise ValidationError(f"multiplicity must be >= 0, got {self.multiplicity}")
-        object.__setattr__(self, "multiplicity", int(self.multiplicity))
+    def __init__(self, description: str, multiplicity: int) -> None:
+        if int(multiplicity) < 0:
+            raise ValidationError(f"multiplicity must be >= 0, got {multiplicity}")
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "multiplicity", int(multiplicity))
 
 
 def dice_multiplicity(num_dice: int, total: int) -> MacrostateSpec:

@@ -2,23 +2,71 @@
 
 Stdlib only: the Boltzmann entropy of an exact integer multiplicity needs
 nothing more than :func:`math.log`, so the statistical-mechanics commands
-run without importing numpy.  :mod:`entrobound.entropy` re-exports every
-name here.
+run without importing numpy.  :mod:`entrobound.entropy` re-exports
+:class:`EntropyValue` and the functions here.  :class:`_Frozen` is the
+immutable base that this module's, :mod:`entrobound.dist`'s and
+:mod:`entrobound.statmech`'s value classes share.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidBaseError, ZeroMultiplicityError
 
 
-@dataclass(frozen=True)
-class EntropyValue:
+class _Frozen:
+    """Base of the package's immutable value classes: a frozen dataclass over ``__slots__``.
+
+    Fields are set once, in ``__init__``, through ``object.__setattr__``.
+    Instances are equal when their classes and fields are, hash and print
+    by their fields, and copy and pickle bit for bit.  A plain class, not a
+    frozen dataclass: importing :mod:`dataclasses` costs a numpy-free
+    command-line run several milliseconds.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple(zip(self.__slots__, self._fields())))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+
+def _restore(cls, fields):
+    """An instance of the :class:`_Frozen` subclass ``cls`` with these ``(name, value)`` fields."""
+    obj = object.__new__(cls)
+    for name, value in fields:
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+class EntropyValue(_Frozen):
     """An entropy with its logarithm base recorded explicitly."""
 
-    value: float
-    base: float = 2.0
+    __slots__ = ("value", "base")
+
+    def __init__(self, value: float, base: float = 2.0) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "base", base)
 
     @property
     def is_infinite(self) -> bool:

@@ -268,16 +268,41 @@ def test_search_resolution_above_cap_is_exit_2(capsys, extra):
 _ZERO_ROW = [0, 0, 0, 0]
 _BAD_INPUT_FILES = {
     "dist": {"alphabet_sizes": [2], "probs": ["half", 0.5]},
+    "dist-bool": {"alphabet_sizes": [2], "probs": [True, False]},
+    "dist-numeric-str": {"alphabet_sizes": [2], "probs": ["0.5", "0.5"]},
+    "dist-padded-str": {"alphabet_sizes": [2], "probs": [" 0.5 ", 0.5]},
+    "dist-ragged": {"alphabet_sizes": [2, 2], "probs": [[0.5, 0.25], [0.25]]},
     "spec": {"initial": [0.5, "x"], "t1": [[1, 0], [0, 1]], "t2": [[1, 0], [0, 1]]},
+    "spec-bool-initial": {"initial": [True, False], "t1": [[1, 0], [0, 1]], "t2": [[1, 0], [0, 1]]},
+    "spec-str-t1": {"initial": [0.5, 0.5], "t1": [["0.5", "0.5"], [0, 1]], "t2": [[1, 0], [0, 1]]},
     "state-re": {"dims": [2, 2], "re": [["a", 0, 0, 0]] + [_ZERO_ROW] * 3, "im": [_ZERO_ROW] * 4},
     "state-im": {"dims": [2, 2], "re": [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
                  "im": [_ZERO_ROW, [0, "b", 0, 0], _ZERO_ROW, _ZERO_ROW]},
 }
 _BAD_INPUT_COMMANDS = {
     "dist": ["inequality", "--dist"],
+    "dist-bool": ["entropy", "--dist"],
+    "dist-numeric-str": ["entropy", "--dist"],
+    "dist-padded-str": ["inequality", "--dist"],
+    "dist-ragged": ["entropy", "--dist"],
     "spec": ["markov", "--spec"],
+    "spec-bool-initial": ["markov", "--spec"],
+    "spec-str-t1": ["markov", "--spec"],
     "state-re": ["quantum", "--angles", "0,1,2", "--state-file"],
     "state-im": ["search", "--state-file"],
+}
+# the classical tables are checked by the package; density matrices by numpy's float conversion
+_BAD_INPUT_MESSAGES = {
+    "dist": "probabilities must be real numbers, got 'half'",
+    "dist-bool": "probabilities must be real numbers, got True",
+    "dist-numeric-str": "probabilities must be real numbers, got '0.5'",
+    "dist-padded-str": "probabilities must be real numbers, got ' 0.5 '",
+    "dist-ragged": "ragged table",
+    "spec": "probabilities must be real numbers, got 'x'",
+    "spec-bool-initial": "probabilities must be real numbers, got True",
+    "spec-str-t1": "t1 entries must be real numbers, got '0.5'",
+    "state-re": "could not convert string to float",
+    "state-im": "could not convert string to float",
 }
 
 
@@ -293,7 +318,7 @@ def test_non_numeric_file_entry_is_exit_2(capsys, tmp_path, case):
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(_BAD_INPUT_FILES[case]))
     code, out, err = run_cli(capsys, *_BAD_INPUT_COMMANDS[case], str(path))
-    assert_input_error(code, out, err, "could not convert string to float")
+    assert_input_error(code, out, err, _BAD_INPUT_MESSAGES[case])
 
 
 def test_nan_density_matrix_file_is_exit_2(capsys, tmp_path):

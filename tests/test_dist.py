@@ -160,3 +160,54 @@ def test_size_one_alphabets():
     m = marginalize(d, {1})
     np.testing.assert_allclose(m.probs, [0.4, 0.6], atol=1e-15)
     assert marginalize(d, {0}).probs[0] == 1.0
+
+
+@pytest.mark.parametrize("probs", [
+    [True, False],
+    ["0.5", "0.5"],
+    [" 0.5 ", 0.5],
+    [0.5, None],
+    [0.5, 0.5j],
+], ids=["bool", "str", "padded-str", "none", "complex"])
+def test_a_probability_must_be_a_real_number(probs):
+    from entrobound.errors import ValidationError
+
+    with pytest.raises(ValidationError, match="probabilities must be real numbers"):
+        JointDistribution.from_flat((2,), probs)
+    with pytest.raises(ValidationError, match="probabilities must be real numbers"):
+        validate_table((2,), probs)
+
+
+@pytest.mark.parametrize("probs", [
+    [[0.5, 0.25], [0.25]],
+    [[0.5, 0.25], 0.25],
+    [0.5, [0.25, 0.25]],
+], ids=["short-row", "row-then-scalar", "scalar-then-row"])
+def test_a_ragged_table_is_refused_in_the_packages_terms(probs):
+    with pytest.raises(ShapeMismatchError, match="ragged table"):
+        JointDistribution.from_flat((3,), probs)
+
+
+def test_numpy_scalars_nested_rows_and_integers_are_accepted():
+    sizes = (np.int64(2), np.float64(2.0))
+    d = JointDistribution(sizes, [[np.float64(0.25), np.float32(0.25)], (0.25, 0.25)])
+    assert d.alphabet_sizes == (2, 2) and all(type(s) is int for s in d.alphabet_sizes)
+    assert d.flat == (0.25, 0.25, 0.25, 0.25) and all(type(p) is float for p in d.flat)
+    assert JointDistribution.from_flat((2,), [1, 0]).flat == (1.0, 0.0)
+    assert JointDistribution.from_flat((2, 2), np.full((2, 2), 0.25)).flat == d.flat
+
+
+def test_fields_are_immutable_and_the_array_is_built_on_demand():
+    d = JointDistribution.from_flat((2, 2, 2), np.arange(1, 9) / 36.0)
+    with pytest.raises(AttributeError):
+        d.flat = (1.0,) + (0.0,) * 7
+    with pytest.raises(AttributeError):
+        del d.alphabet_sizes
+    # the classical checks read the flat tuple; only .probs builds the ndarray
+    from entrobound import entropy_vector, marginalize, shannon_entropy
+
+    entropy_vector(d)
+    shannon_entropy(marginalize(d, {0, 2}))
+    assert d._array is None
+    assert d.probs is d.probs
+    assert d.probs.shape == (2, 2, 2) and d.probs.ravel().tolist() == list(d.flat)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import (
     JointDistribution,
@@ -15,6 +17,8 @@ from entrobound.errors import (
     InvalidPermutationError,
     InvalidSpecError,
     RepeatedIndexError,
+    ShapeMismatchError,
+    ValidationError,
 )
 
 from conftest import noisy_copy_spec, random_markov_spec, triangle_counterexample
@@ -161,3 +165,58 @@ def test_spec_json_round_trip():
     assert np.allclose(again.t1, spec.t1, atol=1e-15)
     assert np.allclose(again.t2, spec.t2, atol=1e-15)
     assert again.initial.allclose(spec.initial, atol=1e-15)
+
+
+_IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("payload, error, message", [
+    ({"initial": [True, False], "t1": _IDENTITY, "t2": _IDENTITY}, ValidationError, "must be real numbers"),
+    ({"initial": ["0.5", "0.5"], "t1": _IDENTITY, "t2": _IDENTITY}, ValidationError, "must be real numbers"),
+    ({"initial": [0.5, 0.5], "t1": [["0.5", "0.5"], [0, 1]], "t2": _IDENTITY}, InvalidSpecError,
+     "t1 entries must be real numbers"),
+    ({"initial": [0.5, 0.5], "t1": _IDENTITY, "t2": [[True, False], [0, 1]]}, InvalidSpecError,
+     "t2 entries must be real numbers"),
+    ({"initial": [0.5, 0.5], "t1": [[1.0], [0.5, 0.5]], "t2": _IDENTITY}, InvalidSpecError, "t1 is ragged"),
+    ({"initial": [0.5, 0.5], "t1": [1.0, 0.0], "t2": _IDENTITY}, InvalidSpecError, "t1 must be a matrix"),
+    ({"initial": [[0.5, 0.5], [0.5]], "t1": _IDENTITY, "t2": _IDENTITY}, ShapeMismatchError, "ragged table"),
+], ids=["bool-initial", "str-initial", "str-t1", "bool-t2", "ragged-t1", "vector-t1", "ragged-initial"])
+def test_spec_entries_must_be_real_numbers_in_a_rectangular_matrix(payload, error, message):
+    with pytest.raises(error, match=message):
+        MarkovChainSpec.from_dict(payload)
+
+
+def test_spec_matrices_are_row_tuples_of_floats():
+    spec = MarkovChainSpec(JointDistribution.from_flat((2,), [0.5, 0.5]), t1=np.eye(2), t2=[[0, 1], [1, 0]])
+    assert spec.t1 == ((1.0, 0.0), (0.0, 1.0)) and spec.t2 == ((0.0, 1.0), (1.0, 0.0))
+    assert all(type(x) is float for row in spec.t1 + spec.t2 for x in row)
+
+
+_weight = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+
+
+def _draw_distribution(draw, n: int) -> np.ndarray:
+    w = np.array(draw(st.lists(_weight, min_size=n, max_size=n)))
+    if not w.any():
+        w[draw(st.integers(0, n - 1))] = 1.0
+    return w / w.sum()
+
+
+@st.composite
+def chain_arrays(draw):
+    """Initial distribution and transition rows of a chain up to (4, 4, 4), with exact zeros."""
+    na, nb, nc = (draw(st.integers(1, 4)) for _ in range(3))
+    return (_draw_distribution(draw, na),
+            np.array([_draw_distribution(draw, nb) for _ in range(na)]),
+            np.array([_draw_distribution(draw, nc) for _ in range(nb)]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arrays=chain_arrays())
+def test_build_tripartite_matches_einsum(arrays):
+    initial, t1, t2 = arrays
+    spec = MarkovChainSpec(JointDistribution.from_flat(initial.shape, initial), t1=t1, t2=t2)
+    got = build_tripartite(spec).probs
+    want = np.einsum("a,ab,bc->abc", initial, t1, t2)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-15

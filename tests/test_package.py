@@ -1,6 +1,8 @@
-"""The package namespace: lazy public names, and which runs load numpy."""
+"""The package namespace: lazy public names, which runs load numpy, and its immutable values."""
+import copy
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -35,11 +37,23 @@ print(code, "numpy" in sys.modules, file=sys.stderr)
     (["statmech", "--coins", "6", "--heads", "3"], 0),
     (["entropy", "--dist", "{tmp}/missing.json"], 2),
     (["inequality", "--dist", "{tmp}/bad.json"], 2),
-], ids=["import", "version", "dice", "combine", "mix", "coins-heads", "missing-file", "bad-json"])
+    # the classical side is stdlib-only
+    (["entropy", "--dist", "{data}/random.json"], 0),
+    (["entropy", "--dist", "{data}/nonbinary.json", "--mutual", "0", "2"], 0),
+    (["entropy", "--dist", "{data}/random.json", "--conditional", "2", "1", "--format", "csv"], 0),
+    (["entropy", "--dist", "{data}/random.json", "--relative", "{data}/uniform.json"], 0),
+    (["inequality", "--dist", "{data}/random.json", "--markov-checks", "--format", "human"], 0),
+    (["markov", "--spec", "{data}/nonbinary_spec.json", "--emit-joint"], 0),
+    (["entropy", "--dist", "{tmp}/negative.json"], 2),
+], ids=["import", "version", "dice", "combine", "mix", "coins-heads", "missing-file", "bad-json", "entropy-joint",
+        "entropy-mutual", "entropy-conditional", "entropy-relative", "inequality-markov", "markov-joint",
+        "negative-probability"])
 def test_runs_without_array_work_never_load_numpy(tmp_path, argv, code):
     (tmp_path / "bad.json").write_text('{"alphabet_sizes": [2, 2], "probs": [0.5,', encoding="utf-8")
+    (tmp_path / "negative.json").write_text('{"alphabet_sizes": [2], "probs": [1.5, -0.5]}', encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(entrobound.__file__).parents[1])}
-    argv = [a.format(tmp=tmp_path) for a in argv]
+    data = Path(__file__).parent / "data"
+    argv = [a.format(tmp=tmp_path, data=data) for a in argv]
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
@@ -68,3 +82,15 @@ def test_star_import_and_submodule_attributes():
         assert getattr(entrobound, module) is sys.modules[f"entrobound.{module}"]
     with pytest.raises(AttributeError):
         entrobound.no_such_name
+
+
+def test_immutable_values_copy_and_pickle_exactly():
+    d = entrobound.JointDistribution.from_flat((3,), [0.1, 0.2, 0.7])
+    values = [d, entrobound.EntropyValue(1.5, 2.0), entrobound.MacrostateSpec("two dice totaling 7", 6)]
+    for obj in values:
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is type(obj)
+            assert [getattr(clone, n) for n in obj.__slots__] == [getattr(obj, n) for n in obj.__slots__]
+            with pytest.raises(AttributeError):
+                setattr(clone, obj.__slots__[0], None)
+    assert values[1] == copy.copy(values[1]) and hash(values[2]) == hash(copy.deepcopy(values[2]))
