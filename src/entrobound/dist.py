@@ -46,25 +46,34 @@ MAX_VARS = 3
 _NUMBER_TYPES = frozenset((float, int))
 
 
-def _as_size(value) -> int:
+def _as_size(value, what: str = "sizes") -> int:
     """``value`` as an int: an integer (numpy's too) or an integral finite float.
 
+    The rule for sizes, variable indices, pivots and outcomes, named by ``what``:
     ``int()`` alone would truncate 2.9 to 2, read True as 1 and "2" as 2.
     """
     if type(value) is int:
         return value
     if isinstance(value, bool):
-        raise ValidationError(f"sizes must be integers, got {value!r}")
+        raise ValidationError(f"{what} must be integers, got {value!r}")
     if isinstance(value, Integral):
         return int(value)
     if isinstance(value, Real):
         try:
             size = int(value)
         except (OverflowError, ValueError) as exc:  # infinity, NaN
-            raise ValidationError(f"sizes must be finite: {exc}") from exc
+            raise ValidationError(f"{what} must be finite: {exc}") from exc
         if size == value:
             return size
-    raise ValidationError(f"sizes must be integers, got {value!r}")
+    raise ValidationError(f"{what} must be integers, got {value!r}")
+
+
+def _variable(d: "JointDistribution", i) -> int:
+    """Variable index ``i`` of ``d`` as an int, by the ``_as_size`` rule; IndexOutOfRangeError unless in range."""
+    i = _as_size(i, "variable indices")
+    if i < 0 or i >= d.num_vars:
+        raise IndexOutOfRangeError(f"variable {i} out of range for {d.num_vars} variables")
+    return i
 
 
 def _total(values) -> float:
@@ -190,7 +199,7 @@ class JointDistribution(_Frozen):
     def point_mass(cls, alphabet_sizes: Sequence[int], outcome: Sequence[int]) -> "JointDistribution":
         """All mass on a single outcome tuple."""
         sizes = tuple(_as_size(s) for s in alphabet_sizes)
-        outcome = tuple(int(i) for i in outcome)
+        outcome = tuple(_as_size(i, "outcomes") for i in outcome)
         if len(outcome) != len(sizes) or not all(0 <= i < s for i, s in zip(outcome, sizes)):
             raise IndexOutOfRangeError(f"outcome {outcome} out of range for sizes {sizes}")
         return cls(sizes, [float(cell == outcome) for cell in _cells(*map(range, sizes))])
@@ -237,12 +246,9 @@ def marginalize(d: JointDistribution, keep: Iterable[int]) -> JointDistribution:
 
     The kept variables stay in their original relative order.
     """
-    keep_set = {int(i) for i in keep}
+    keep_set = {_variable(d, i) for i in keep}
     if not keep_set:
         raise EmptyKeepSetError("must keep at least one variable")
-    for i in keep_set:
-        if i < 0 or i >= d.num_vars:
-            raise IndexOutOfRangeError(f"variable {i} out of range for {d.num_vars} variables")
     kept = tuple(sorted(keep_set))
     table = d.flat if len(kept) == d.num_vars else _marginal_sums(d, kept)
     return JointDistribution(tuple(d.alphabet_sizes[i] for i in kept), table)

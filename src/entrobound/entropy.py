@@ -19,9 +19,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Sequence
 
-from .dist import JointDistribution, _total, marginalize, mix
+from .dist import JointDistribution, _total, _variable, marginalize, mix
 from .errors import (
-    IndexOutOfRangeError,
     InternalError,
     MixtureMismatchError,
     SameVariableError,
@@ -95,10 +94,8 @@ def relative_entropy(d: JointDistribution, ref: JointDistribution, base: float =
     return EntropyValue(_clamp(bits / math.log2(base), "relative entropy"), base)
 
 
-def _pair_indices(d: JointDistribution, i: int, j: int) -> tuple[int, int]:
-    for k in (i, j):
-        if k < 0 or k >= d.num_vars:
-            raise IndexOutOfRangeError(f"variable {k} out of range for {d.num_vars} variables")
+def _pair_indices(d: JointDistribution, i, j) -> tuple[int, int]:
+    i, j = _variable(d, i), _variable(d, j)
     if i == j:
         raise SameVariableError(f"need two distinct variables, got {i} twice")
     return i, j
@@ -110,7 +107,7 @@ def mutual_entropy(d: JointDistribution, var_x: int, var_y: int) -> EntropyValue
     On a tripartite distribution the remaining variable is marginalized out
     first.  The result is symmetric in its two arguments by construction.
     """
-    var_x, var_y = _pair_indices(d, int(var_x), int(var_y))
+    var_x, var_y = _pair_indices(d, var_x, var_y)
     pair = marginalize(d, {var_x, var_y})
     rows, cols = _row_col_sums(pair.flat, *pair.alphabet_sizes)
     return EntropyValue(_clamp(_plogp_bits(rows) + _plogp_bits(cols) - _plogp_bits(pair.flat), "mutual entropy"), 2.0)
@@ -184,7 +181,7 @@ def conditional_entropy(d: JointDistribution, target: int, given: int) -> Entrop
     Diagnostic only: classically nonnegative, and none of the inequality
     checks depend on it.
     """
-    target, given = _pair_indices(d, int(target), int(given))
+    target, given = _pair_indices(d, target, given)
     pair = marginalize(d, {target, given})
     given_axis = 0 if given < target else 1
     h_pair = _plogp_bits(pair.flat)

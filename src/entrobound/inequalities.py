@@ -21,7 +21,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .dist import JointDistribution
+from .dist import JointDistribution, _as_size
 from .entropy import EntropyValue, _vector, convert_base
 from .errors import NegativeMutualInformationError, ValidationError, WrongArityError
 
@@ -88,9 +88,9 @@ _CHECKS = {
 _KEY = {"H(B:A)": "H(A:B)", "H(C:A)": "H(A:C)", "H(C:B)": "H(B:C)"}
 _CHECKS = {name: (lhs, rhs, tuple((t, _KEY.get(t, t)) for t in labels), meta)
            for name, (lhs, rhs, labels, meta) in _CHECKS.items()}
-# pivot -> (letter, the terms of |H(x:y) - H(x:z)| + H(y:z))
+# pivot -> (letters x, y, z, the terms of |H(x:y) - H(x:z)| + H(y:z))
 _PIVOTS = tuple(
-    (x, tuple((t, _KEY.get(t, t)) for t in (f"H({x}:{y})", f"H({x}:{z})", f"H({y}:{z})")))
+    (x, y, z, tuple((t, _KEY.get(t, t)) for t in (f"H({x}:{y})", f"H({x}:{z})", f"H({y}:{z})")))
     for x, y, z in ("ABC", "BAC", "CAB"))
 
 
@@ -107,6 +107,21 @@ def _check(name: str, h, meta: dict | None = None) -> InequalityReport:
     lhs, rhs, terms, check_meta = _CHECKS[name]
     return InequalityReport(name, _form(h, lhs), _form(h, rhs), {label: h[key] for label, key in terms},
                             {**(meta or {}), **check_meta})
+
+
+def _cerf_adami(terms: dict[str, float], rhs: float, source: str, **meta) -> InequalityReport:
+    """The Cerf-Adami report |H(x:y) - H(x:z)| + H(y:z) <= rhs of ``terms``, in that order and in bits."""
+    ixy, ixz, iyz = terms.values()
+    return InequalityReport("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms,
+                            {"source": source, "normalized": rhs == 1.0, **meta})
+
+
+def _pivot(pivot) -> tuple:
+    """The ``_PIVOTS`` entry of pivot 0, 1 or 2."""
+    index = _as_size(pivot, "pivots")
+    if index not in (0, 1, 2):
+        raise WrongArityError(f"pivot must be 0, 1 or 2, got {pivot}")
+    return _PIVOTS[index]
 
 
 def triangle_check(d: JointDistribution) -> InequalityReport:
@@ -155,22 +170,15 @@ def cerf_adami_check(
     bound = float(bound)
     if not math.isfinite(bound):
         raise ValidationError(f"bound must be finite, got {bound}")
-    values = []
+    terms = {}
     for label, e in (("H(A:B)", hab), ("H(A:C)", hac), ("H(B:C)", hbc)):
         v = float(convert_base(e, 2.0).value)
         if not math.isfinite(v):
             raise ValidationError(f"{label} = {v} is not finite")
         if v < -SATISFIED_ATOL:
             raise NegativeMutualInformationError(f"{label} = {v} is negative")
-        values.append(max(v, 0.0))
-    iab, iac, ibc = values
-    return InequalityReport(
-        "cerf_adami",
-        lhs=abs(iab - iac) + ibc,
-        rhs=bound,
-        terms={"H(A:B)": iab, "H(A:C)": iac, "H(B:C)": ibc},
-        meta={"source": source, "normalized": bound == 1.0},
-    )
+        terms[label] = max(v, 0.0)
+    return _cerf_adami(terms, bound, source)
 
 
 def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | None = None) -> InequalityReport:
@@ -184,17 +192,12 @@ def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | No
     The report equals what :func:`cerf_adami_check` makes of the same three
     entries: they are in bits and already clamped to >= 0.
     """
-    if pivot not in (0, 1, 2):
-        raise WrongArityError(f"pivot must be 0, 1 or 2, got {pivot}")
+    x, _, _, labels = _pivot(pivot)
     rhs = 1.0 if bound is None else float(bound)
     if not math.isfinite(rhs):
         raise ValidationError(f"bound must be finite, got {rhs}")
-    letter, labels = _PIVOTS[pivot]
     h = _vector(d)
-    terms = {label: h[key] for label, key in labels}
-    ixy, ixz, iyz = terms.values()
-    meta = {"source": "tripartite", "normalized": rhs == 1.0, "pivot": letter}
-    return InequalityReport("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms, meta)
+    return _cerf_adami({label: h[key] for label, key in labels}, rhs, "tripartite", pivot=x)
 
 
 def marginal_bound(d: JointDistribution, pivot: int | None = None) -> float:
@@ -205,9 +208,8 @@ def marginal_bound(d: JointDistribution, pivot: int | None = None) -> float:
     h = _vector(d)
     if pivot is None:
         return max(h["H(A)"], h["H(B)"], h["H(C)"])
-    ixy, ixz, _ = cerf_adami_classical(d, pivot).terms.values()
-    hy, hz = (h[f"H({v})"] for i, v in enumerate("ABC") if i != pivot)
-    return hy if ixy >= ixz else hz
+    _, y, z, ((_, xy), (_, xz), _) = _pivot(pivot)
+    return h[f"H({y})"] if h[xy] >= h[xz] else h[f"H({z})"]
 
 
 def dpi_check(d: JointDistribution, markov_certified: bool) -> list[InequalityReport]:

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import JointDistribution, _entries, _reals, _total
+from .dist import JointDistribution, _entries, _reals, _total, _variable
 from .entropy import EntropyValue, _clamp, _vector
 from .errors import (
-    IndexOutOfRangeError,
     InvalidPermutationError,
     InvalidSpecError,
     RepeatedIndexError,
@@ -95,10 +94,7 @@ def build_tripartite(spec: MarkovChainSpec) -> JointDistribution:
 
 def conditional_mutual_information(d: JointDistribution, x: int, y: int, given: int) -> EntropyValue:
     """I(X;Y|Z) = H(X,Z) + H(Y,Z) - H(Z) - H(X,Y,Z), in bits."""
-    x, y, given = int(x), int(y), int(given)
-    for i in (x, y, given):
-        if i < 0 or i >= d.num_vars:
-            raise IndexOutOfRangeError(f"variable {i} out of range for {d.num_vars} variables")
+    x, y, given = _variable(d, x), _variable(d, y), _variable(d, given)
     if len({x, y, given}) != 3:
         raise RepeatedIndexError(f"indices must be distinct, got ({x}, {y}, {given})")
     h = _vector(d)

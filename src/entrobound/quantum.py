@@ -38,7 +38,7 @@ from .errors import (
     NotPureError,
     ValidationError,
 )
-from .inequalities import InequalityReport
+from .inequalities import InequalityReport, _cerf_adami
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -50,8 +50,8 @@ _PAULI = {"I": np.eye(2), "x": np.array([[0.0, 1.0], [1.0, 0.0]]), "z": np.array
 _CORRELATORS = np.array(
     [np.kron(_PAULI[k], _PAULI[l]) for k, l in ("xI", "zI", "Ix", "Iz", "xx", "xz", "zx", "zz")]
 )
-# Pairs per kernel chunk: bounds the kernel's buffer to 256 KB for any table size.
-_CHUNK_PAIRS = 4096
+# float64 cells of one block of scratch (1 MiB): the pair kernel's 8 cells per pair, and search's cube blocks.
+_BLOCK_CELLS = 1 << 17
 # log2 of a probability clamped to this is finite, so 0 log2 0 adds 0 without a mask
 _TINY = np.finfo(float).tiny
 
@@ -61,7 +61,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix over dim_a * dim_b.
 
     Validated on construction (finite entries, Hermitian entrywise within
-    1e-9, trace within 1e-9 of 1, eigenvalues >= -1e-9) and stored read-only.
+    1e-9, trace within 1e-9 of 1, eigenvalues >= -1e-9) and stored as a read-only copy.
     """
 
     dim_a: int
@@ -73,7 +73,7 @@ class DensityMatrix:
         if da < 1 or db < 1:
             raise InvalidDensityMatrixError(f"dimensions must be positive, got ({da}, {db})")
         n = da * db
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays theirs and writeable
         if m.shape != (n, n):
             raise InvalidDensityMatrixError(f"matrix shape {m.shape} != ({n}, {n}) for dims ({da}, {db})")
         # NaN compares false, so the tolerance checks below would pass it
@@ -281,15 +281,16 @@ def _sides(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     return sx, cx, a4, hx, txx * sy + txz * cy, tzx * sy + tzz * cy, b4, hy
 
 
-def _pair_mi(sides: tuple, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _pair_mi(sides: tuple, out: np.ndarray) -> np.ndarray:
     """H(X:Y) = H(X) + H(Y) - H(X,Y) in bits of the ``_sides`` pairs into ``out``, clamped like entropy._clamp.
 
-    ``buffer`` is (2, 4, *out.shape); buffer[0] receives the joint p(s, t) = ((1 + s a) + t b + s t E)/4,
-    E = n(x)^T T n(y), for (s, t) = (+, +), (+, -), (-, +), (-, -); below -1e-9 it raises InternalError.
-    A pair with a negative entry is clamped at 0 and renormalised, and takes H(X) and H(Y) from that joint.
+    Returns the joint p(s, t) = ((1 + s a) + t b + s t E)/4, E = n(x)^T T n(y), shaped (4, *out.shape) for
+    (s, t) = (+, +), (+, -), (-, +), (-, -); below -1e-9 it raises InternalError.  A pair with a negative
+    entry is clamped at 0 and renormalised, and takes H(X) and H(Y) from that joint.  The scratch is
+    8 cells per pair: callers bound it by the number of pairs they pass.
     """
     sx, cx, a4, hx, tx, tz, b4, hy = sides
-    p, logs = buffer
+    p, logs = np.empty((2, 4, *out.shape))
     e = np.multiply(sx, tx, out=logs[0])
     e += np.multiply(cx, tz, out=logs[1])  # E/4
     up, um = 0.25 + a4, 0.25 - a4  # per angle
@@ -318,7 +319,7 @@ def _pair_mi(sides: tuple, buffer: np.ndarray, out: np.ndarray) -> np.ndarray:
     if not low >= -CLAMP_ATOL:
         raise InternalError(f"mutual entropy = {low}, negative beyond tolerance {CLAMP_ATOL}")
     out[out <= 0.0] = 0.0  # -0.0 included
-    return out
+    return p
 
 
 def _finite_angles(angles) -> np.ndarray:
@@ -333,17 +334,16 @@ def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
 
     ``table[x, y]`` is H(X:Y) of measuring angles_x[x] on the first qubit and
     angles_y[y] on the second, computed in closed form from the state's eight
-    x-z correlations.  Rows are evaluated in chunks, so working memory stays
-    bounded for any table size.  A non-finite angle raises ValidationError.
+    x-z correlations.  Rows are evaluated in blocks of at most 1 MiB of
+    kernel scratch, so working memory stays bounded for any table size.  A
+    non-finite angle raises ValidationError.
     """
     x, y = _finite_angles(angles_x), _finite_angles(angles_y)
     sides = _sides(_correlations(rho), x, y)
     table = np.empty((len(x), len(y)))
-    rows = max(1, _CHUNK_PAIRS // max(1, len(y)))
-    buffer = np.empty((2, 4, min(rows, len(x)), len(y)))
+    rows = max(1, _BLOCK_CELLS // (8 * max(1, len(y))))
     for start in range(0, len(x), rows):
-        part = table[start:start + rows]
-        _pair_mi(tuple(v[start:start + rows, None] for v in sides[:4]) + sides[4:], buffer[:, :, :len(part)], part)
+        _pair_mi(tuple(v[start:start + rows, None] for v in sides[:4]) + sides[4:], table[start:start + rows])
     return table
 
 
@@ -354,9 +354,8 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     and index 1 to outcome -1 on each side:
     p(i, j) = tr[rho (P_i(angle_1) x P_j(angle_2))].
     """
-    buffer = np.empty((2, 4, 1))
-    _pair_mi(_sides(_correlations(rho), *_finite_angles((angle_1, angle_2))[:, None]), buffer, np.empty(1))
-    return JointDistribution((2, 2), buffer[0].reshape(2, 2))
+    p = _pair_mi(_sides(_correlations(rho), *_finite_angles((angle_1, angle_2))[:, None]), np.empty(1))
+    return JointDistribution((2, 2), p.reshape(2, 2))
 
 
 def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> InequalityReport:
@@ -381,8 +380,7 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
                 warnings.append(
                     f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
                 )
-    iab, iac, ibc = _pair_mi(sides, np.empty((2, 4, 3)), np.empty(3)).tolist()  # in bits, finite and >= 0
-    meta = {"source": "pairwise", "normalized": True, "angles": [float(a) for a in settings.angles],
-            "marginals_uniform": not warnings, "warnings": warnings}
-    terms = {"H(A:B)": iab, "H(A:C)": iac, "H(B:C)": ibc}
-    return InequalityReport("cerf_adami", abs(iab - iac) + ibc, 1.0, terms, meta)
+    mi = np.empty(3)
+    _pair_mi(sides, mi)  # in bits, finite and >= 0
+    return _cerf_adami({label: v for (label, _, _), v in zip(pairs, mi.tolist())}, 1.0, "pairwise",
+                       angles=[float(a) for a in settings.angles], marginals_uniform=not warnings, warnings=warnings)

@@ -33,20 +33,17 @@ import numpy as np
 
 from .errors import MonotonicityViolatedError, ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
 from .inequalities import SATISFIED_ATOL
-from .quantum import DensityMatrix, MeasurementSettings, cerf_adami_quantum, pair_mi_table, werner_state
+from .quantum import _BLOCK_CELLS, DensityMatrix, MeasurementSettings, cerf_adami_quantum, pair_mi_table, werner_state
 
 GRID_MIN_RESOLUTION = 8
 # The pair-MI table and the column bounds are resolution^2 float64 each and
-# the rest is reduced in bounded blocks, so this cap bounds memory (~19 MiB
-# at 1024 under tracemalloc) and time (~resolution^3 when no column can be
-# pruned, as for a table of i.i.d. noise).
+# the rest is reduced in blocks of _BLOCK_CELLS (1 MiB: rows of i over a set
+# of column pairs, the pairs swept at once, one winner-search block), so this
+# cap bounds memory (~20 MiB at 1024 under tracemalloc) and time
+# (~resolution^3 when no column can be pruned, as for a table of i.i.d. noise).
 GRID_MAX_RESOLUTION = 1024
 WERNER_MIN_RESOLUTION = 32
 WERNER_MONOTONE_ATOL = 1e-6
-# Cells per reduction block (512 KB of float64: rows of i over a set of
-# column pairs, at least one row), also the bound on the column pairs swept
-# at once and on the candidates and cells of one winner-search block.
-_CUBE_CHUNK_CELLS = 1 << 16
 # Grid and refinement winners ignore LHS differences up to this size.
 WINNER_ATOL = 1e-12
 
@@ -185,11 +182,11 @@ def _lhs_at(rho: DensityMatrix, angles: tuple[float, float, float]) -> float:
 def _spreads(mi: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """max_i |mi[i, j] - mi[i, k]| for column indices j and k broadcast together, bit for bit.
 
-    Gathered from rows of i in blocks of _CUBE_CHUNK_CELLS cells, at least one
+    Gathered from rows of i in blocks of _BLOCK_CELLS cells, at least one
     row; |x| is never -0.0, so starting from 0.0 changes no maximum.
     """
     out = np.zeros(np.broadcast_shapes(j.shape, k.shape))
-    rows = max(1, _CUBE_CHUNK_CELLS // max(1, out.size))
+    rows = max(1, _BLOCK_CELLS // max(1, out.size))
     for i0 in range(0, len(mi), rows):
         block = mi[i0:i0 + rows]
         diff = block.take(j, axis=1) - block.take(k, axis=1)
@@ -211,18 +208,18 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
     are taken in row-major slabs and each slab is scanned upward in i, only
     below the best i found so far, in blocks that grow from one row of i,
     doubling, so a winner at small i costs little.  No pass holds more than
-    _CUBE_CHUNK_CELLS candidates or cells.
+    _BLOCK_CELLS candidates or cells.
     """
     n = len(mi)
     first = (n, 0, 0)
-    slab_rows = max(1, _CUBE_CHUNK_CELLS // n)
+    slab_rows = max(1, _BLOCK_CELLS // n)
     for j0 in range(0, n, slab_rows):
         j, k = np.nonzero(columns[j0:j0 + slab_rows])
         if not len(j):
             continue
         j += j0
         m = mi[j, k]
-        i0, rows, cap = 0, 1, max(1, _CUBE_CHUNK_CELLS // len(j))
+        i0, rows, cap = 0, 1, max(1, _BLOCK_CELLS // len(j))
         while i0 < first[0]:
             block = mi[i0:min(i0 + rows, first[0])]
             lhs = block[:, j]
@@ -253,7 +250,7 @@ def _upper_bounds(mi: np.ndarray, spread: np.ndarray) -> np.ndarray:
     top = mi - circulant  # in place from here on: the table, top and one block are the peak
     eps = float(np.abs(top, out=top).max())
     shift = np.abs(np.subtract(circulant, mi[0], out=top), out=top).max(axis=1)  # D[d] = max_u |f[u - d] - f[u]|
-    slab = max(1, _CUBE_CHUNK_CELLS // spread.size)
+    slab = max(1, _BLOCK_CELLS // spread.size)
     for j0 in range(0, n, slab):
         np.min(spread[:, j0:j0 + slab, None] + spread[:, None, :], axis=0, out=top[j0:j0 + slab])
     np.minimum(top, _circulant(shift + 2.0 * eps), out=top)
@@ -288,7 +285,7 @@ def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     top[:, pivots] = spread.T + mi[:, pivots]
     lb = max(top[pivots].max(), top[:, pivots].max())
     alive = np.triu((top > lb) | (top.T > lb))
-    rows = max(1, _CUBE_CHUNK_CELLS // n)
+    rows = max(1, _BLOCK_CELLS // n)
     for j0 in range(0, n, rows):
         j, k = np.nonzero(alive[j0:j0 + rows])
         j += j0

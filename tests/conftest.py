@@ -120,7 +120,8 @@ def reference_cerf_adami_quantum(rho, settings) -> InequalityReport:
                 warnings.append(
                     f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
                 )
-    mi = _pair_mi(sides, np.empty((2, 4, 3)), np.empty(3))
+    mi = np.empty(3)
+    _pair_mi(sides, mi)
     r = cerf_adami_check(*(EntropyValue(float(v), 2.0) for v in mi), bound=1.0, source="pairwise")
     meta = {**r.meta, "angles": [float(a) for a in settings.angles], "marginals_uniform": not warnings,
             "warnings": warnings}

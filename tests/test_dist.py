@@ -9,6 +9,7 @@ from entrobound.errors import (
     NotNormalizedError,
     ShapeMismatchError,
     TooManyVariablesError,
+    ValidationError,
     WeightsNotNormalizedError,
 )
 
@@ -84,6 +85,22 @@ def test_marginalize_errors():
         marginalize(d, set())
     with pytest.raises(IndexOutOfRangeError):
         marginalize(d, {2})
+
+
+def test_marginalize_takes_integer_indices_only():
+    # int() would keep variable 0 for 0.5, and read "01" as the indices 0 and 1
+    d = JointDistribution.uniform((2, 3))
+    for keep in ([0.5, 1], "01", [True, 1], [np.float64(1.9)]):
+        with pytest.raises(ValidationError, match="variable indices must be integers"):
+            marginalize(d, keep)
+    assert marginalize(d, [1.0]).alphabet_sizes == marginalize(d, [np.int64(1)]).alphabet_sizes == (3,)
+
+
+def test_point_mass_takes_integer_outcomes_only():
+    for outcome in ((1.9, 0), (True, 0), ("1", 0)):
+        with pytest.raises(ValidationError, match="outcomes must be integers"):
+            JointDistribution.point_mass((2, 2), outcome)
+    assert JointDistribution.point_mass((2, 2), (1.0, np.int64(0))).flat == (0.0, 0.0, 1.0, 0.0)
 
 
 def test_product_uniform():

@@ -23,6 +23,7 @@ from entrobound.errors import (
     MixtureMismatchError,
     SameVariableError,
     ShapeMismatchError,
+    ValidationError,
     WeightsNotNormalizedError,
     ZeroMultiplicityError,
 )
@@ -122,6 +123,22 @@ def test_mutual_marginalizes_third_variable():
     d = random_tripartite(rng)
     pair = JointDistribution((2, 2), d.probs.sum(axis=2))
     assert mutual_entropy(d, 0, 1).value == pytest.approx(mutual_entropy(pair, 0, 1).value, abs=1e-12)
+
+
+def test_mutual_entropy_takes_integer_indices_only():
+    d = random_tripartite(np.random.default_rng(8))
+    for x, y in ((0, 1.9), ("0", "2"), (True, 2), (0, float("nan"))):
+        with pytest.raises(ValidationError, match="variable indices"):
+            mutual_entropy(d, x, y)
+    assert mutual_entropy(d, 0.0, np.int64(2)) == mutual_entropy(d, 0, 2)
+
+
+def test_conditional_entropy_takes_integer_indices_only():
+    d = random_tripartite(np.random.default_rng(9))
+    for target, given in ((2.7, 0), ("2", 0), (2, False)):
+        with pytest.raises(ValidationError, match="variable indices must be integers"):
+            conditional_entropy(d, target, given)
+    assert conditional_entropy(d, 2.0, np.int32(0)) == conditional_entropy(d, 2, 0)
 
 
 def test_mutual_errors():

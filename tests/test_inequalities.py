@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from entrobound import (
     EntropyValue,
@@ -13,6 +14,7 @@ from entrobound import (
     cerf_adami_classical,
     cerf_adami_quantum,
     dpi_check,
+    entropy_vector,
     joint_triangle_check,
     marginal_bound,
     narrowed_bound_check,
@@ -30,7 +32,9 @@ from conftest import (
     noisy_copy_spec,
     random_markov_spec,
     random_tripartite,
+    report_fields,
     triangle_counterexample,
+    tripartite_tables,
     xor_tripartite,
 )
 
@@ -227,9 +231,65 @@ def test_cerf_adami_classical_custom_bound():
     r = cerf_adami_classical(d, bound=bound)
     assert r.rhs == bound
     assert r.meta["normalized"] == (bound == 1.0)
-    for bad in (-1, 3, "A"):
+    for bad in (-1, 3):
         with pytest.raises(WrongArityError):
             marginal_bound(d, bad)
+    with pytest.raises(ValidationError):  # not an integer at all
+        marginal_bound(d, "A")
+
+
+_PIVOT_TERMS = (["H(A:B)", "H(A:C)", "H(B:C)"], ["H(B:A)", "H(B:C)", "H(A:C)"], ["H(C:A)", "H(C:B)", "H(A:B)"])
+
+
+def test_cerf_adami_report_layout_of_every_source():
+    # one report layout: name, the terms in |x:y - x:z| + y:z order, source and normalized first in meta
+    zero = EntropyValue(0.0, 2.0)
+    for bound in (1.0, 2.0):
+        r = cerf_adami_check(zero, zero, zero, bound=bound)
+        assert (r.name, list(r.terms), list(r.meta)) == ("cerf_adami", _PIVOT_TERMS[0], ["source", "normalized"])
+        assert r.meta["normalized"] is (bound == 1.0)
+    d = random_tripartite(np.random.default_rng(56))
+    for pivot, labels in enumerate(_PIVOT_TERMS):
+        for bound in (None, 1.0, 0.5):
+            r = cerf_adami_classical(d, pivot, bound)
+            assert (r.name, list(r.terms), list(r.meta)) == ("cerf_adami", labels, ["source", "normalized", "pivot"])
+            assert (r.meta["source"], r.meta["pivot"]) == ("tripartite", "ABC"[pivot])
+            assert r.meta["normalized"] is (bound != 0.5)
+    for angles in ((0.0, 0.3927, 0.7854), (0.0, 0.0, 0.0)):
+        r = cerf_adami_quantum(werner_state(0.9), MeasurementSettings(angles))
+        assert (r.name, list(r.terms)) == ("cerf_adami", _PIVOT_TERMS[0])
+        assert list(r.meta) == ["source", "normalized", "angles", "marginals_uniform", "warnings"]
+        assert (r.meta["source"], r.meta["normalized"], r.rhs) == ("pairwise", True, 1.0)
+
+
+def test_cerf_adami_classical_takes_integer_pivots_only():
+    # int() would read True as pivot 1; an integral float or a numpy integer is that pivot
+    d = random_tripartite(np.random.default_rng(57))
+    for pivot in range(3):
+        for same in (float(pivot), np.int64(pivot)):
+            assert report_fields(cerf_adami_classical(d, same)) == report_fields(cerf_adami_classical(d, pivot))
+    for bad in (True, "1", 1.5, float("inf")):
+        with pytest.raises(ValidationError, match="pivots must be"):
+            cerf_adami_classical(d, bad)
+
+
+def test_marginal_bound_takes_integer_pivots_only():
+    d = random_tripartite(np.random.default_rng(58))
+    for pivot in range(3):
+        for same in (float(pivot), np.int64(pivot)):
+            assert marginal_bound(d, same) == marginal_bound(d, pivot)
+    for bad in (True, "1", 1.5, float("inf")):
+        with pytest.raises(ValidationError, match="pivots must be"):
+            marginal_bound(d, bad)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=tripartite_tables())
+def test_marginal_bound_is_the_tight_branch_of_the_report(d):
+    h = entropy_vector(d)
+    for pivot, (x, y, z) in enumerate(("ABC", "BAC", "CAB")):
+        ixy, ixz, _ = cerf_adami_classical(d, pivot).terms.values()
+        assert marginal_bound(d, pivot) == (h[f"H({y})"] if ixy >= ixz else h[f"H({z})"])
 
 
 def test_dpi_noisy_copy_chain():

@@ -110,6 +110,14 @@ def test_cmi_errors():
         conditional_mutual_information(pair, 0, 1, 2)
 
 
+def test_cmi_takes_integer_indices_only():
+    d = triangle_counterexample()
+    for x, y, given in ((0, 2.2, 1), ("0", 2, 1), (0, 2, True)):
+        with pytest.raises(ValidationError, match="variable indices must be integers"):
+            conditional_mutual_information(d, x, y, given)
+    assert conditional_mutual_information(d, 0.0, np.int64(2), 1.0) == conditional_mutual_information(d, 0, 2, 1)
+
+
 def test_is_markov_both_directions():
     d = build_tripartite(noisy_copy_spec())
     assert is_markov(d, (0, 1, 2))

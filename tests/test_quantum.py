@@ -56,6 +56,16 @@ from conftest import (
 )
 
 
+def test_density_matrix_copies_its_input():
+    # the caller's array stays writeable, and a view of it cannot change the validated state
+    m = np.eye(4, dtype=complex) / 4.0
+    view = m[:]
+    rho = DensityMatrix(2, 2, m)
+    assert m.flags.writeable and not rho.matrix.flags.writeable
+    view[0, 0] = 5.0
+    assert rho.matrix[0, 0] == 0.25 and np.trace(rho.matrix) == 1.0
+
+
 def test_density_matrix_rejects_non_hermitian():
     m = np.eye(4, dtype=complex) / 4.0
     m[0, 1] = 0.1
@@ -475,18 +485,18 @@ def test_pair_mi_table_werner_closed_form(p):
 
 
 def test_pair_mi_table_spans_chunks(monkeypatch):
-    # more rows than fit one chunk: the chunked rows equal row-by-row calls
+    # more rows than fit one block: the blocked rows equal row-by-row calls
     rho = DensityMatrix(2, 2, random_mixed_state(np.random.default_rng(91)))
     angles = np.linspace(0.0, math.pi, 130, endpoint=False)
     table = pair_mi_table(rho, angles, angles)
     for x in (0, 31, 32, 64, 129):
         assert np.array_equal(table[x], pair_mi_table(rho, angles[x:x + 1], angles)[0])
-    # every chunk size, from one pair to the whole table, gives the same bytes
+    # every block size, from one pair (8 cells of scratch) to the whole table, gives the same bytes
     angles_x, angles_y = angles[:23], angles[::10]
     table = pair_mi_table(rho, angles_x, angles_y)
-    for chunk in range(1, table.size + 1):
-        monkeypatch.setattr(quantum_module, "_CHUNK_PAIRS", chunk)
-        assert pair_mi_table(rho, angles_x, angles_y).tobytes() == table.tobytes(), chunk
+    for pairs in range(1, table.size + 1):
+        monkeypatch.setattr(quantum_module, "_BLOCK_CELLS", 8 * pairs)
+        assert pair_mi_table(rho, angles_x, angles_y).tobytes() == table.tobytes(), pairs
 
 
 def test_pair_mi_table_raises_on_negative_probability():

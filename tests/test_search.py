@@ -394,9 +394,9 @@ def test_grid_search_exact_ties_keep_the_first_cell_across_chunks():
     # every cell of the maximally mixed state is exactly 0, so every (j, k)
     # column ties; at res 128 the winner search takes them in several blocks,
     # and the first cell must still win
-    from entrobound.search import _CUBE_CHUNK_CELLS
+    from entrobound.search import _BLOCK_CELLS
 
-    assert 128 ** 3 > _CUBE_CHUNK_CELLS
+    assert 128 ** 3 > _BLOCK_CELLS
     result = grid_search(maximally_mixed(), 128)
     assert result.best_lhs == 0.0
     assert result.best_settings.angles == (0.0, 0.0, 0.0)
@@ -425,7 +425,7 @@ def test_cube_argmax_is_the_first_cell_within_atol_of_the_max(case):
     best = max(lhs for _, lhs in cells)
     first = next(cell for cell, lhs in cells if lhs >= best - 1e-12)
     with pytest.MonkeyPatch.context() as mp:  # small blocks: ties straddle blocks of i and of (j, k) candidates
-        mp.setattr(search_module, "_CUBE_CHUNK_CELLS", block_cells)
+        mp.setattr(search_module, "_BLOCK_CELLS", block_cells)
         assert search_module._cube_argmax(mi) == (best, first)
 
 
@@ -452,10 +452,10 @@ def _reduction_states():
 @pytest.mark.parametrize("block_cells", [None, 4096])
 @pytest.mark.parametrize("resolution", [8, 31, 96, 101, 150, 257])
 def test_grid_reduction_is_bit_identical_to_the_four_pass_cube(monkeypatch, resolution, block_cells):
-    # a block holds block_cells // resolution rows of i: 4096-cell blocks split
-    # i from res 96 on (42 rows), the default 65536 only at res 257 (255 rows)
+    # the pivot spreads take block_cells // (isqrt(res) * res) rows of i a block:
+    # 4096-cell blocks split i from res 31 on, the default 1 << 17 from res 150 on
     if block_cells is not None:
-        monkeypatch.setattr(search_module, "_CUBE_CHUNK_CELLS", block_cells)
+        monkeypatch.setattr(search_module, "_BLOCK_CELLS", block_cells)
     step = math.pi / resolution
     angles = tuple(i * step for i in range(resolution))  # grid_search's angles, bit for bit
     for name, rho in _reduction_states():
@@ -471,7 +471,7 @@ def test_column_maxima_are_the_cube_maxima_byte_for_byte(monkeypatch, resolution
     # every column maximum the branch and bound computes, of the pivot columns
     # and of the swept ones; 20-cell blocks split each sweep into a few rows of i
     if block_cells is not None:
-        monkeypatch.setattr(search_module, "_CUBE_CHUNK_CELLS", block_cells)
+        monkeypatch.setattr(search_module, "_BLOCK_CELLS", block_cells)
     spreads, computed = search_module._spreads, []
 
     def recorded(mi, j, k):
