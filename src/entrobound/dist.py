@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from itertools import product as _cells
-from numbers import Integral, Real
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,34 +38,12 @@ from .errors import (
     ValidationError,
     WeightsNotNormalizedError,
 )
-from .value import _Frozen
+from .value import _Frozen, _as_size
 
 NORMALIZATION_ATOL = 1e-9
 MAX_VARS = 3
 
 _NUMBER_TYPES = frozenset((float, int))
-
-
-def _as_size(value, what: str = "sizes") -> int:
-    """``value`` as an int: an integer (numpy's too) or an integral finite float.
-
-    The rule for sizes, variable indices, pivots and outcomes, named by ``what``:
-    ``int()`` alone would truncate 2.9 to 2, read True as 1 and "2" as 2.
-    """
-    if type(value) is int:
-        return value
-    if isinstance(value, bool):
-        raise ValidationError(f"{what} must be integers, got {value!r}")
-    if isinstance(value, Integral):
-        return int(value)
-    if isinstance(value, Real):
-        try:
-            size = int(value)
-        except (OverflowError, ValueError) as exc:  # infinity, NaN
-            raise ValidationError(f"{what} must be finite: {exc}") from exc
-        if size == value:
-            return size
-    raise ValidationError(f"{what} must be integers, got {value!r}")
 
 
 def _variable(d: "JointDistribution", i) -> int:

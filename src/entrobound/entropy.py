@@ -42,13 +42,41 @@ def _clamp(value: float, what: str) -> float:
     raise InternalError(f"{what} = {value}, negative beyond tolerance {CLAMP_ATOL}")
 
 
-def _plogp_bits(flat) -> float:
-    """-sum p log2 p with zero terms skipped, added left to right."""
-    total = 0.0
-    for p in flat:
+def _plogp_bits(flat, total: float = 1.0) -> float:
+    """-sum p log2 p over p = x / total for x in ``flat``, zero terms skipped, added left to right.
+
+    x / 1.0 is x exactly; a marginal's fsum total renormalizes it as the
+    constructor does, without building the renormalized list.
+    """
+    bits = 0.0
+    for x in flat:
+        p = x / total
         if p > 0.0:
-            total += p * math.log2(p)
-    return -total
+            bits += p * math.log2(p)
+    return -bits
+
+
+def _pair_bits(sums, rows: int, cols: int) -> tuple[float, float]:
+    """H(X,Y) and H(X) + H(Y) of a row-major pair table, as :func:`mutual_entropy` computes them.
+
+    ``sums`` is renormalized as the constructor does, and the row and column
+    sums of the result are added in table order, as ``_row_col_sums`` adds them.
+    """
+    total = _total(sums)
+    row_sums, col_sums = [0.0] * rows, [0.0] * cols
+    bits = 0.0
+    k = 0
+    for i in range(rows):
+        row = 0.0
+        for j in range(cols):
+            p = sums[k] / total
+            k += 1
+            row += p
+            col_sums[j] += p
+            if p > 0.0:
+                bits += p * math.log2(p)
+        row_sums[i] = row
+    return -bits, _plogp_bits(row_sums) + _plogp_bits(col_sums)
 
 
 def _row_col_sums(pair, rows: int, cols: int) -> tuple[list[float], list[float]]:
@@ -144,8 +172,8 @@ def _vector(d: JointDistribution) -> MappingProxyType:
     na, nb, nc = d.alphabet_sizes
     flat = d.flat
     # One pass: each marginal cell adds its entries in table order, as
-    # _marginal_sums does; each marginal is then renormalized as the
-    # constructor does.
+    # _marginal_sums does; each marginal's entropy then renormalizes it as
+    # the constructor does.
     a_sums, b_sums, c_sums = [0.0] * na, [0.0] * nb, [0.0] * nc
     ab_sums, ac_sums, bc_sums = [0.0] * (na * nb), [0.0] * (na * nc), [0.0] * (nb * nc)
     k = 0
@@ -162,16 +190,17 @@ def _vector(d: JointDistribution) -> MappingProxyType:
                 ab_sums[ab] += p
                 ac_sums[ac + c] += p
                 bc_sums[bc + c] += p
-    marginals = []
-    for m in (a_sums, b_sums, c_sums, ab_sums, ac_sums, bc_sums):
-        total = _total(m)
-        marginals.append([x / total for x in m])
-    bits = [_plogp_bits(m) for m in marginals] + [_plogp_bits(flat)]
-    h = {label: _clamp(b, "entropy") for label, b in zip(_LABELS, bits)}
-    # Each pair MI from its own pair table's row and column sums, as in mutual_entropy.
-    for label, pair, hxy, shape in zip(_LABELS[7:], marginals[3:], bits[3:6], ((na, nb), (na, nc), (nb, nc))):
-        rows, cols = _row_col_sums(pair, *shape)
-        h[label] = _clamp(_plogp_bits(rows) + _plogp_bits(cols) - hxy, "mutual entropy")
+    bits = [_plogp_bits(m, _total(m)) for m in (a_sums, b_sums, c_sums)]
+    mis = []
+    for sums, rows, cols in ((ab_sums, na, nb), (ac_sums, na, nc), (bc_sums, nb, nc)):
+        pair_bits, marginal_bits = _pair_bits(sums, rows, cols)
+        bits.append(pair_bits)
+        mis.append(marginal_bits - pair_bits)
+    bits.append(_plogp_bits(flat))
+    # the clamp rule, called only for an entry that is not positive
+    h = {label: b if b > 0.0 else _clamp(b, "entropy") for label, b in zip(_LABELS, bits)}
+    for label, mi in zip(_LABELS[7:], mis):
+        h[label] = mi if mi > 0.0 else _clamp(mi, "mutual entropy")
     return MappingProxyType(h)
 
 

@@ -5,8 +5,11 @@ the Cerf-Adami bound, on three supplied mutual informations) and returns an
 immutable :class:`InequalityReport` in ``lhs <= rhs`` form.  The classical
 checks read every term from one :func:`~entrobound.entropy.entropy_vector`
 of unconditional entropies: each side of the triangle, 2H(B), narrowed and
-data-processing checks is a linear form in it, and the classical Cerf-Adami
-check takes three of its entries.  Checks never reject inputs for failing
+data-processing checks is a linear form in it, written out as a plain
+expression over the vector, and the classical Cerf-Adami check takes three
+of its entries.  Every report is built by one private constructor that
+skips the frozen dataclass's ``__init__``, because a battery builds eleven
+of them from the same ten numbers.  Checks never reject inputs for failing
 a structural assumption: the plain
 mutual-information triangle, for instance, is only guaranteed on Markov
 distributions, and demonstrating its failure off-Markov is part of what the
@@ -21,9 +24,10 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .dist import JointDistribution, _as_size
+from .dist import JointDistribution
 from .entropy import EntropyValue, _vector, convert_base
 from .errors import NegativeMutualInformationError, ValidationError, WrongArityError
+from .value import _as_size
 
 SATISFIED_ATOL = 1e-9
 
@@ -64,23 +68,48 @@ class InequalityReport:
         }
 
 
-# A row is a linear form over the entropy vector: ((coefficient, vector key), ...).
-_MI_SUM = ((1.0, "H(A:B)"), (1.0, "H(B:C)"), (-1.0, "H(A:C)"))
+_new = object.__new__
+
+
+def _report(name: str, lhs: float, rhs: float, terms: dict, meta: dict) -> InequalityReport:
+    """``InequalityReport(name, lhs, rhs, terms, meta)``, without the frozen ``__init__``.
+
+    A frozen dataclass sets each field through ``object.__setattr__``; this
+    fills the instance dict directly, which is all that ``__init__`` leaves
+    behind, so the report is equal, copies, pickles and stays frozen alike.
+    """
+    report = _new(InequalityReport)
+    fields = report.__dict__
+    fields["name"] = name
+    fields["lhs"] = lhs
+    fields["rhs"] = rhs
+    fields["terms"] = terms
+    fields["meta"] = meta
+    return report
+
+
 _MI_TERMS = ("H(A:B)", "H(B:C)", "H(A:C)")
 
-# name -> (lhs row, rhs row, term labels, meta)
+
+def _mi_sum(h) -> float:
+    return h["H(A:B)"] + h["H(B:C)"] - h["H(A:C)"]
+
+
+# name -> (lhs, rhs, term labels, meta).  Each side is a plain expression over the
+# entropy vector h, added left to right as written: sum() compensates rounding
+# from Python 3.12 on.
 _CHECKS = {
-    "triangle": (((1.0, "H(A:C)"),), ((1.0, "H(A:B)"), (1.0, "H(B:C)")), _MI_TERMS,
+    "triangle": (lambda h: h["H(A:C)"], lambda h: h["H(A:B)"] + h["H(B:C)"], _MI_TERMS,
                  {"requires_markov": True}),
-    "joint_triangle": (((1.0, "H(A,C)"),), ((1.0, "H(A,B)"), (1.0, "H(B,C)")),
+    "joint_triangle": (lambda h: h["H(A,C)"], lambda h: h["H(A,B)"] + h["H(B,C)"],
                        ("H(A,B)", "H(B,C)", "H(A,C)"), {}),
-    "two_hb_bound": (_MI_SUM, ((2.0, "H(B)"),), _MI_TERMS + ("H(B)",), {}),
-    "narrowed_bound": (_MI_SUM, ((1.0, "H(B)"),), _MI_TERMS + ("H(B)",), {}),
-    "dpi_forward_source": (((1.0, "H(A:B)"),), ((1.0, "H(A)"),), ("H(A:B)", "H(A)"), {}),
-    "dpi_forward_chain": (((1.0, "H(A:C)"),), ((1.0, "H(A:B)"),), ("H(A:C)", "H(A:B)"),
+    "two_hb_bound": (_mi_sum, lambda h: 2.0 * h["H(B)"], _MI_TERMS + ("H(B)",), {}),
+    "narrowed_bound": (_mi_sum, lambda h: h["H(B)"], _MI_TERMS + ("H(B)",), {}),
+    "dpi_forward_source": (lambda h: h["H(A:B)"], lambda h: h["H(A)"], ("H(A:B)", "H(A)"), {}),
+    "dpi_forward_chain": (lambda h: h["H(A:C)"], lambda h: h["H(A:B)"], ("H(A:C)", "H(A:B)"),
                           {"requires_markov": True}),
-    "dpi_reverse_source": (((1.0, "H(B:C)"),), ((1.0, "H(C)"),), ("H(C:B)", "H(C)"), {}),
-    "dpi_reverse_chain": (((1.0, "H(A:C)"),), ((1.0, "H(B:C)"),), ("H(C:A)", "H(C:B)"),
+    "dpi_reverse_source": (lambda h: h["H(B:C)"], lambda h: h["H(C)"], ("H(C:B)", "H(C)"), {}),
+    "dpi_reverse_chain": (lambda h: h["H(A:C)"], lambda h: h["H(B:C)"], ("H(C:A)", "H(C:B)"),
                           {"requires_markov": True}),
 }
 
@@ -94,31 +123,20 @@ _PIVOTS = tuple(
     for x, y, z in ("ABC", "BAC", "CAB"))
 
 
-def _form(h, row) -> float:
-    # left to right like a written-out a + b - c; sum() compensates rounding from Python 3.12 on
-    (coefficient, key), *rest = row
-    value = coefficient * h[key]
-    for coefficient, key in rest:
-        value += coefficient * h[key]
-    return value
-
-
 def _check(name: str, h, meta: dict | None = None) -> InequalityReport:
     lhs, rhs, terms, check_meta = _CHECKS[name]
-    return InequalityReport(name, _form(h, lhs), _form(h, rhs), {label: h[key] for label, key in terms},
-                            {**(meta or {}), **check_meta})
+    return _report(name, lhs(h), rhs(h), {label: h[key] for label, key in terms}, {**(meta or {}), **check_meta})
 
 
 def _cerf_adami(terms: dict[str, float], rhs: float, source: str, **meta) -> InequalityReport:
     """The Cerf-Adami report |H(x:y) - H(x:z)| + H(y:z) <= rhs of ``terms``, in that order and in bits."""
     ixy, ixz, iyz = terms.values()
-    return InequalityReport("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms,
-                            {"source": source, "normalized": rhs == 1.0, **meta})
+    return _report("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms, {"source": source, "normalized": rhs == 1.0, **meta})
 
 
 def _pivot(pivot) -> tuple:
     """The ``_PIVOTS`` entry of pivot 0, 1 or 2."""
-    index = _as_size(pivot, "pivots")
+    index = pivot if type(pivot) is int else _as_size(pivot, "pivots")
     if index not in (0, 1, 2):
         raise WrongArityError(f"pivot must be 0, 1 or 2, got {pivot}")
     return _PIVOTS[index]
@@ -192,12 +210,15 @@ def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | No
     The report equals what :func:`cerf_adami_check` makes of the same three
     entries: they are in bits and already clamped to >= 0.
     """
-    x, _, _, labels = _pivot(pivot)
-    rhs = 1.0 if bound is None else float(bound)
-    if not math.isfinite(rhs):
-        raise ValidationError(f"bound must be finite, got {rhs}")
+    x, _, _, ((xy, kxy), (xz, kxz), (yz, kyz)) = _pivot(pivot)
+    if bound is None:
+        rhs = 1.0
+    else:
+        rhs = float(bound)
+        if not math.isfinite(rhs):
+            raise ValidationError(f"bound must be finite, got {rhs}")
     h = _vector(d)
-    return _cerf_adami({label: h[key] for label, key in labels}, rhs, "tripartite", pivot=x)
+    return _cerf_adami({xy: h[kxy], xz: h[kxz], yz: h[kyz]}, rhs, "tripartite", pivot=x)
 
 
 def marginal_bound(d: JointDistribution, pivot: int | None = None) -> float:

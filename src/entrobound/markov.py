@@ -4,7 +4,9 @@ Markovianity is treated purely as the factorization property
 p(a,b,c) = p(a) t1(a,b) t2(b,c), equivalently I(A;C|B) = 0.  Building the
 joint from a :class:`MarkovChainSpec` guarantees the property by
 construction; :func:`is_markov` provides the independent after-the-fact
-check.  No temporal ordering is modeled.  Like :mod:`entrobound.dist`,
+check, reading I(first; last | middle) from the memoized entropy vector
+with no per-call marginal or :class:`EntropyValue`.  No temporal ordering
+is modeled.  Like :mod:`entrobound.dist`,
 this module is stdlib-only: a spec's matrices are tuples of row tuples.
 
 Spec serialization::
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 
 from .dist import JointDistribution, _entries, _reals, _total, _variable
 from .entropy import EntropyValue, _clamp, _vector
@@ -30,6 +33,8 @@ ROW_SUM_ATOL = 1e-9
 
 # given Z -> the vector keys of H(X,Z), H(Y,Z) and H(Z); + commutes, so the order of X and Y is moot
 _CMI_KEYS = (("H(A,B)", "H(A,C)", "H(A)"), ("H(A,B)", "H(B,C)", "H(B)"), ("H(A,C)", "H(B,C)", "H(C)"))
+# chain order (first, middle, last) -> the _CMI_KEYS of I(first; last | middle)
+_ORDER_KEYS = {order: _CMI_KEYS[order[1]] for order in permutations(range(3))}
 
 
 def _check_stochastic(matrix, rows: int, name: str) -> tuple[tuple[float, ...], ...]:
@@ -106,10 +111,17 @@ def conditional_mutual_information(d: JointDistribution, x: int, y: int, given: 
 def is_markov(d: JointDistribution, order: tuple[int, int, int] = (0, 1, 2)) -> bool:
     """True iff the chain order[0] -> order[1] -> order[2] is Markov.
 
-    Tested as I(first; last | middle) <= 1e-9; symmetric under reversal of
-    the order, as Markov chains are.
+    Tested as I(first; last | middle) <= 1e-9, read from the entropy vector
+    as :func:`conditional_mutual_information` reads it; symmetric under
+    reversal of the order, as Markov chains are.
     """
-    if tuple(sorted(order)) != (0, 1, 2):
+    keys = _ORDER_KEYS.get(tuple(order))
+    if keys is None:
         raise InvalidPermutationError(f"order must be a permutation of (0, 1, 2), got {order}")
     first, middle, last = order
-    return conditional_mutual_information(d, first, last, middle).value <= CMI_ATOL
+    if type(first) is not int or type(middle) is not int or type(last) is not int or d.num_vars != 3:
+        for i in (first, last, middle):  # the integer rule and the range, in conditional_mutual_information's order
+            _variable(d, i)
+    xz, yz, z = keys
+    h = _vector(d)
+    return _clamp(h[xz] + h[yz] - h[z] - h["H(A,B,C)"], "conditional mutual information") <= CMI_ATOL

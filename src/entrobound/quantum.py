@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointDistribution, _as_size
+from .dist import JointDistribution
 from .entropy import CLAMP_ATOL, EntropyValue, _check_base, _clamp, _plogp_bits
 from .errors import (
     DimensionMismatchError,
@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .inequalities import InequalityReport, _cerf_adami
+from .value import _as_size
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -198,11 +199,12 @@ def maximally_mixed(dim_a: int = 2, dim_b: int = 2) -> DensityMatrix:
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduced state over one subsystem (0 = first factor, 1 = second)."""
-    if keep not in (0, 1):
+    index = _as_size(keep, "subsystems")
+    if index not in (0, 1):
         raise InvalidSubsystemError(f"keep must be 0 or 1, got {keep!r}")
     da, db = rho.dim_a, rho.dim_b
     blocks = rho.matrix.reshape(da, db, da, db)
-    if keep == 0:
+    if index == 0:
         reduced = np.einsum("ibjb->ij", blocks)
     else:
         reduced = np.einsum("aiaj->ij", blocks)
@@ -229,9 +231,10 @@ def conditional_quantum_entropy(rho: DensityMatrix, target: int, given: int) -> 
     Negative values are the quantum signature: for pure composite states
     they witness entanglement.
     """
-    if target not in (0, 1) or given not in (0, 1):
+    pair = _as_size(target, "subsystems"), _as_size(given, "subsystems")
+    if not {0, 1}.issuperset(pair):
         raise InvalidSubsystemError(f"subsystems must be 0 or 1, got ({target!r}, {given!r})")
-    if target == given:
+    if pair[0] == pair[1]:
         raise InvalidSubsystemError("target and given must differ")
     s_joint = von_neumann_entropy(rho).value
     s_given = von_neumann_entropy(partial_trace(rho, keep=given)).value

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import MonotonicityViolatedError, ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
 from .inequalities import SATISFIED_ATOL
 from .quantum import _BLOCK_CELLS, DensityMatrix, MeasurementSettings, cerf_adami_quantum, pair_mi_table, werner_state
+from .value import _as_size
 
 GRID_MIN_RESOLUTION = 8
 # The pair-MI table and the column bounds are resolution^2 float64 each and
@@ -309,7 +310,7 @@ def grid_search(rho: DensityMatrix, resolution: int) -> SearchResult:
     is the largest float LHS, and the winner is the first cell in
     lexicographic (theta_A, theta_B, theta_C) order within WINNER_ATOL of it.
     """
-    resolution = int(resolution)
+    resolution = _as_size(resolution, "resolutions")
     if resolution < GRID_MIN_RESOLUTION:
         raise ResolutionTooSmallError(f"resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}")
     if resolution > GRID_MAX_RESOLUTION:
@@ -346,7 +347,7 @@ def refine(
     value.
     """
     tol = _check_tol(tol)
-    resolution = int(resolution)
+    resolution = _as_size(resolution, "resolutions")
     if resolution < 1:
         raise ValidationError(f"resolution must be >= 1, got {resolution}")
 
@@ -402,7 +403,7 @@ def werner_threshold(resolution: int = 32, tol: float = 1e-3) -> float:
     Monotonicity of the maximal LHS in p is assumed and checked on the
     sampled points; a decrease beyond 1e-6 raises MonotonicityViolatedError.
     """
-    resolution = int(resolution)
+    resolution = _as_size(resolution, "resolutions")
     if resolution < WERNER_MIN_RESOLUTION:
         raise ResolutionTooSmallError(f"resolution must be >= {WERNER_MIN_RESOLUTION}, got {resolution}")
     tol = _check_tol(tol)

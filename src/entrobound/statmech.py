@@ -17,7 +17,7 @@ from .errors import (
     TotalOutOfRangeError,
     ValidationError,
 )
-from .value import EntropyValue, _Frozen
+from .value import EntropyValue, _as_size, _Frozen
 
 MAX_DICE = 8
 MAX_MIXING_PARTICLES = 60
@@ -37,10 +37,11 @@ class MacrostateSpec(_Frozen):
     __slots__ = ("description", "multiplicity")
 
     def __init__(self, description: str, multiplicity: int) -> None:
-        if int(multiplicity) < 0:
+        multiplicity = _as_size(multiplicity, "multiplicities")
+        if multiplicity < 0:
             raise ValidationError(f"multiplicity must be >= 0, got {multiplicity}")
         object.__setattr__(self, "description", description)
-        object.__setattr__(self, "multiplicity", int(multiplicity))
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 def dice_multiplicity(num_dice: int, total: int) -> MacrostateSpec:
@@ -49,8 +50,8 @@ def dice_multiplicity(num_dice: int, total: int) -> MacrostateSpec:
     Unreachable positive totals count 0; totals below 1 are rejected since
     no roll of any number of dice can produce them.
     """
-    num_dice = int(num_dice)
-    total = int(total)
+    num_dice = _as_size(num_dice, "dice counts")
+    total = _as_size(total, "totals")
     if num_dice < 1:
         raise ValidationError(f"need at least one die, got {num_dice}")
     if num_dice > MAX_DICE:
@@ -80,7 +81,7 @@ def coin_reversal_probability(sequence_length: int) -> float:
     coins at once, since either way one ordered pattern of n binary
     outcomes must be matched.
     """
-    n = int(sequence_length)
+    n = _as_size(sequence_length, "sequence lengths")
     if n < 1:
         raise ValidationError(f"sequence length must be >= 1, got {n}")
     return 2.0 ** (-n)
@@ -98,8 +99,8 @@ def coin_reversal_unordered_probability(sequence_length: int, target_heads: int)
     the composition, not the ordered pattern): C(n, k) / 2^n.  The ordered
     reading of :func:`coin_reversal_probability` is the default everywhere.
     """
-    n = int(sequence_length)
-    k = int(target_heads)
+    n = _as_size(sequence_length, "sequence lengths")
+    k = _as_size(target_heads, "target heads")
     if n < 1:
         raise ValidationError(f"sequence length must be >= 1, got {n}")
     if not 0 <= k <= n:
@@ -113,9 +114,9 @@ def coin_reversal_monte_carlo(sequence_length: int, trials: int, seed: int) -> f
 
     Deterministic for a fixed seed; the generator is private to the call.
     """
-    n = int(sequence_length)
-    trials = int(trials)
-    seed = int(seed)
+    n = _as_size(sequence_length, "sequence lengths")
+    trials = _as_size(trials, "trials")
+    seed = _as_size(seed, "seeds")
     if n < 1:
         raise ValidationError(f"sequence length must be >= 1, got {n}")
     if trials < 1:
@@ -148,7 +149,7 @@ def mixing_demo(n_a: int, n_b: int, same_species: bool) -> EntropyValue:
     identical species gain nothing.  Counts are kept small enough that the
     binomial is exact.
     """
-    n_a, n_b = int(n_a), int(n_b)
+    n_a, n_b = _as_size(n_a, "particle counts"), _as_size(n_b, "particle counts")
     if n_a < 1 or n_b < 1:
         raise ValidationError(f"particle counts must be >= 1, got ({n_a}, {n_b})")
     if n_a + n_b > MAX_MIXING_PARTICLES:

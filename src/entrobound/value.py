@@ -5,13 +5,14 @@ nothing more than :func:`math.log`, so the statistical-mechanics commands
 run without importing numpy.  :mod:`entrobound.entropy` re-exports
 :class:`EntropyValue` and the functions here.  :class:`_Frozen` is the
 immutable base that this module's, :mod:`entrobound.dist`'s and
-:mod:`entrobound.statmech`'s value classes share.
+:mod:`entrobound.statmech`'s value classes share, and :func:`_as_size` is
+the integer rule every module applies to its integer arguments.
 """
 from __future__ import annotations
 
 import math
 
-from .errors import InvalidBaseError, ZeroMultiplicityError
+from .errors import InvalidBaseError, ValidationError, ZeroMultiplicityError
 
 
 class _Frozen:
@@ -80,6 +81,31 @@ class EntropyValue(_Frozen):
         return f"EntropyValue({self.value!r}, base={self.base!r})"
 
 
+def _as_size(value, what: str = "sizes") -> int:
+    """``value`` as an int: an integer (numpy's too) or an integral finite float.
+
+    The one rule for every integer argument, named by ``what``: sizes,
+    variable indices, pivots, outcomes, subsystems, resolutions and counts.
+    ``int()`` alone would truncate 2.9 to 2, read True as 1 and "2" as 2.
+    """
+    if type(value) is int:
+        return value
+    from numbers import Integral, Real  # past the plain-int return, so the statmech commands never import it
+
+    if isinstance(value, bool):
+        raise ValidationError(f"{what} must be integers, got {value!r}")
+    if isinstance(value, Integral):
+        return int(value)
+    if isinstance(value, Real):
+        try:
+            size = int(value)
+        except (OverflowError, ValueError) as exc:  # infinity, NaN
+            raise ValidationError(f"{what} must be finite: {exc}") from exc
+        if size == value:
+            return size
+    raise ValidationError(f"{what} must be integers, got {value!r}")
+
+
 def _check_base(base: float) -> float:
     base = float(base)
     if not (math.isfinite(base) and base > 1.0):
@@ -90,7 +116,7 @@ def _check_base(base: float) -> float:
 def boltzmann_entropy(multiplicity: int, base: float = math.e) -> EntropyValue:
     """log(multiplicity), natural base by default (the unitless S/k form)."""
     base = _check_base(base)
-    m = int(multiplicity)
+    m = _as_size(multiplicity, "multiplicities")
     if m < 1:
         raise ZeroMultiplicityError(f"multiplicity must be >= 1, got {m}")
     return EntropyValue(math.log(m) / math.log(base), base)

@@ -9,8 +9,9 @@ table, with no conditional entropy and no Markov chain needed.  The
 Markov-only checks need exactly the term -I(A;C|B), which vanishes on a
 chain A -> B -> C.
 
-The tables below are checked against the rows in ``inequalities._CHECKS``
-by exact integer algebra, so editing a row breaks its proof.
+The tables below are checked against the sides in ``inequalities._CHECKS``
+by exact integer algebra: each side is evaluated on an entropy vector
+whose entries are linear forms, so editing a side breaks its proof.
 """
 from collections import Counter
 
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 
 from entrobound import JointDistribution, cerf_adami_classical, marginal_bound
 from entrobound.cli import _classical_battery
+from entrobound.entropy import _LABELS
 from entrobound.inequalities import _CHECKS
 
 from conftest import brute_entropy_bits, h2, tripartite_tables
@@ -99,6 +101,29 @@ def row_form(row) -> Counter:
     return combine(*((int(c), label_form(label)) for c, label in row))
 
 
+class Form(Counter):
+    """A linear form with the arithmetic of a check's side: +, - and exact integer coefficients."""
+
+    def __add__(self, other):
+        return Form(combine((1, self), (1, other)))
+
+    def __sub__(self, other):
+        return Form(combine((1, self), (-1, other)))
+
+    def __neg__(self):
+        return Form(combine((-1, self)))
+
+    def __rmul__(self, coefficient):
+        assert float(coefficient).is_integer()
+        return Form(combine((int(coefficient), self)))
+
+    __mul__ = __rmul__
+
+
+# The entropy vector with each entry's form: a side evaluated on it gives its row.
+SYMBOLIC_VECTOR = {label: Form(label_form(label)) for label in _LABELS}
+
+
 def certificate_form(certificate: dict) -> Counter:
     return combine(*((c, ELEMENTAL[term]) for term, c in certificate.items()))
 
@@ -141,7 +166,8 @@ def test_certificates_cover_exactly_the_checks():
 @pytest.mark.parametrize("name", sorted(CERTIFICATES))
 def test_certificate_proves_the_row(name):
     lhs, rhs, _, _ = _CHECKS[name]
-    assert slack_form(lhs, rhs) == certificate_form(CERTIFICATES[name])
+    slack = combine((1, rhs(SYMBOLIC_VECTOR)), (-1, lhs(SYMBOLIC_VECTOR)))
+    assert slack == certificate_form(CERTIFICATES[name])
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFICATES))

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +28,9 @@ from entrobound import (
     werner_state,
 )
 from entrobound.cli import _classical_battery
+from entrobound.entropy import _LABELS
 from entrobound.errors import NegativeMutualInformationError, ValidationError, WrongArityError
+from entrobound.inequalities import _CHECKS, InequalityReport, _report
 
 from conftest import (
     h2,
@@ -77,6 +82,40 @@ def test_replaced_report_recomputes_satisfied_and_margin():
         moved = dataclasses.replace(r, lhs=r.rhs + 1.0)
         assert moved.satisfied is False
         assert moved.margin == r.rhs - (r.rhs + 1.0)
+
+
+def test_private_report_constructor_builds_what_the_dataclass_builds():
+    args = ("triangle", 0.25, -0.0, {"H(A:B)": 0.5, "H(B:C)": 0.0, "H(A:C)": 0.25}, {"requires_markov": True})
+    built, made = _report(*args), InequalityReport(*args)
+    assert type(built) is InequalityReport
+    assert built == made and repr(built) == repr(made) and report_fields(built) == report_fields(made)
+    assert list(vars(built).items()) == list(vars(made).items())
+    assert json.dumps(built.to_dict()) == json.dumps(made.to_dict())
+    for twin in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert type(twin) is InequalityReport and report_fields(twin) == report_fields(made)
+    assert dataclasses.replace(built, lhs=1.0) == dataclasses.replace(made, lhs=1.0)
+    assert dataclasses.replace(built, lhs=1.0).satisfied is False
+    for field in dataclasses.fields(built):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, field.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, field.name)
+    assert report_fields(built) == report_fields(made)
+
+
+def test_sides_add_in_the_written_order():
+    # left to right, as a written-out sum adds: 1 + 1e-16 rounds to 1 before 1 is taken away
+    h = dict.fromkeys(_LABELS, 0.0) | {"H(A:B)": 1.0, "H(B:C)": 1e-16, "H(A:C)": 1.0}
+    assert _CHECKS["two_hb_bound"][0](h) == _CHECKS["narrowed_bound"][0](h) == 0.0
+    h = dict.fromkeys(_LABELS, 0.0) | {"H(A:B)": 1.0, "H(B:C)": -1.0, "H(A:C)": 1e-16}
+    assert _CHECKS["two_hb_bound"][0](h) == -1e-16
+
+
+def test_every_battery_report_equals_its_dataclass_construction():
+    for r in _every_report() + [cerf_adami_check(EntropyValue(0.5), EntropyValue(0.25), EntropyValue(0.125))]:
+        fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+        assert r == InequalityReport(**fields)
+        assert json.dumps(r.to_dict()) == json.dumps(InequalityReport(**fields).to_dict())
 
 
 def test_triangle_on_markov_chain():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,9 @@ from entrobound.errors import (
     ValidationError,
 )
 
-from conftest import noisy_copy_spec, random_markov_spec, triangle_counterexample
+from entrobound.markov import CMI_ATOL
+
+from conftest import noisy_copy_spec, random_markov_spec, triangle_counterexample, tripartite_tables
 
 
 def test_spec_rejects_non_stochastic_rows():
@@ -147,6 +151,38 @@ def test_is_markov_invalid_permutation():
     d = JointDistribution.uniform((2, 2, 2))
     with pytest.raises(InvalidPermutationError):
         is_markov(d, (0, 1, 1))
+
+
+@pytest.mark.parametrize("order, sizes, error", [
+    ((True, 0, 2), (2, 2, 2), ValidationError),  # a bool is not an index, though True == 1
+    ((0, 1, 1), (2, 2, 2), InvalidPermutationError),
+    ((0, 1, 2), (2, 2), IndexOutOfRangeError),  # variable 2 of a bivariate table
+    ((2, 1, 0), (2,), IndexOutOfRangeError),
+    ((0, 1, 2.0), (2, 2), IndexOutOfRangeError),
+    ((0.5, 1, 2), (2, 2, 2), InvalidPermutationError),
+    ("012", (2, 2, 2), InvalidPermutationError),
+    (("a", 1, 2), (2, 2, 2), InvalidPermutationError),
+    ((0, 1, 2, 0), (2, 2, 2), InvalidPermutationError),
+])
+def test_is_markov_error_classes(order, sizes, error):
+    with pytest.raises(error):
+        is_markov(JointDistribution.uniform(sizes), order)
+
+
+def test_is_markov_takes_any_sequence_of_integral_indices():
+    d = triangle_counterexample()
+    for order in ((0.0, 1, 2), [0, 1, 2], (np.int64(0), 1.0, np.int32(2))):
+        assert is_markov(d, order) is is_markov(d, (0, 1, 2)) is False
+    assert is_markov(d, [1, 0, 2.0]) is is_markov(d, (1, 0, 2)) is True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=tripartite_tables())
+def test_is_markov_is_the_cmi_test_for_every_order(d):
+    for order in itertools.permutations(range(3)):
+        first, middle, last = order
+        expected = conditional_mutual_information(d, first, last, middle).value <= CMI_ATOL
+        assert is_markov(d, order) is expected
 
 
 def test_reversal_symmetry_sweep():

@@ -134,6 +134,28 @@ def test_partial_trace_invalid_subsystem():
         partial_trace(singlet(), keep=2)
 
 
+def test_subsystems_take_integers_only():
+    # a bool is not an integer here: True used to trace out a subsystem, and S(1|0) = -1 bit for the singlet
+    for bad in (True, False, 0.5, "1", float("nan")):
+        with pytest.raises(ValidationError, match="subsystems must be"):
+            partial_trace(singlet(), bad)
+    for target, given_ in ((True, False), (1, False), (1.5, 0)):
+        with pytest.raises(ValidationError, match="subsystems must be"):
+            conditional_quantum_entropy(singlet(), target, given_)
+    for keep in (2, -1, 2.0, np.int64(3)):
+        with pytest.raises(InvalidSubsystemError, match="keep must be 0 or 1"):
+            partial_trace(singlet(), keep)
+    with pytest.raises(InvalidSubsystemError, match="subsystems must be 0 or 1"):
+        conditional_quantum_entropy(singlet(), 2.0, 0)
+    with pytest.raises(InvalidSubsystemError, match="must differ"):
+        conditional_quantum_entropy(singlet(), 1.0, np.int64(1))
+    rho = werner_state(0.7)
+    for keep in (0, 1):
+        assert np.array_equal(partial_trace(rho, float(keep)).matrix, partial_trace(rho, keep).matrix)
+        assert np.array_equal(partial_trace(rho, np.int64(keep)).matrix, partial_trace(rho, keep).matrix)
+    assert conditional_quantum_entropy(singlet(), 1.0, np.int32(0)) == conditional_quantum_entropy(singlet(), 1, 0)
+
+
 def test_partial_trace_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(77)
     for _ in range(30):

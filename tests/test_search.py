@@ -592,3 +592,15 @@ def test_refined_singlet_search_reaches_the_closed_form_optimum():
 
 def test_werner_threshold_reaches_the_closed_form_threshold():
     assert werner_threshold(32, 1e-6) == pytest.approx(WERNER_THRESHOLD, abs=1e-6)
+
+
+def test_resolutions_take_integers_only():
+    # int() used to truncate: grid_search(singlet(), 8.9) ran at resolution 8
+    start = MeasurementSettings((0.0, 0.0, 0.0))
+    for bad in (8.9, True, "8", float("nan")):
+        for call in (lambda: grid_search(singlet(), bad), lambda: grid_refine(singlet(), bad),
+                     lambda: refine(singlet(), start, resolution=bad), lambda: werner_threshold(bad)):
+            with pytest.raises(ValidationError, match="resolutions must be"):
+                call()
+    assert grid_search(singlet(), 8.0) == grid_search(singlet(), np.int64(8)) == grid_search(singlet(), 8)
+    assert refine(singlet(), start, 1e-3, 8.0) == refine(singlet(), start, 1e-3, 8)

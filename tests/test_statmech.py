@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from entrobound import (
@@ -223,3 +224,34 @@ def test_monte_carlo_accepts_the_longest_sequence():
 
 def test_ordered_reversal_probability_is_uncapped():
     assert coin_reversal_probability(10 ** 9) == 0.0
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: dice_multiplicity(2.9, 7), "dice counts"),
+    (lambda: dice_multiplicity(2, 7.5), "totals"),
+    (lambda: dice_multiplicity(True, 1), "dice counts"),
+    (lambda: coin_reversal_probability(2.5), "sequence lengths"),
+    (lambda: coin_reversal_unordered_probability("4", 1), "sequence lengths"),
+    (lambda: coin_reversal_unordered_probability(4, 1.5), "target heads"),
+    (lambda: coin_reversal_monte_carlo(3, 10.5, 1), "trials"),
+    (lambda: coin_reversal_monte_carlo(3, 10, True), "seeds"),
+    (lambda: mixing_demo(2.5, 3, False), "particle counts"),
+    (lambda: mixing_demo(2, float("inf"), False), "particle counts"),
+    (lambda: MacrostateSpec("x", 6.5), "multiplicities"),
+    (lambda: boltzmann_entropy(2.5), "multiplicities"),
+    (lambda: boltzmann_entropy("6"), "multiplicities"),
+])
+def test_counts_take_integers_only(call, what):
+    # int() used to truncate: 2.9 dice totalling 7.5 counted 2 dice totalling 7, and S(2.5) was ln 2
+    with pytest.raises(ValidationError, match=f"{what} must be"):
+        call()
+
+
+def test_integral_floats_and_numpy_integers_are_counts():
+    assert dice_multiplicity(2.0, np.int64(7)) == dice_multiplicity(2, 7)
+    assert coin_reversal_unordered_probability(np.int32(4), 2.0) == coin_reversal_unordered_probability(4, 2)
+    assert coin_reversal_monte_carlo(3.0, np.int64(50), 5.0) == coin_reversal_monte_carlo(3, 50, 5)
+    assert mixing_demo(np.int64(2), 3.0, False) == mixing_demo(2, 3, False)
+    assert MacrostateSpec("x", np.int64(6)) == MacrostateSpec("x", 6)
+    assert type(MacrostateSpec("x", 6.0).multiplicity) is int
+    assert boltzmann_entropy(6.0) == boltzmann_entropy(np.int64(6)) == boltzmann_entropy(6)
