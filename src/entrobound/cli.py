@@ -333,6 +333,8 @@ def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
                                ("--same-species", "mix", args.same_species)):
         if given and mode != owner:
             raise ValidationError(f"{flag} does not apply to --{mode}")
+    if args.seed is not None and args.trials is None:
+        raise ValidationError("--seed does not apply without --trials")
     from .statmech import (MacrostateSpec, coin_reversal_monte_carlo, coin_reversal_probability,
                            coin_reversal_unordered_probability, combine_multiplicities, dice_multiplicity,
                            mixing_demo)
@@ -357,7 +359,7 @@ def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
         payload.update(mode="coins", sequence_length=n, reversal_probability=coin_reversal_probability(n))
         if args.heads is not None:
             payload["unordered_probability"] = coin_reversal_unordered_probability(n, args.heads)
-        if args.trials:
+        if args.trials is not None:
             seed = 0 if args.seed is None else args.seed
             estimate = coin_reversal_monte_carlo(n, args.trials, seed)
             payload["monte_carlo"] = {"trials": args.trials, "seed": seed, "estimate": estimate}
@@ -442,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mix", nargs=2, type=int, metavar=("N_A", "N_B"))
     # --trials and --seed default to None, not 0, so that another mode can tell they were given.
     p.add_argument("--trials", type=int, help="Monte Carlo trials for --coins")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed (default 0)")
+    p.add_argument("--seed", type=int, help="Monte Carlo seed, with --trials (default 0)")
     p.add_argument("--heads", type=int, help="also report the unordered-match probability")
     p.add_argument("--same-species", action="store_true")
 

@@ -5,12 +5,15 @@ natural log, matching its usual statistical-mechanics convention, and
 :func:`convert_base` moves between bases losslessly; both live, with
 :class:`EntropyValue`, in :mod:`entrobound.value`.  Like
 :mod:`entrobound.dist`, this module is stdlib-only and follows its two
-summation rules, so a result does not depend on the Python version.  The
-0*log(0) = 0 convention is implemented by skipping zero-probability terms
-exactly, never by epsilon-shifting, so inequality margins stay
-uncorrupted.  Results within 1e-9 below zero are clamped to 0; anything
-more negative raises :class:`~entrobound.errors.InternalError` because it
-indicates a bug rather than physics.
+summation rules, so a result does not depend on the Python version.  One
+reduction of a pair table, ``_pair_bits``, gives H(X,Y), H(X) and H(Y) to
+:func:`mutual_entropy`, :func:`conditional_entropy` and the pair entries of
+:func:`entropy_vector` alike.  The 0*log(0) = 0 convention is implemented
+by skipping zero-probability terms exactly, never by epsilon-shifting, so
+inequality margins stay uncorrupted.  Results within 1e-9 below zero are
+clamped to 0; anything more negative raises
+:class:`~entrobound.errors.InternalError` because it indicates a bug rather
+than physics.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Sequence
 
-from .dist import JointDistribution, _total, _variable, marginalize, mix
+from .dist import JointDistribution, _entries, _marginal_sums, _reals, _total, _variable, mix
 from .errors import (
     InternalError,
     MixtureMismatchError,
@@ -56,11 +59,12 @@ def _plogp_bits(flat, total: float = 1.0) -> float:
     return -bits
 
 
-def _pair_bits(sums, rows: int, cols: int) -> tuple[float, float]:
-    """H(X,Y) and H(X) + H(Y) of a row-major pair table, as :func:`mutual_entropy` computes them.
+def _pair_bits(sums, rows: int, cols: int) -> tuple[float, float, float]:
+    """H(X,Y), H(X) and H(Y) of a row-major ``rows`` x ``cols`` pair table, in bits.
 
-    ``sums`` is renormalized as the constructor does, and the row and column
-    sums of the result are added in table order, as ``_row_col_sums`` adds them.
+    The one reduction of a pair table: ``sums`` is renormalized as the
+    constructor does, and the row and column sums of the result are added in
+    table order.
     """
     total = _total(sums)
     row_sums, col_sums = [0.0] * rows, [0.0] * cols
@@ -76,20 +80,7 @@ def _pair_bits(sums, rows: int, cols: int) -> tuple[float, float]:
             if p > 0.0:
                 bits += p * math.log2(p)
         row_sums[i] = row
-    return -bits, _plogp_bits(row_sums) + _plogp_bits(col_sums)
-
-
-def _row_col_sums(pair, rows: int, cols: int) -> tuple[list[float], list[float]]:
-    """Row and column sums of a row-major ``rows`` x ``cols`` table, each added in table order."""
-    row_sums, col_sums = [0.0] * rows, [0.0] * cols
-    k = 0
-    for i in range(rows):
-        for j in range(cols):
-            p = pair[k]
-            k += 1
-            row_sums[i] += p
-            col_sums[j] += p
-    return row_sums, col_sums
+    return -bits, _plogp_bits(row_sums), _plogp_bits(col_sums)
 
 
 def shannon_entropy(d: JointDistribution, base: float = 2.0) -> EntropyValue:
@@ -122,11 +113,15 @@ def relative_entropy(d: JointDistribution, ref: JointDistribution, base: float =
     return EntropyValue(_clamp(bits / math.log2(base), "relative entropy"), base)
 
 
-def _pair_indices(d: JointDistribution, i, j) -> tuple[int, int]:
+def _pair(d: JointDistribution, i, j) -> tuple[float, float, float]:
+    """H(X,Y), H(X) and H(Y) in bits for variables ``i`` and ``j`` of ``d``, in argument order."""
     i, j = _variable(d, i), _variable(d, j)
     if i == j:
         raise SameVariableError(f"need two distinct variables, got {i} twice")
-    return i, j
+    kept = (i, j) if i < j else (j, i)
+    sums = d.flat if d.num_vars == 2 else _marginal_sums(d, kept)
+    h_pair, h_rows, h_cols = _pair_bits(sums, *(d.alphabet_sizes[k] for k in kept))
+    return (h_pair, h_rows, h_cols) if i < j else (h_pair, h_cols, h_rows)
 
 
 def mutual_entropy(d: JointDistribution, var_x: int, var_y: int) -> EntropyValue:
@@ -135,10 +130,8 @@ def mutual_entropy(d: JointDistribution, var_x: int, var_y: int) -> EntropyValue
     On a tripartite distribution the remaining variable is marginalized out
     first.  The result is symmetric in its two arguments by construction.
     """
-    var_x, var_y = _pair_indices(d, var_x, var_y)
-    pair = marginalize(d, {var_x, var_y})
-    rows, cols = _row_col_sums(pair.flat, *pair.alphabet_sizes)
-    return EntropyValue(_clamp(_plogp_bits(rows) + _plogp_bits(cols) - _plogp_bits(pair.flat), "mutual entropy"), 2.0)
+    h_pair, h_x, h_y = _pair(d, var_x, var_y)
+    return EntropyValue(_clamp(h_x + h_y - h_pair, "mutual entropy"), 2.0)
 
 
 # The vector's keys in order.
@@ -153,8 +146,8 @@ def entropy_vector(d: JointDistribution) -> dict[str, float]:
     Every classical check is a linear form in these entries.  Each value is
     bit-identical to its one-quantity path: a marginal is renormalized as
     :func:`~entrobound.dist.marginalize` does, ``H(A,B,C)`` is
-    :func:`shannon_entropy` of the table itself, and each pair MI comes from
-    its own pair table's marginals, as in :func:`mutual_entropy`.
+    :func:`shannon_entropy` of the table itself, and each pair table goes
+    through ``_pair_bits``, the same code :func:`mutual_entropy` calls.
 
     The vector of the most recent table is memoized, so the checks of one
     battery share one computation; each call returns a fresh dict.
@@ -193,9 +186,9 @@ def _vector(d: JointDistribution) -> MappingProxyType:
     bits = [_plogp_bits(m, _total(m)) for m in (a_sums, b_sums, c_sums)]
     mis = []
     for sums, rows, cols in ((ab_sums, na, nb), (ac_sums, na, nc), (bc_sums, nb, nc)):
-        pair_bits, marginal_bits = _pair_bits(sums, rows, cols)
-        bits.append(pair_bits)
-        mis.append(marginal_bits - pair_bits)
+        h_pair, h_x, h_y = _pair_bits(sums, rows, cols)
+        bits.append(h_pair)
+        mis.append(h_x + h_y - h_pair)
     bits.append(_plogp_bits(flat))
     # the clamp rule, called only for an entry that is not positive
     h = {label: b if b > 0.0 else _clamp(b, "entropy") for label, b in zip(_LABELS, bits)}
@@ -210,11 +203,7 @@ def conditional_entropy(d: JointDistribution, target: int, given: int) -> Entrop
     Diagnostic only: classically nonnegative, and none of the inequality
     checks depend on it.
     """
-    target, given = _pair_indices(d, target, given)
-    pair = marginalize(d, {target, given})
-    given_axis = 0 if given < target else 1
-    h_pair = _plogp_bits(pair.flat)
-    h_given = _plogp_bits(_row_col_sums(pair.flat, *pair.alphabet_sizes)[given_axis])
+    h_pair, _, h_given = _pair(d, target, given)
     return EntropyValue(_clamp(h_pair - h_given, "conditional entropy"), 2.0)
 
 
@@ -239,6 +228,6 @@ def mixing_entropy(
         )
     h_after = _plogp_bits(after.flat)
     h_parts = 0.0
-    for w, c in zip(weights, components):
-        h_parts += float(w) * _plogp_bits(c.flat)
+    for w, c in zip(_reals(_entries(weights), "weights"), components):  # the floats mix read
+        h_parts += w * _plogp_bits(c.flat)
     return EntropyValue(_clamp(h_after - h_parts, "mixing entropy"), 2.0)

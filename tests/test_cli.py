@@ -520,6 +520,9 @@ def test_statmech_long_coin_sequence_with_heads(capsys):
     (["--coins", "1000000000", "--trials", "1"], "coin sequences capped at 10000, got 1000000000"),
     (["--coins", "1000", "--trials", "1000000"], "Monte Carlo capped at 100000000 flips"),
     (["--coins", "5", "--trials", "100", "--seed", "-1"], "seed must be >= 0, got -1"),
+    # --trials given means a Monte Carlo run, and --seed alone seeds nothing
+    (["--coins", "5", "--trials", "0", "--seed", "3"], "trials must be >= 1, got 0"),
+    (["--coins", "5", "--seed", "3"], "--seed does not apply without --trials"),
 ])
 def test_statmech_coin_caps_are_exit_2(capsys, extra, fragment):
     code, out, err = run_cli(capsys, "statmech", *extra)
@@ -616,7 +619,7 @@ _FLAGS = {
     "statmech": {"--dice": (_arg(("2", "6"), ("9", "0", "x")), _arg(("7", "30"), ("0", "-1"))),
                  "--combine": (_arg(("3", "10" * 15), ("0", "-2")), _arg(("4", "1"))),
                  "--coins": (_arg(("5", "2000"), ("10001", "0", "x")),),
-                 "--trials": (_arg(("0", "100", "100000"), ("-5",)),),
+                 "--trials": (_arg(("100", "100000"), ("0", "-5")),),
                  "--seed": (_arg(("0", "7"), ("-1", "x")),),
                  "--heads": (_arg(("0", "3"), ("6", "-1")),),
                  "--mix": (_arg(("1", "20"), ("60", "0", "x")), _arg(("1", "20"))),

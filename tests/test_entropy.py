@@ -243,6 +243,14 @@ def test_mixing_biased_pair():
     assert got == pytest.approx(1.0 - h2(0.1), abs=1e-12)
 
 
+def test_mixing_reads_the_weights_mix_reads():
+    a = bits([0.9, 0.1])
+    b = bits([0.1, 0.9])
+    nested = [[0.25], [0.75]]
+    after = mix([a, b], nested)
+    assert repr(mixing_entropy([a, b], nested, after)) == repr(mixing_entropy([a, b], [0.25, 0.75], after))
+
+
 def test_mixing_rejects_bad_weights():
     d = bits([0.5, 0.5])
     with pytest.raises(WeightsNotNormalizedError):

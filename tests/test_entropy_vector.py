@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import (
     JointDistribution,
     cerf_adami_classical,
+    conditional_entropy,
     conditional_mutual_information,
     dpi_check,
     entropy_vector,
@@ -236,3 +238,20 @@ def test_vector_matches_scipy_on_numpy_marginals(d):
     for x, y in PAIRS:
         mi = single[(x,)] + single[(y,)] - single[(x, y)]
         assert abs(h[f"H({'ABC'[x]}:{'ABC'[y]})"] - mi) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=st.one_of(tripartite_tables(), tripartite_tables().map(lambda t: marginalize(t, {0, 2}))))
+def test_pair_quantities_match_scipy_in_both_argument_orders(d):
+    """The pair reduction hands back its two marginals in argument order."""
+    from scipy.stats import entropy
+
+    raw = d.probs
+
+    def h(*keep):
+        drop = tuple(i for i in range(d.num_vars) if i not in keep)
+        return entropy((raw.sum(axis=drop) if drop else raw).ravel(), base=2)
+
+    for x, y in itertools.permutations(range(d.num_vars), 2):
+        assert abs(conditional_entropy(d, x, y).value - (h(x, y) - h(y))) <= 1e-12
+        assert repr(mutual_entropy(d, x, y)) == repr(mutual_entropy(d, y, x))
