@@ -242,14 +242,15 @@ def product(d1: JointDistribution, d2: JointDistribution) -> JointDistribution:
 
 
 def mix(components: Sequence[JointDistribution], weights: Sequence[float]) -> JointDistribution:
-    """Weighted mixture of same-shape distributions."""
-    if len(components) == 0 or len(components) != len(weights):
+    """Weighted mixture of same-shape distributions; nested weights are read row-major."""
+    w = _entries(weights)
+    if len(components) == 0 or len(components) != len(w):
         raise ValidationError("need matching, nonempty components and weights")
     shape = components[0].alphabet_sizes
     for c in components[1:]:
         if c.alphabet_sizes != shape:
             raise ShapeMismatchError(f"component shapes differ: {shape} vs {c.alphabet_sizes}")
-    w = _reals(_entries(weights), "weights")
+    w = _reals(w, "weights")
     if not all(map(math.isfinite, w)) or min(w) < 0.0 or abs(_total(w) - 1.0) > NORMALIZATION_ATOL:
         raise WeightsNotNormalizedError(f"weights must be nonnegative and sum to 1, got {w}")
     table = [0.0] * len(components[0].flat)

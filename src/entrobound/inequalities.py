@@ -7,10 +7,10 @@ checks read every term from one :func:`~entrobound.entropy.entropy_vector`
 of unconditional entropies: each side of the triangle, 2H(B), narrowed and
 data-processing checks is a linear form in it, written out as a plain
 expression over the vector, and the classical Cerf-Adami check takes three
-of its entries.  Every report is built by one private constructor that
-skips the frozen dataclass's ``__init__``, because a battery builds eleven
-of them from the same ten numbers.  Checks never reject inputs for failing
-a structural assumption: the plain
+of its entries.  The report's own ``__init__`` fills the instance dict
+directly instead of setting each frozen field through ``object.__setattr__``,
+because a battery builds eleven reports from the same ten numbers.  Checks
+never reject inputs for failing a structural assumption: the plain
 mutual-information triangle, for instance, is only guaranteed on Markov
 distributions, and demonstrating its failure off-Markov is part of what the
 reports are for.  Satisfaction tolerance is fixed at 1e-9 absolute.
@@ -48,6 +48,15 @@ class InequalityReport:
     terms: dict[str, float]
     meta: dict = field(default_factory=dict)
 
+    def __init__(self, name: str, lhs: float, rhs: float, terms: dict[str, float], meta: dict | None = None) -> None:
+        # the instance dict, in field order, is all the generated frozen __init__ leaves behind
+        fields = self.__dict__
+        fields["name"] = name
+        fields["lhs"] = lhs
+        fields["rhs"] = rhs
+        fields["terms"] = terms
+        fields["meta"] = {} if meta is None else meta
+
     @property
     def satisfied(self) -> bool:
         return bool(self.lhs <= self.rhs + SATISFIED_ATOL)
@@ -66,26 +75,6 @@ class InequalityReport:
             "margin": self.margin,
             "meta": dict(self.meta),
         }
-
-
-_new = object.__new__
-
-
-def _report(name: str, lhs: float, rhs: float, terms: dict, meta: dict) -> InequalityReport:
-    """``InequalityReport(name, lhs, rhs, terms, meta)``, without the frozen ``__init__``.
-
-    A frozen dataclass sets each field through ``object.__setattr__``; this
-    fills the instance dict directly, which is all that ``__init__`` leaves
-    behind, so the report is equal, copies, pickles and stays frozen alike.
-    """
-    report = _new(InequalityReport)
-    fields = report.__dict__
-    fields["name"] = name
-    fields["lhs"] = lhs
-    fields["rhs"] = rhs
-    fields["terms"] = terms
-    fields["meta"] = meta
-    return report
 
 
 _MI_TERMS = ("H(A:B)", "H(B:C)", "H(A:C)")
@@ -125,13 +114,14 @@ _PIVOTS = tuple(
 
 def _check(name: str, h, meta: dict | None = None) -> InequalityReport:
     lhs, rhs, terms, check_meta = _CHECKS[name]
-    return _report(name, lhs(h), rhs(h), {label: h[key] for label, key in terms}, {**(meta or {}), **check_meta})
+    return InequalityReport(name, lhs(h), rhs(h), {t: h[key] for t, key in terms}, {**(meta or {}), **check_meta})
 
 
 def _cerf_adami(terms: dict[str, float], rhs: float, source: str, **meta) -> InequalityReport:
     """The Cerf-Adami report |H(x:y) - H(x:z)| + H(y:z) <= rhs of ``terms``, in that order and in bits."""
     ixy, ixz, iyz = terms.values()
-    return _report("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms, {"source": source, "normalized": rhs == 1.0, **meta})
+    return InequalityReport("cerf_adami", abs(ixy - ixz) + iyz, rhs, terms,
+                            {"source": source, "normalized": rhs == 1.0, **meta})
 
 
 def _pivot(pivot) -> tuple:

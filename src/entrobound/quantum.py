@@ -361,6 +361,15 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     return JointDistribution((2, 2), p.reshape(2, 2))
 
 
+def _three_pairs(c: np.ndarray, angles) -> tuple[np.ndarray, tuple]:
+    """H(A:B), H(A:C), H(B:C) in bits of the experiments (A, B), (A, C), (B, C) at ``angles``, and their ``_sides``."""
+    theta_a, theta_b, theta_c = angles
+    sides = _sides(c, np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c]))
+    mi = np.empty(3)
+    _pair_mi(sides, mi)  # finite and >= 0
+    return mi, sides
+
+
 def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> InequalityReport:
     """Cerf-Adami check on three pairwise measurement experiments.
 
@@ -371,19 +380,11 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
     flags that precondition and records a warning when a marginal deviates
     from uniform by more than 1e-6.
     """
-    theta_a, theta_b, theta_c = settings.angles
-    # the experiments (A, B), (A, C) and (B, C), elementwise
-    sides = _sides(_correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c]))
-    warnings: list[str] = []
-    # a setting's marginal is ((1 + a)/2, (1 - a)/2): it deviates from uniform by |a|/2
+    mi, sides = _three_pairs(_correlations(rho), settings.angles)
     pairs = (("H(A:B)", "A", "B"), ("H(A:C)", "A", "C"), ("H(B:C)", "B", "C"))
-    for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(sides[2]), 2.0 * np.abs(sides[6])):
-        for setting_name, deviation in ((n1, dev_1), (n2, dev_2)):
-            if deviation > MARGINAL_UNIFORM_ATOL:
-                warnings.append(
-                    f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
-                )
-    mi = np.empty(3)
-    _pair_mi(sides, mi)  # in bits, finite and >= 0
+    # a setting's marginal is ((1 + a)/2, (1 - a)/2): it deviates from uniform by |a|/2
+    warnings = [f"setting {name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
+                for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(sides[2]), 2.0 * np.abs(sides[6]))
+                for name, deviation in ((n1, dev_1), (n2, dev_2)) if deviation > MARGINAL_UNIFORM_ATOL]
     return _cerf_adami({label: v for (label, _, _), v in zip(pairs, mi.tolist())}, 1.0, "pairwise",
                        angles=[float(a) for a in settings.angles], marginals_uniform=not warnings, warnings=warnings)

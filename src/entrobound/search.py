@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import MonotonicityViolatedError, ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
 from .inequalities import SATISFIED_ATOL
-from .quantum import _BLOCK_CELLS, DensityMatrix, MeasurementSettings, cerf_adami_quantum, pair_mi_table, werner_state
+from .quantum import (_BLOCK_CELLS, DensityMatrix, MeasurementSettings, _correlations, _three_pairs, pair_mi_table,
+                      werner_state)
 from .value import _as_size
 
 GRID_MIN_RESOLUTION = 8
@@ -176,8 +177,14 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _lhs_at(rho: DensityMatrix, angles: tuple[float, float, float]) -> float:
-    return cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs
+def _lhs_at(c: np.ndarray, angles: tuple[float, float, float]) -> float:
+    """``cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs`` from ``c = _correlations(rho)``, bit for bit.
+
+    No settings or report are built.  Angles are reduced mod pi as the settings reduce them: a probe a
+    hair below 0 wraps to pi, which the settings read as 0.
+    """
+    ab, ac, bc = _three_pairs(c, [a % math.pi for a in angles])[0].tolist()
+    return abs(ab - ac) + bc
 
 
 def _spreads(mi: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -351,9 +358,10 @@ def refine(
     if resolution < 1:
         raise ValidationError(f"resolution must be >= 1, got {resolution}")
 
+    c = _correlations(rho)
     step = math.pi / resolution
     current = list(start.angles)
-    current_lhs = _lhs_at(rho, tuple(current))
+    current_lhs = _lhs_at(c, tuple(current))
     trace = [(tuple(current), current_lhs)]
 
     while step >= tol:
@@ -364,7 +372,7 @@ def refine(
                 for direction in (step, -step):
                     candidate = list(current)
                     candidate[axis] = (candidate[axis] + direction) % math.pi
-                    lhs = _lhs_at(rho, tuple(candidate))
+                    lhs = _lhs_at(c, tuple(candidate))
                     trace.append((tuple(candidate), lhs))
                     if lhs > current_lhs + WINNER_ATOL:
                         current, current_lhs = candidate, lhs

@@ -251,6 +251,17 @@ def test_mixing_reads_the_weights_mix_reads():
     assert repr(mixing_entropy([a, b], nested, after)) == repr(mixing_entropy([a, b], [0.25, 0.75], after))
 
 
+@pytest.mark.parametrize("count, weights", [(2, [[0.5, 0.5], [0.0, 0.0]]), (1, [[0.5, 0.5]])],
+                         ids=["extra-row", "one-row-for-one-component"])
+def test_mix_counts_the_flattened_weights(count, weights):
+    # nested weights used to be counted by rows, so the extra entries were dropped or mixed in short
+    components = [bits([0.9, 0.1]), bits([0.1, 0.9])][:count]
+    with pytest.raises(ValidationError, match="need matching, nonempty components and weights"):
+        mix(components, weights)
+    with pytest.raises(ValidationError, match="need matching, nonempty components and weights"):
+        mixing_entropy(components, weights, components[0])
+
+
 def test_mixing_rejects_bad_weights():
     d = bits([0.5, 0.5])
     with pytest.raises(WeightsNotNormalizedError):

@@ -7,8 +7,10 @@ writes to stderr (an input error) stores that too, in ``<case>.err``; every
 other case must leave stderr empty.  The stored files were captured before
 the classical checks were rebuilt on the entropy vector (and, for the
 statmech, refined-search, trace, threshold, relative-entropy, base and
-error cases, before the CLI dropped its separate config object), so they
-pin today's bytes for every later change.
+error cases, before the CLI dropped its separate config object, and for
+the refined search on a random mixed state, before refine's probes
+stopped building reports), so they pin today's bytes for every later
+change.
 
 Only a deliberate output change may rewrite them::
 
@@ -70,6 +72,9 @@ def _cases() -> dict[str, list[str]]:
         "statmech-mix": ["statmech", "--mix", "10", "10"],
         "statmech-mix-same-species": ["statmech", "--mix", "10", "10", "--same-species"],
         "search-singlet-refined": ["search", "--state", "singlet", "--resolution", "8"],
+        # seeded random_mixed_state (rng 21): not swap-symmetric, with non-uniform marginals
+        "search-mixed_state-refined": ["search", "--state-file", str(DATA / "mixed_state.json"), "--resolution",
+                                       "16"],
         "search-werner-trace": ["search", "--state", "werner:0.97", "--resolution", "8", "--no-refine",
                                 "--trace"],
         "search-werner-threshold": ["search", "--werner-threshold", "--resolution", "32", "--tolerance", "0.25"],

@@ -30,7 +30,7 @@ from entrobound import (
 from entrobound.cli import _classical_battery
 from entrobound.entropy import _LABELS
 from entrobound.errors import NegativeMutualInformationError, ValidationError, WrongArityError
-from entrobound.inequalities import _CHECKS, InequalityReport, _report
+from entrobound.inequalities import _CHECKS, InequalityReport
 
 from conftest import (
     h2,
@@ -85,11 +85,14 @@ def test_replaced_report_recomputes_satisfied_and_margin():
 
 
 def test_private_report_constructor_builds_what_the_dataclass_builds():
+    names = ("name", "lhs", "rhs", "terms", "meta")
     args = ("triangle", 0.25, -0.0, {"H(A:B)": 0.5, "H(B:C)": 0.0, "H(A:C)": 0.25}, {"requires_markov": True})
-    built, made = _report(*args), InequalityReport(*args)
+    built, made = InequalityReport(*args), InequalityReport(**dict(zip(names, args)))
     assert type(built) is InequalityReport
     assert built == made and repr(built) == repr(made) and report_fields(built) == report_fields(made)
-    assert list(vars(built).items()) == list(vars(made).items())
+    assert list(vars(built).items()) == list(vars(made).items()) == list(zip(names, args))
+    bare, other = InequalityReport("x", 0.0, 1.0, {}), InequalityReport("x", 0.0, 1.0, {})
+    assert bare.meta == {} and bare.meta is not other.meta  # the field's default_factory
     assert json.dumps(built.to_dict()) == json.dumps(made.to_dict())
     for twin in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
         assert type(twin) is InequalityReport and report_fields(twin) == report_fields(made)

@@ -11,8 +11,10 @@ from scipy.optimize import brentq, minimize_scalar
 
 from entrobound import (
     DensityMatrix,
+    InequalityReport,
     MeasurementSettings,
     bell_state,
+    cerf_adami_quantum,
     grid_refine,
     grid_search,
     maximally_mixed,
@@ -549,6 +551,29 @@ def test_refine_does_not_walk_a_flat_ridge_on_rounding_noise(monkeypatch):
     result = refine(singlet(), start, tol=1e-3, resolution=8)
     assert result.best_settings == start
     assert result.best_lhs == result.trace[0][1]
+
+
+def test_refine_probes_build_no_report_and_match_the_report_bit_for_bit(monkeypatch):
+    rho = DensityMatrix(2, 2, random_mixed_state(np.random.default_rng(0)))
+    # the second angle's first downward probe lands a hair below 0 and wraps to pi, which the settings read as 0
+    start = MeasurementSettings((1.0, math.nextafter(math.pi / 8, 0.0), 2.0))
+    built = {"reports": 0, "settings": 0, "correlations": 0}
+
+    def count(key, original):
+        def counted(*args, **kwargs):
+            built[key] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(InequalityReport, "__init__", count("reports", InequalityReport.__init__))
+    monkeypatch.setattr(MeasurementSettings, "__post_init__", count("settings", MeasurementSettings.__post_init__))
+    monkeypatch.setattr(search_module, "_correlations", count("correlations", search_module._correlations))
+    result = refine(rho, start, tol=1e-3, resolution=8)
+    assert built == {"reports": 0, "settings": 1, "correlations": 1}  # the settings are the result's
+    monkeypatch.undo()
+    assert len(result.trace) > 50 and any(math.pi in angles for angles, _ in result.trace)
+    for angles, lhs in result.trace:
+        assert lhs == cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
