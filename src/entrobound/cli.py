@@ -420,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--state-file", help="JSON density-matrix file")
     # Parsed here, so a bad angle is reported before an unrecognized argument.
     p.add_argument("--angles", required=True, type=_parse_angles,
-                   help="three angles in radians, comma separated")
+                   help="three angles in radians, comma separated; a negative first angle needs --angles=-0.5,0,1")
 
     p = command("search", _cmd_search, "violation search over settings")
     group = p.add_mutually_exclusive_group(required=True)

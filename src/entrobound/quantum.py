@@ -11,7 +11,9 @@ For such measurements a two-qubit state enters only through eight numbers,
 its x-z Bloch components and correlations (``_correlations``; Horodecki et
 al., Phys. Lett. A 200, 340, 1995).  H(X:Y) = H(X) + H(Y) - H(X,Y) of a pair
 is one closed form over them (``_pair_mi``), with H(X) and H(Y) computed
-once per angle (``_sides``) and H(X,Y), four logs, once per pair.
+once per angle (``_sides``) and H(X,Y), four logs, once per pair.  A setting
+is one call (``_three_pairs``): three angles in, the 2x2 joints and MIs of
+(A, B), (A, C) and (B, C) out; its report reads the marginals from the joints.
 
 Quantum entropies default to bits so they compose with the classical side
 and the Cerf-Adami bound of 1.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointDistribution
+from .dist import JointDistribution, _entries, _reals
 from .entropy import CLAMP_ATOL, EntropyValue, _check_base, _clamp, _plogp_bits
 from .errors import (
     DimensionMismatchError,
@@ -105,6 +107,8 @@ class DensityMatrix:
     @classmethod
     def from_dict(cls, payload: dict) -> "DensityMatrix":
         da, db = payload["dims"]
+        for key in ("re", "im"):  # the rule for numbers of distribution and spec files
+            _reals(_entries(payload[key]), "density matrix entries")
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
         if re.shape != im.shape:
@@ -122,13 +126,15 @@ class DensityMatrix:
         return f"DensityMatrix(dims=({self.dim_a}, {self.dim_b}))"
 
 
+def _canonical_angle(angle: float) -> float:
+    """``angle`` mod pi, the period of a projector pair up to relabeling; a hair below 0 gives pi, read as 0.0."""
+    reduced = angle % math.pi
+    return 0.0 if reduced == math.pi else reduced
+
+
 @dataclass(frozen=True)
 class MeasurementSettings:
-    """Three measurement angles in the x-z plane, canonicalized to [0, pi).
-
-    Projector pairs are pi-periodic up to relabeling the two outcomes, so
-    angles are reduced modulo pi.
-    """
+    """Three measurement angles in the x-z plane, each canonicalized to [0, pi) by ``_canonical_angle``."""
 
     angles: tuple[float, float, float]
 
@@ -138,7 +144,7 @@ class MeasurementSettings:
             raise ValidationError(f"need exactly 3 angles, got {len(raw)}")
         if not all(math.isfinite(a) for a in raw):
             raise ValidationError(f"angles must be finite, got {raw}")
-        object.__setattr__(self, "angles", tuple(a % math.pi for a in raw))
+        object.__setattr__(self, "angles", tuple(map(_canonical_angle, raw)))
 
     def to_dict(self) -> dict:
         return {"angles": [float(a) for a in self.angles]}
@@ -361,13 +367,12 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     return JointDistribution((2, 2), p.reshape(2, 2))
 
 
-def _three_pairs(c: np.ndarray, angles) -> tuple[np.ndarray, tuple]:
-    """H(A:B), H(A:C), H(B:C) in bits of the experiments (A, B), (A, C), (B, C) at ``angles``, and their ``_sides``."""
+def _three_pairs(c: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
+    """H(A:B), H(A:C), H(B:C) in bits at ``angles``, and the (4, 3) ``_pair_mi`` joints of those experiments."""
     theta_a, theta_b, theta_c = angles
-    sides = _sides(c, np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c]))
     mi = np.empty(3)
-    _pair_mi(sides, mi)  # finite and >= 0
-    return mi, sides
+    joints = _pair_mi(_sides(c, np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c])), mi)
+    return mi, joints  # mi finite and >= 0
 
 
 def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> InequalityReport:
@@ -380,11 +385,11 @@ def cerf_adami_quantum(rho: DensityMatrix, settings: MeasurementSettings) -> Ine
     flags that precondition and records a warning when a marginal deviates
     from uniform by more than 1e-6.
     """
-    mi, sides = _three_pairs(_correlations(rho), settings.angles)
+    mi, p = _three_pairs(_correlations(rho), settings.angles)
     pairs = (("H(A:B)", "A", "B"), ("H(A:C)", "A", "C"), ("H(B:C)", "B", "C"))
-    # a setting's marginal is ((1 + a)/2, (1 - a)/2): it deviates from uniform by |a|/2
+    # each setting's marginal is read from its experiment's joint: p(+) = p(+,+) + p(+,-) or p(+,+) + p(-,+)
     warnings = [f"setting {name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
-                for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(sides[2]), 2.0 * np.abs(sides[6]))
+                for (label, n1, n2), dev_1, dev_2 in zip(pairs, abs(p[0] + p[1] - 0.5), abs(p[0] + p[2] - 0.5))
                 for name, deviation in ((n1, dev_1), (n2, dev_2)) if deviation > MARGINAL_UNIFORM_ATOL]
     return _cerf_adami({label: v for (label, _, _), v in zip(pairs, mi.tolist())}, 1.0, "pairwise",
                        angles=[float(a) for a in settings.angles], marginals_uniform=not warnings, warnings=warnings)

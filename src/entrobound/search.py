@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import MonotonicityViolatedError, ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
 from .inequalities import SATISFIED_ATOL
-from .quantum import (_BLOCK_CELLS, DensityMatrix, MeasurementSettings, _correlations, _three_pairs, pair_mi_table,
-                      werner_state)
+from .quantum import (_BLOCK_CELLS, DensityMatrix, MeasurementSettings, _canonical_angle, _correlations, _three_pairs,
+                      pair_mi_table, werner_state)
 from .value import _as_size
 
 GRID_MIN_RESOLUTION = 8
@@ -180,10 +180,10 @@ def _check_tol(tol: float) -> float:
 def _lhs_at(c: np.ndarray, angles: tuple[float, float, float]) -> float:
     """``cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs`` from ``c = _correlations(rho)``, bit for bit.
 
-    No settings or report are built.  Angles are reduced mod pi as the settings reduce them: a probe a
-    hair below 0 wraps to pi, which the settings read as 0.
+    No settings or report are built, and ``angles`` are not reduced: they must already be canonical, as
+    settings angles and refine probes are (``quantum._canonical_angle``).
     """
-    ab, ac, bc = _three_pairs(c, [a % math.pi for a in angles])[0].tolist()
+    ab, ac, bc = _three_pairs(c, angles)[0].tolist()
     return abs(ab - ac) + bc
 
 
@@ -360,9 +360,9 @@ def refine(
 
     c = _correlations(rho)
     step = math.pi / resolution
-    current = list(start.angles)
-    current_lhs = _lhs_at(c, tuple(current))
-    trace = [(tuple(current), current_lhs)]
+    current = start.angles
+    current_lhs = _lhs_at(c, current)
+    trace = [(current, current_lhs)]
 
     while step >= tol:
         improved = True
@@ -370,17 +370,16 @@ def refine(
             improved = False
             for axis in range(3):
                 for direction in (step, -step):
-                    candidate = list(current)
-                    candidate[axis] = (candidate[axis] + direction) % math.pi
-                    lhs = _lhs_at(c, tuple(candidate))
-                    trace.append((tuple(candidate), lhs))
+                    candidate = (*current[:axis], _canonical_angle(current[axis] + direction), *current[axis + 1:])
+                    lhs = _lhs_at(c, candidate)
+                    trace.append((candidate, lhs))
                     if lhs > current_lhs + WINNER_ATOL:
                         current, current_lhs = candidate, lhs
                         improved = True
         step /= 2.0
 
     return SearchResult(
-        best_settings=MeasurementSettings(tuple(current)),
+        best_settings=MeasurementSettings(current),
         best_lhs=current_lhs,
         trace=Trace(tuple(trace)),
         grid_resolution=resolution,

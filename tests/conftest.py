@@ -5,17 +5,19 @@ paths: entropies are summed with math.log2 in a plain loop, singlet
 statistics come from the closed form, and reduced-state spectra are taken
 straight from numpy on test-side matrices.  ``reference_measure_pair`` is
 a per-pair projector and np.kron evaluation; the closed-form pair kernel
-(marginal entropies once per angle, the joint entropy per pair) must agree
-with it within 1e-12.  ``reference_cerf_adami_quantum`` takes the three
-MIs from that kernel, builds the report through ``cerf_adami_check`` and
-extends it with the quantum meta, which the one-call report replaced; the
-two must agree field for field.  ``reference_battery`` and
-``reference_cmi`` are the per-quantity classical checks (one marginal and
-one pair MI per term) that the entropy vector replaced; the vector-based
-checks must reproduce them bit for bit.  ``reference_cube_argmax`` is the
-four-pass grid reduction (subtract, abs, add, max over row chunks of the
-resolution^3 cube) that the reduce-over-i-first sweep replaced; the grid
-search must reproduce its maximum and winner bit for bit.
+(marginal entropies once per angle, the joint entropy per pair), its joints
+and the report's marginal warnings must agree with it within 1e-12.
+``reference_cerf_adami_quantum`` takes the three MIs and joints of a setting
+from that kernel (``quantum._three_pairs``), builds the report through
+``cerf_adami_check`` and extends it with the quantum meta, which the
+one-call report replaced; the two must agree field for field.
+``reference_battery`` and ``reference_cmi`` are the per-quantity classical
+checks (one marginal and one pair MI per term) that the entropy vector
+replaced; the vector-based checks must reproduce them bit for bit.
+``reference_cube_argmax`` is the four-pass grid reduction (subtract, abs,
+add, max over row chunks of the resolution^3 cube) that the
+reduce-over-i-first sweep replaced; the grid search must reproduce its
+maximum and winner bit for bit.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from entrobound import (
     shannon_entropy,
 )
 from entrobound.errors import InternalError
-from entrobound.quantum import _correlations, _pair_mi, _sides
+from entrobound.quantum import _correlations, _three_pairs
 
 
 def brute_entropy_bits(flat) -> float:
@@ -110,18 +112,15 @@ def _ref_report(name, lhs, rhs, terms, meta=None):
 
 def reference_cerf_adami_quantum(rho, settings) -> InequalityReport:
     """``cerf_adami_quantum`` through ``cerf_adami_check``, with the quantum meta appended."""
-    theta_a, theta_b, theta_c = settings.angles
-    sides = _sides(_correlations(rho), np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c]))
+    mi, p = _three_pairs(_correlations(rho), settings.angles)
     warnings = []
     pairs = (("H(A:B)", "A", "B"), ("H(A:C)", "A", "C"), ("H(B:C)", "B", "C"))
-    for (label, n1, n2), dev_1, dev_2 in zip(pairs, 2.0 * np.abs(sides[2]), 2.0 * np.abs(sides[6])):
+    for (label, n1, n2), dev_1, dev_2 in zip(pairs, np.abs(p[0] + p[1] - 0.5), np.abs(p[0] + p[2] - 0.5)):
         for setting_name, deviation in ((n1, dev_1), (n2, dev_2)):
             if deviation > 1e-6:
                 warnings.append(
                     f"setting {setting_name} marginal in {label} deviates from uniform by {float(deviation):.3g}"
                 )
-    mi = np.empty(3)
-    _pair_mi(sides, mi)
     r = cerf_adami_check(*(EntropyValue(float(v), 2.0) for v in mi), bound=1.0, source="pairwise")
     meta = {**r.meta, "angles": [float(a) for a in settings.angles], "marginals_uniform": not warnings,
             "warnings": warnings}

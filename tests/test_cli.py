@@ -148,6 +148,13 @@ def test_quantum_violation_exit_code(capsys):
     assert json.loads(out)["reports"][0]["satisfied"] is False
 
 
+def test_quantum_angle_a_hair_below_zero_prints_zero(capsys):
+    # a negative first angle needs the = form: with a space argparse reads it as an option
+    code, out, _ = run_cli(capsys, "quantum", "--state", "singlet", "--angles=-1e-17,0.3927,0.7854")
+    assert code == 1
+    assert '"angles": [0, 0.3927, 0.7854]' in out
+
+
 def test_quantum_state_file(capsys, product_state_file):
     code, out, _ = run_cli(capsys, "quantum", "--state-file", product_state_file,
                            "--angles", "0.2,0.9,1.4")
@@ -278,6 +285,9 @@ _BAD_INPUT_FILES = {
     "state-re": {"dims": [2, 2], "re": [["a", 0, 0, 0]] + [_ZERO_ROW] * 3, "im": [_ZERO_ROW] * 4},
     "state-im": {"dims": [2, 2], "re": [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
                  "im": [_ZERO_ROW, [0, "b", 0, 0], _ZERO_ROW, _ZERO_ROW]},
+    "state-bool": {"dims": [2, 2], "re": [[True, 0, 0, 0], _ZERO_ROW, _ZERO_ROW, _ZERO_ROW], "im": [_ZERO_ROW] * 4},
+    "state-numeric-str": {"dims": [2, 2], "re": [["0.5", 0, 0, 0], _ZERO_ROW, _ZERO_ROW, [0, 0, 0, "0.5"]],
+                          "im": [_ZERO_ROW] * 4},
 }
 _BAD_INPUT_COMMANDS = {
     "dist": ["inequality", "--dist"],
@@ -290,8 +300,10 @@ _BAD_INPUT_COMMANDS = {
     "spec-str-t1": ["markov", "--spec"],
     "state-re": ["quantum", "--angles", "0,1,2", "--state-file"],
     "state-im": ["search", "--state-file"],
+    "state-bool": ["quantum", "--angles", "0,1,2", "--state-file"],
+    "state-numeric-str": ["search", "--state-file"],
 }
-# the classical tables are checked by the package; density matrices by numpy's float conversion
+# every file's numbers, density matrices' included, are checked by the package's rule (dist._reals)
 _BAD_INPUT_MESSAGES = {
     "dist": "probabilities must be real numbers, got 'half'",
     "dist-bool": "probabilities must be real numbers, got True",
@@ -301,8 +313,10 @@ _BAD_INPUT_MESSAGES = {
     "spec": "probabilities must be real numbers, got 'x'",
     "spec-bool-initial": "probabilities must be real numbers, got True",
     "spec-str-t1": "t1 entries must be real numbers, got '0.5'",
-    "state-re": "could not convert string to float",
-    "state-im": "could not convert string to float",
+    "state-re": "density matrix entries must be real numbers, got 'a'",
+    "state-im": "density matrix entries must be real numbers, got 'b'",
+    "state-bool": "density matrix entries must be real numbers, got True",
+    "state-numeric-str": "density matrix entries must be real numbers, got '0.5'",
 }
 
 

@@ -40,7 +40,7 @@ from entrobound.errors import (
 )
 from entrobound import quantum as quantum_module
 from entrobound.cli import main
-from entrobound.quantum import _correlations
+from entrobound.quantum import _correlations, _three_pairs
 
 from conftest import (
     h2,
@@ -345,6 +345,33 @@ def test_cerf_adami_quantum_report_matches_the_cerf_adami_check_path():
     assert warned > 40
 
 
+def test_marginal_warnings_and_joints_match_the_projector_reference():
+    # an oracle apart from the kernel: each cell is tr[rho (P_i x P_j)], one np.kron per cell
+    rng = np.random.default_rng(95)
+    states = [singlet(), werner_state(0.7), bell_state("phi+"), pure_state([1.0, 0.0, 0.0, 0.0])]
+    states += [DensityMatrix(2, 2, random_mixed_state(rng)) for _ in range(6)]
+    states += [pure_state(random_pure_two_qubit(rng)) for _ in range(4)]
+    uniform = 0
+    for rho in states:
+        for angles in [(0.0, math.pi / 8, math.pi / 4), *rng.uniform(0.0, math.pi, (12, 3))]:
+            settings = MeasurementSettings(tuple(angles))
+            a, b, c = settings.angles
+            tables = [reference_measure_pair(rho, x, y).probs for x, y in ((a, b), (a, c), (b, c))]
+            joints = _three_pairs(_correlations(rho), settings.angles)[1]
+            assert max(np.max(np.abs(joints[:, k] - t.ravel())) for k, t in enumerate(tables)) <= 1e-12
+            expected = []
+            for (label, names), t in zip((("H(A:B)", "AB"), ("H(A:C)", "AC"), ("H(B:C)", "BC")), tables):
+                for name, dev in zip(names, (abs(t[0].sum() - 0.5), abs(t[:, 0].sum() - 0.5))):
+                    assert abs(dev - 1e-6) > 1e-12  # no marginal on the threshold
+                    if dev > 1e-6:
+                        expected.append(f"setting {name} marginal in {label} deviates from uniform by {dev:.3g}")
+            report = cerf_adami_quantum(rho, settings)
+            assert report.meta["warnings"] == expected
+            assert report.meta["marginals_uniform"] is (not expected)
+            uniform += not expected
+    assert 3 * 13 <= uniform < len(states) * 13
+
+
 def test_cerf_adami_quantum_terms_are_the_pair_mi_table():
     # one kernel: the three experiments of a report are cells of the table at the same angles
     rng = np.random.default_rng(94)
@@ -394,6 +421,14 @@ def test_measurement_settings_canonicalization():
     for angle in s.angles:
         assert 0.0 <= angle < math.pi
     assert s.angles[1] == pytest.approx(0.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("angle", [-1e-17, -5e-324, math.nextafter(0.0, -1.0), 2 * math.pi, -math.pi])
+def test_measurement_settings_angles_are_canonical(angle):
+    # a hair below 0 is exactly pi mod pi in float, which the settings read as 0.0
+    s = MeasurementSettings((angle, 0.3, angle))
+    assert all(0.0 <= a < math.pi for a in s.angles)
+    assert MeasurementSettings(s.angles) == s
 
 
 def test_measurement_settings_rejects_non_finite():

@@ -555,7 +555,7 @@ def test_refine_does_not_walk_a_flat_ridge_on_rounding_noise(monkeypatch):
 
 def test_refine_probes_build_no_report_and_match_the_report_bit_for_bit(monkeypatch):
     rho = DensityMatrix(2, 2, random_mixed_state(np.random.default_rng(0)))
-    # the second angle's first downward probe lands a hair below 0 and wraps to pi, which the settings read as 0
+    # the second angle's first downward probe lands a hair below 0, which mod pi rounds to pi and is read as 0.0
     start = MeasurementSettings((1.0, math.nextafter(math.pi / 8, 0.0), 2.0))
     built = {"reports": 0, "settings": 0, "correlations": 0}
 
@@ -571,9 +571,19 @@ def test_refine_probes_build_no_report_and_match_the_report_bit_for_bit(monkeypa
     result = refine(rho, start, tol=1e-3, resolution=8)
     assert built == {"reports": 0, "settings": 1, "correlations": 1}  # the settings are the result's
     monkeypatch.undo()
-    assert len(result.trace) > 50 and any(math.pi in angles for angles, _ in result.trace)
+    assert len(result.trace) > 50 and result.trace[4][0] == (1.0, 0.0, 2.0)  # that probe: never pi
     for angles, lhs in result.trace:
         assert lhs == cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs
+
+
+def test_every_grid_and_refine_trace_angle_is_canonical():
+    rng = np.random.default_rng(97)
+    states = [singlet(), werner_state(0.9)] + [DensityMatrix(2, 2, random_mixed_state(rng)) for _ in range(4)]
+    start = MeasurementSettings((1.0, math.nextafter(math.pi / 8, 0.0), 2.0))  # a probe a hair below 0
+    for rho in states:
+        for result in (grid_refine(rho, 8, tol=1e-3), refine(rho, start, tol=1e-3, resolution=8)):
+            assert all(0.0 <= a < math.pi for angles, _ in result.trace for a in angles)
+            assert all(0.0 <= a < math.pi for a in result.best_settings.angles)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
