@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from . import __version__
 from .errors import EntroboundError, ParseError, ValidationError
+from .value import _check_base, _check_tol
 
 if TYPE_CHECKING:
     from .dist import JointDistribution
@@ -151,12 +152,11 @@ def _load_distribution(path: str) -> JointDistribution:
 def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
     if path is not None:
         return _load(path, "density-matrix", "quantum", "DensityMatrix")
-    from .quantum import bell_state, singlet, werner_state
+    from .quantum import bell_state, werner_state
 
     key = name.strip().lower()
-    if key == "singlet" or key == "bell-psi-minus":
-        return singlet()
-    bell = {"bell-phi-plus": "phi+", "bell-phi-minus": "phi-", "bell-psi-plus": "psi+"}
+    bell = {"singlet": "psi-", "bell-phi-plus": "phi+", "bell-phi-minus": "phi-", "bell-psi-plus": "psi+",
+            "bell-psi-minus": "psi-"}
     if key in bell:
         return bell_state(bell[key])
     if key.startswith("werner:"):
@@ -185,11 +185,11 @@ def _parse_angles(text: str) -> MeasurementSettings:
 
 # --- command handlers -----------------------------------------------------------
 #
-# Each handler takes the parsed argv and returns (payload, exit code).
+# Each handler takes the parsed argv and returns its payload; ``main`` derives
+# the exit code from the violations the payload reports.
 
-def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
-    if not math.isfinite(args.base) or args.base <= 1.0:
-        raise ValidationError(f"base must be finite and > 1, got {args.base}")
+def _cmd_entropy(args: argparse.Namespace) -> dict:
+    _check_base(args.base)  # before the file is read
     d = _load_distribution(args.dist)
     from .entropy import conditional_entropy, convert_base, mutual_entropy, relative_entropy, shannon_entropy
 
@@ -208,8 +208,7 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         value = shannon_entropy(d, args.base)
         kind = "joint"
-    payload = {"command": "entropy", "kind": kind, "entropy": value.to_dict()}
-    return payload, 0
+    return {"command": "entropy", "kind": kind, "entropy": value.to_dict()}
 
 
 def _classical_battery(d: JointDistribution, markov_checks: bool) -> list[InequalityReport]:
@@ -226,22 +225,20 @@ def _classical_battery(d: JointDistribution, markov_checks: bool) -> list[Inequa
     return reports
 
 
-def _cmd_inequality(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_inequality(args: argparse.Namespace) -> dict:
     d = _load_distribution(args.dist)
     from .markov import is_markov
 
     reports = _classical_battery(d, args.markov_checks)
-    violations = sum(0 if r.satisfied else 1 for r in reports)
-    payload = {
+    return {
         "command": "inequality",
         "markov": is_markov(d),
-        "violations": violations,
+        "violations": sum(0 if r.satisfied else 1 for r in reports),
         "reports": reports,
     }
-    return payload, 0 if violations == 0 else 1
 
 
-def _cmd_markov(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_markov(args: argparse.Namespace) -> dict:
     spec = _load(args.spec, "Markov spec", "markov", "MarkovChainSpec")
     from .inequalities import dpi_check, triangle_check
     from .markov import build_tripartite, conditional_mutual_information, is_markov
@@ -249,21 +246,20 @@ def _cmd_markov(args: argparse.Namespace) -> tuple[dict, int]:
     d = build_tripartite(spec)
     cmi = conditional_mutual_information(d, 0, 2, 1)
     reports = dpi_check(d, markov_certified=True) + [triangle_check(d)]
-    violations = sum(0 if r.satisfied else 1 for r in reports)
     payload = {
         "command": "markov",
         "cmi_a_c_given_b": cmi.to_dict(),
         "is_markov_forward": is_markov(d, (0, 1, 2)),
         "is_markov_reverse": is_markov(d, (2, 1, 0)),
-        "violations": violations,
+        "violations": sum(0 if r.satisfied else 1 for r in reports),
         "reports": reports,
     }
     if args.emit_joint:
         payload["joint"] = d.to_dict()
-    return payload, 0 if violations == 0 else 1
+    return payload
 
 
-def _cmd_quantum(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_quantum(args: argparse.Namespace) -> dict:
     rho = _resolve_state(args.state, args.state_file)
     from .quantum import (PURITY_ATOL, cerf_adami_quantum, conditional_quantum_entropy, is_entangled_pure,
                           partial_trace, von_neumann_entropy)
@@ -283,33 +279,29 @@ def _cmd_quantum(args: argparse.Namespace) -> tuple[dict, int]:
     }
     if purity >= 1.0 - PURITY_ATOL:
         diagnostics["entangled"] = is_entangled_pure(rho)
-    payload = {
+    return {
         "command": "quantum",
         "diagnostics": diagnostics,
         "violations": 0 if report.satisfied else 1,
         "reports": [report],
     }
-    return payload, 0 if report.satisfied else 1
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
-    if not math.isfinite(args.tolerance) or args.tolerance <= 0.0:
-        raise ValidationError(f"tolerance must be positive and finite, got {args.tolerance}")
+def _cmd_search(args: argparse.Namespace) -> dict:
+    _check_tol(args.tolerance)
     if args.werner_threshold:
         if args.trace or args.no_refine:
             flag = "--trace" if args.trace else "--no-refine"
             raise ValidationError(f"{flag} does not apply to --werner-threshold")
         from .search import werner_threshold
 
-        threshold = werner_threshold(args.resolution, args.tolerance)
-        payload = {
+        return {
             "command": "search",
             "mode": "werner-threshold",
             "resolution": args.resolution,
             "tolerance": args.tolerance,
-            "threshold": threshold,
+            "threshold": werner_threshold(args.resolution, args.tolerance),
         }
-        return payload, 0
     if args.trace and args.resolution > TRACE_MAX_RESOLUTION:
         raise ValidationError(f"--trace capped at resolution {TRACE_MAX_RESOLUTION}, got {args.resolution}")
     rho = _resolve_state(args.state, args.state_file)
@@ -322,10 +314,10 @@ def _cmd_search(args: argparse.Namespace) -> tuple[dict, int]:
     payload = {"command": "search", "result": result.to_dict()}
     if args.trace:
         payload["result"]["trace"] = result.trace  # lazy: rendered entry by entry
-    return payload, 1 if result.violation_found else 0
+    return payload
 
 
-def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_statmech(args: argparse.Namespace) -> dict:
     mode = next(m for m in ("dice", "combine", "coins", "mix") if getattr(args, m) is not None)
     for flag, owner, given in (("--trials", "coins", args.trials is not None),
                                ("--seed", "coins", args.seed is not None),
@@ -368,7 +360,7 @@ def _cmd_statmech(args: argparse.Namespace) -> tuple[dict, int]:
         value = mixing_demo(n_a, n_b, args.same_species)
         payload.update(mode="mixing", n_a=n_a, n_b=n_b, same_species=args.same_species,
                        mixing_entropy=value.to_dict())
-    return payload, 0
+    return payload
 
 
 # --- argument parsing --------------------------------------------------------------
@@ -455,7 +447,8 @@ def main(argv: list[str] | None = None) -> int:
     """Parse, run one command and print its result; returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        payload, code = args.handler(args)
+        payload = args.handler(args)
+        code = 1 if payload.get("violations") or payload.get("result", {}).get("violation_found") else 0
         _emit(payload, args.format, sys.stdout)
         sys.stdout.flush()
     except EntroboundError as exc:

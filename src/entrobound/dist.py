@@ -4,10 +4,10 @@ The dense table representation is deliberate: every alphabet in this package
 is tiny, so a table is a flat tuple of Python floats in row-major order, and
 plain loops over it cost less than numpy's per-call overhead and import.
 Variable order is positional and significant.  Tables are validated on
-construction (real-valued, finite, nonnegative, normalized within 1e-9,
-length consistent with the sizes) and then renormalized so downstream
-arithmetic sees a sum of exactly 1; the tuple is immutable, making values
-safe to share between threads.
+construction (sizes by :func:`_shape`, before any table is built; entries
+real-valued, finite, nonnegative, normalized within 1e-9, one per cell) and
+then renormalized so downstream arithmetic sees a sum of exactly 1; the
+tuple is immutable, making values safe to share between threads.
 
 Sums follow two fixed rules, shared by every path that computes a
 quantity: a total that a table is divided by is correctly rounded
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from itertools import product as _cells
-from numbers import Real
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,10 +37,13 @@ from .errors import (
     ValidationError,
     WeightsNotNormalizedError,
 )
-from .value import _Frozen, _as_size
+from .value import _Frozen, _as_real, _as_size
 
 NORMALIZATION_ATOL = 1e-9
 MAX_VARS = 3
+# Building a table peaks at ~92 bytes a cell (a list of floats, then the normalized
+# tuple): `markov --spec` on a 161-outcome chain, 4.17e6 cells, peaked at 402 MB RSS.
+MAX_CELLS = 1 << 22
 
 _NUMBER_TYPES = frozenset((float, int))
 
@@ -77,16 +79,14 @@ def _entries(table) -> list:
 
 
 def _reals(entries: list, what: str, error=ValidationError) -> list[float]:
-    """``entries`` as floats; a bool, a string or any other non-real entry raises ``error``."""
-    if not _NUMBER_TYPES.issuperset(map(type, entries)):
-        for x in entries:
-            if isinstance(x, bool) or not isinstance(x, Real):
-                raise error(f"{what} must be real numbers, got {x!r}")
-    return list(map(float, entries))
+    """``entries`` as floats, each by the ``_as_real`` rule; a non-real entry raises ``error``."""
+    if _NUMBER_TYPES.issuperset(map(type, entries)):
+        return list(map(float, entries))
+    return [_as_real(x, what, error) for x in entries]
 
 
-def _checked(alphabet_sizes: Sequence[int], probs) -> tuple[tuple[int, ...], list[float], float]:
-    """Validated sizes, entries and entry total of a raw table; raises on the first violation."""
+def _shape(alphabet_sizes: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Sizes and cell count of a table, checked before it is built: 1 to MAX_VARS sizes >= 1, at most MAX_CELLS cells."""
     sizes = tuple(_as_size(s) for s in alphabet_sizes)
     if len(sizes) == 0:
         raise ShapeMismatchError("need at least one variable")
@@ -94,6 +94,15 @@ def _checked(alphabet_sizes: Sequence[int], probs) -> tuple[tuple[int, ...], lis
         raise TooManyVariablesError(f"at most {MAX_VARS} variables supported, got {len(sizes)}")
     if any(s < 1 for s in sizes):
         raise ShapeMismatchError(f"alphabet sizes must be positive, got {sizes}")
+    cells = math.prod(sizes)
+    if cells > MAX_CELLS:
+        raise ValidationError(f"tables are capped at {MAX_CELLS} cells, got {cells} for sizes {sizes}")
+    return sizes, cells
+
+
+def _checked(alphabet_sizes: Sequence[int], probs) -> tuple[tuple[int, ...], list[float], float]:
+    """Validated sizes, entries and entry total of a raw table; raises on the first violation."""
+    sizes, cells = _shape(alphabet_sizes)
     flat = _reals(_entries(probs), "probabilities")
     if not all(map(math.isfinite, flat)):
         raise ValidationError("probabilities must be finite")
@@ -103,10 +112,8 @@ def _checked(alphabet_sizes: Sequence[int], probs) -> tuple[tuple[int, ...], lis
     total = _total(flat)
     if abs(total - 1.0) > NORMALIZATION_ATOL:
         raise NotNormalizedError(f"probabilities sum to {total}, expected 1 within {NORMALIZATION_ATOL}")
-    if len(flat) != math.prod(sizes):
-        raise ShapeMismatchError(
-            f"table has {len(flat)} entries, expected {math.prod(sizes)} for sizes {sizes}"
-        )
+    if len(flat) != cells:
+        raise ShapeMismatchError(f"table has {len(flat)} entries, expected {cells} for sizes {sizes}")
     return sizes, flat, total
 
 
@@ -169,14 +176,13 @@ class JointDistribution(_Frozen):
 
     @classmethod
     def uniform(cls, alphabet_sizes: Sequence[int]) -> "JointDistribution":
-        sizes = tuple(_as_size(s) for s in alphabet_sizes)
-        n = math.prod(sizes)
+        sizes, n = _shape(alphabet_sizes)
         return cls(sizes, [1.0 / n] * n)
 
     @classmethod
     def point_mass(cls, alphabet_sizes: Sequence[int], outcome: Sequence[int]) -> "JointDistribution":
         """All mass on a single outcome tuple."""
-        sizes = tuple(_as_size(s) for s in alphabet_sizes)
+        sizes, _ = _shape(alphabet_sizes)
         outcome = tuple(_as_size(i, "outcomes") for i in outcome)
         if len(outcome) != len(sizes) or not all(0 <= i < s for i, s in zip(outcome, sizes)):
             raise IndexOutOfRangeError(f"outcome {outcome} out of range for sizes {sizes}")
@@ -234,11 +240,9 @@ def marginalize(d: JointDistribution, keep: Iterable[int]) -> JointDistribution:
 
 def product(d1: JointDistribution, d2: JointDistribution) -> JointDistribution:
     """Outer product: independent concatenation of the two variable sets."""
-    total = d1.num_vars + d2.num_vars
-    if total > MAX_VARS:
-        raise TooManyVariablesError(f"product would have {total} variables (max {MAX_VARS})")
+    sizes, _ = _shape(d1.alphabet_sizes + d2.alphabet_sizes)
     table = [p * q for p in d1.flat for q in d2.flat]
-    return JointDistribution(d1.alphabet_sizes + d2.alphabet_sizes, table)
+    return JointDistribution(sizes, table)
 
 
 def mix(components: Sequence[JointDistribution], weights: Sequence[float]) -> JointDistribution:

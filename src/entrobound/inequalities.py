@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .dist import JointDistribution
 from .entropy import EntropyValue, _vector, convert_base
 from .errors import NegativeMutualInformationError, ValidationError, WrongArityError
-from .value import _as_size
+from .value import _as_real, _as_size
 
 SATISFIED_ATOL = 1e-9
 
@@ -124,6 +124,14 @@ def _cerf_adami(terms: dict[str, float], rhs: float, source: str, **meta) -> Ine
                             {"source": source, "normalized": rhs == 1.0, **meta})
 
 
+def _finite_bound(bound) -> float:
+    """A Cerf-Adami ``bound`` as a float by the ``_as_real`` rule; ValidationError unless finite."""
+    bound = _as_real(bound, "bounds")
+    if not math.isfinite(bound):
+        raise ValidationError(f"bound must be finite, got {bound}")
+    return bound
+
+
 def _pivot(pivot) -> tuple:
     """The ``_PIVOTS`` entry of pivot 0, 1 or 2."""
     index = pivot if type(pivot) is int else _as_size(pivot, "pivots")
@@ -175,12 +183,10 @@ def cerf_adami_check(
     binary marginals.  Inputs are converted to bits if needed; a NaN or
     infinite input or bound raises :class:`~entrobound.errors.ValidationError`.
     """
-    bound = float(bound)
-    if not math.isfinite(bound):
-        raise ValidationError(f"bound must be finite, got {bound}")
+    bound = _finite_bound(bound)
     terms = {}
     for label, e in (("H(A:B)", hab), ("H(A:C)", hac), ("H(B:C)", hbc)):
-        v = float(convert_base(e, 2.0).value)
+        v = convert_base(EntropyValue(_as_real(e.value, "mutual informations"), e.base), 2.0).value
         if not math.isfinite(v):
             raise ValidationError(f"{label} = {v} is not finite")
         if v < -SATISFIED_ATOL:
@@ -201,12 +207,7 @@ def cerf_adami_classical(d: JointDistribution, pivot: int = 0, bound: float | No
     entries: they are in bits and already clamped to >= 0.
     """
     x, _, _, ((xy, kxy), (xz, kxz), (yz, kyz)) = _pivot(pivot)
-    if bound is None:
-        rhs = 1.0
-    else:
-        rhs = float(bound)
-        if not math.isfinite(rhs):
-            raise ValidationError(f"bound must be finite, got {rhs}")
+    rhs = 1.0 if bound is None else _finite_bound(bound)
     h = _vector(d)
     return _cerf_adami({xy: h[kxy], xz: h[kxz], yz: h[kyz]}, rhs, "tripartite", pivot=x)
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from .dist import JointDistribution, _entries, _reals, _total, _variable
+from .dist import JointDistribution, _entries, _reals, _shape, _total, _variable
 from .entropy import EntropyValue, _clamp, _vector
 from .errors import (
     InvalidPermutationError,
@@ -93,8 +93,15 @@ class MarkovChainSpec:
 def build_tripartite(spec: MarkovChainSpec) -> JointDistribution:
     """p(a,b,c) = initial(a) * t1(a,b) * t2(b,c)."""
     t2 = spec.t2
+    sizes, _ = _shape((len(spec.t1), len(t2), len(t2[0])))  # the cap, before the table is built
     table = [pa * x * y for pa, row in zip(spec.initial.flat, spec.t1) for x, t2_row in zip(row, t2) for y in t2_row]
-    return JointDistribution((len(spec.t1), len(t2), len(t2[0])), table)
+    return JointDistribution(sizes, table)
+
+
+def _cmi(h, keys: tuple[str, str, str]) -> float:
+    """I(X;Y|Z) = H(X,Z) + H(Y,Z) - H(Z) - H(X,Y,Z) in bits from the entropy vector ``h``, Z's _CMI_KEYS ``keys``."""
+    xz, yz, z = keys
+    return _clamp(h[xz] + h[yz] - h[z] - h["H(A,B,C)"], "conditional mutual information")
 
 
 def conditional_mutual_information(d: JointDistribution, x: int, y: int, given: int) -> EntropyValue:
@@ -102,10 +109,7 @@ def conditional_mutual_information(d: JointDistribution, x: int, y: int, given: 
     x, y, given = _variable(d, x), _variable(d, y), _variable(d, given)
     if len({x, y, given}) != 3:
         raise RepeatedIndexError(f"indices must be distinct, got ({x}, {y}, {given})")
-    h = _vector(d)
-    xz, yz, z = _CMI_KEYS[given]
-    cmi = h[xz] + h[yz] - h[z] - h["H(A,B,C)"]
-    return EntropyValue(_clamp(cmi, "conditional mutual information"), 2.0)
+    return EntropyValue(_cmi(_vector(d), _CMI_KEYS[given]), 2.0)
 
 
 def is_markov(d: JointDistribution, order: tuple[int, int, int] = (0, 1, 2)) -> bool:
@@ -122,6 +126,4 @@ def is_markov(d: JointDistribution, order: tuple[int, int, int] = (0, 1, 2)) -> 
     if type(first) is not int or type(middle) is not int or type(last) is not int or d.num_vars != 3:
         for i in (first, last, middle):  # the integer rule and the range, in conditional_mutual_information's order
             _variable(d, i)
-    xz, yz, z = keys
-    h = _vector(d)
-    return _clamp(h[xz] + h[yz] - h[z] - h["H(A,B,C)"], "conditional mutual information") <= CMI_ATOL
+    return _cmi(_vector(d), keys) <= CMI_ATOL

@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .inequalities import InequalityReport, _cerf_adami
-from .value import _as_size
+from .value import _as_real, _as_size
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -132,6 +132,14 @@ def _canonical_angle(angle: float) -> float:
     return 0.0 if reduced == math.pi else reduced
 
 
+def _finite_angles(angles) -> tuple[float, ...]:
+    """``angles`` as floats by the ``_as_real`` rule; ValidationError unless all are finite."""
+    raw = tuple([_as_real(a, "angles") for a in angles])
+    if not all(map(math.isfinite, raw)):
+        raise ValidationError(f"angles must be finite, got {raw}")
+    return raw
+
+
 @dataclass(frozen=True)
 class MeasurementSettings:
     """Three measurement angles in the x-z plane, each canonicalized to [0, pi) by ``_canonical_angle``."""
@@ -139,11 +147,9 @@ class MeasurementSettings:
     angles: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        raw = tuple(float(a) for a in self.angles)
+        raw = _finite_angles(self.angles)
         if len(raw) != 3:
             raise ValidationError(f"need exactly 3 angles, got {len(raw)}")
-        if not all(math.isfinite(a) for a in raw):
-            raise ValidationError(f"angles must be finite, got {raw}")
         object.__setattr__(self, "angles", tuple(map(_canonical_angle, raw)))
 
     def to_dict(self) -> dict:
@@ -182,7 +188,7 @@ def bell_state(name: str) -> DensityMatrix:
 
 def werner_state(p: float) -> DensityMatrix:
     """p * singlet + (1 - p) * I/4: a tunable classical-to-quantum dial."""
-    p = float(p)
+    p = _as_real(p, "Werner parameters")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"Werner parameter must be in [0, 1], got {p}")
     m = p * singlet().matrix + (1.0 - p) * np.eye(4) / 4.0
@@ -331,13 +337,6 @@ def _pair_mi(sides: tuple, out: np.ndarray) -> np.ndarray:
     return p
 
 
-def _finite_angles(angles) -> np.ndarray:
-    a = np.array([float(v) for v in angles])
-    if not np.isfinite(a).all():
-        raise ValidationError(f"angles must be finite, got {a[~np.isfinite(a)][0]}")
-    return a
-
-
 def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
     """Mutual information in bits of every ordered pair of spin measurements.
 
@@ -347,7 +346,7 @@ def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
     kernel scratch, so working memory stays bounded for any table size.  A
     non-finite angle raises ValidationError.
     """
-    x, y = _finite_angles(angles_x), _finite_angles(angles_y)
+    x, y = np.array(_finite_angles(angles_x)), np.array(_finite_angles(angles_y))
     sides = _sides(_correlations(rho), x, y)
     table = np.empty((len(x), len(y)))
     rows = max(1, _BLOCK_CELLS // (8 * max(1, len(y))))
@@ -363,7 +362,7 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     and index 1 to outcome -1 on each side:
     p(i, j) = tr[rho (P_i(angle_1) x P_j(angle_2))].
     """
-    p = _pair_mi(_sides(_correlations(rho), *_finite_angles((angle_1, angle_2))[:, None]), np.empty(1))
+    p = _pair_mi(_sides(_correlations(rho), *np.array(_finite_angles((angle_1, angle_2)))[:, None]), np.empty(1))
     return JointDistribution((2, 2), p.reshape(2, 2))
 
 

@@ -35,7 +35,7 @@ from .errors import MonotonicityViolatedError, ResolutionTooLargeError, Resoluti
 from .inequalities import SATISFIED_ATOL
 from .quantum import (_BLOCK_CELLS, DensityMatrix, MeasurementSettings, _canonical_angle, _correlations, _three_pairs,
                       pair_mi_table, werner_state)
-from .value import _as_size
+from .value import _as_size, _check_tol
 
 GRID_MIN_RESOLUTION = 8
 # The pair-MI table and the column bounds are resolution^2 float64 each and
@@ -163,18 +163,6 @@ class SearchResult:
             "refined": self.refined,
             "violation_found": self.violation_found,
         }
-
-
-def _check_tol(tol: float) -> float:
-    """``tol`` as a float; ValidationError unless it is positive and finite.
-
-    A NaN tolerance would stop refinement after one probe or skip the
-    Werner bisection, and an infinite one would stop before any sweep.
-    """
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be positive and finite, got {tol}")
-    return tol
 
 
 def _lhs_at(c: np.ndarray, angles: tuple[float, float, float]) -> float:

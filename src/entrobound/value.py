@@ -5,8 +5,10 @@ nothing more than :func:`math.log`, so the statistical-mechanics commands
 run without importing numpy.  :mod:`entrobound.entropy` re-exports
 :class:`EntropyValue` and the functions here.  :class:`_Frozen` is the
 immutable base that this module's, :mod:`entrobound.dist`'s and
-:mod:`entrobound.statmech`'s value classes share, and :func:`_as_size` is
-the integer rule every module applies to its integer arguments.
+:mod:`entrobound.statmech`'s value classes share.  :func:`_as_size` and
+:func:`_as_real` are the rules every module applies to its integer and
+real arguments, and :func:`_check_base` and :func:`_check_tol` the one check
+of a logarithm base and of a tolerance, which the command line calls too.
 """
 from __future__ import annotations
 
@@ -106,11 +108,33 @@ def _as_size(value, what: str = "sizes") -> int:
     raise ValidationError(f"{what} must be integers, got {value!r}")
 
 
+def _as_real(value, what: str, error=ValidationError) -> float:
+    """``value`` as a float: a real number (numpy's too), not a bool or a string, which ``float()`` would read."""
+    if type(value) is float:
+        return value
+    from numbers import Real  # past the plain-float return, as in _as_size
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{what} must be real numbers, got {value!r}")
+    return float(value)
+
+
 def _check_base(base: float) -> float:
-    base = float(base)
+    base = _as_real(base, "logarithm bases", InvalidBaseError)
     if not (math.isfinite(base) and base > 1.0):
         raise InvalidBaseError(f"logarithm base must be finite and > 1, got {base}")
     return base
+
+
+def _check_tol(tol: float) -> float:
+    """``tol`` as a float; ValidationError unless it is positive and finite.
+
+    A NaN tolerance would stop refinement after one probe or skip the
+    Werner bisection, and an infinite one would stop before any sweep.
+    """
+    tol = _as_real(tol, "tolerances")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 def boltzmann_entropy(multiplicity: int, base: float = math.e) -> EntropyValue:

@@ -409,6 +409,21 @@ def test_non_numeric_werner_parameter_is_exit_2(capsys):
     assert_input_error(code, out, err, "bad Werner parameter")
 
 
+@pytest.mark.parametrize("angles", ["0,1", "0,1,2,3"])
+def test_angles_other_than_three_are_exit_2(capsys, angles):
+    code, out, err = run_cli(capsys, "quantum", "--state", "singlet", "--angles", angles)
+    assert_input_error(code, out, err, f"--angles needs three comma-separated values, got {angles!r}")
+
+
+def test_a_markov_table_above_the_cap_is_exit_2(capsys, tmp_path):
+    # 2^24 cells from a 1.6 MB spec: refused before the table is built
+    row = [1 / 256] * 256
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"initial": row, "t1": [row] * 256, "t2": [row] * 256}))
+    code, out, err = run_cli(capsys, "markov", "--spec", str(path))
+    assert_input_error(code, out, err, "tables are capped at 4194304 cells, got 16777216")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tolerance_is_exit_2(capsys, value):
     code, out, err = run_cli(capsys, "search", "--werner-threshold", "--tolerance", value)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entrobound import JointDistribution, marginalize, mix, product, validate, validate_table
+from entrobound.dist import MAX_CELLS, _shape
 from entrobound.errors import (
     EmptyKeepSetError,
     IndexOutOfRangeError,
@@ -228,3 +229,36 @@ def test_fields_are_immutable_and_the_array_is_built_on_demand():
     assert d._array is None
     assert d.probs is d.probs
     assert d.probs.shape == (2, 2, 2) and d.probs.ravel().tolist() == list(d.flat)
+
+
+@pytest.mark.parametrize("build", [
+    lambda sizes: JointDistribution(sizes, [1.0]),
+    JointDistribution.uniform,
+    lambda sizes: JointDistribution.point_mass(sizes, (0,) * len(sizes)),
+], ids=["constructor", "uniform", "point_mass"])
+@pytest.mark.parametrize("sizes, message", [
+    ((), "need at least one variable"),
+    ((0,), "alphabet sizes must be positive"),
+    ((2, 0, 2), "alphabet sizes must be positive"),
+    ((2, 2, 2, 2), "at most 3 variables"),
+    ((2 ** 8,) * 3, f"capped at {MAX_CELLS} cells"),
+    ((10 ** 7,) * 3, f"capped at {MAX_CELLS} cells"),
+])
+def test_every_table_is_shape_checked_before_it_is_built(build, sizes, message):
+    # uniform((0,)) divided by zero, and uniform((10**7,) * 3) overflowed, before the shape rule was shared
+    with pytest.raises((ShapeMismatchError, TooManyVariablesError, ValidationError), match=message):
+        build(sizes)
+
+
+def test_the_cell_cap_is_inclusive():
+    assert _shape((MAX_CELLS,)) == ((MAX_CELLS,), MAX_CELLS)
+    assert _shape((2048, 2048)) == ((2048, 2048), MAX_CELLS)
+    with pytest.raises(ValidationError, match=f"got {MAX_CELLS + 1} for sizes"):
+        _shape((MAX_CELLS + 1,))
+    with pytest.raises(ValidationError, match="capped at"):
+        product(JointDistribution.uniform((2048,)), JointDistribution.uniform((2049,)))
+
+
+def test_entries_whose_sum_overflows_are_not_normalized():
+    with pytest.raises(NotNormalizedError, match="probabilities sum to inf"):
+        JointDistribution.from_flat((2,), [1e308, 1e308])

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from entrobound.errors import (
     ValidationError,
 )
 
+from entrobound.dist import MAX_CELLS
 from entrobound.markov import CMI_ATOL
 
 from conftest import noisy_copy_spec, random_markov_spec, triangle_counterexample, tripartite_tables
@@ -228,6 +231,27 @@ _IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 def test_spec_entries_must_be_real_numbers_in_a_rectangular_matrix(payload, error, message):
     with pytest.raises(error, match=message):
         MarkovChainSpec.from_dict(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spec_entries_must_be_finite(bad):
+    with pytest.raises(InvalidSpecError, match="t2 contains non-finite entries"):
+        MarkovChainSpec(JointDistribution.from_flat((2,), [0.5, 0.5]), t1=_IDENTITY, t2=[[1.0, 0.0], [bad, 1.0]])
+
+
+def test_a_chain_above_the_table_cap_is_refused_before_the_table_is_built():
+    # 256 outcomes a side: 2^24 cells from 2 x 2^16 spec entries, ~1.6 GB while built
+    n = 256
+    row = [1.0 / n] * n  # exact in binary
+    spec = MarkovChainSpec(JointDistribution.from_flat((n,), row), t1=[row] * n, t2=[row] * n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"capped at {MAX_CELLS} cells, got {n ** 3}"):
+            build_tripartite(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_spec_matrices_are_row_tuples_of_floats():

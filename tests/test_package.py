@@ -1,8 +1,9 @@
-"""The package namespace: lazy public names, which runs load numpy, and its immutable values."""
+"""The package namespace: lazy public names, which runs load numpy, its immutable values and its rule for reals."""
 import copy
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,3 +99,29 @@ def test_immutable_values_copy_and_pickle_exactly():
             with pytest.raises(AttributeError):
                 setattr(clone, obj.__slots__[0], None)
     assert values[1] == copy.copy(values[1]) and hash(values[2]) == hash(copy.deepcopy(values[2]))
+
+
+_REAL_ARGUMENTS = {
+    "werner_state": lambda v: entrobound.werner_state(v),
+    "angle": lambda v: entrobound.MeasurementSettings((0.0, 1.0, v)),
+    "pair_mi_table": lambda v: entrobound.pair_mi_table(entrobound.singlet(), [0.5], [v]),
+    "refine-tol": lambda v: entrobound.refine(entrobound.singlet(), entrobound.MeasurementSettings((0, 0, 0)), tol=v),
+    "werner_threshold-tol": lambda v: entrobound.werner_threshold(32, v),
+    "classical-bound": lambda v: entrobound.cerf_adami_classical(entrobound.JointDistribution.uniform((2, 2, 2)),
+                                                                 bound=v),
+    "check-bound": lambda v: entrobound.cerf_adami_check(*[entrobound.EntropyValue(0.1)] * 3, bound=v),
+    "check-mutual-information": lambda v: entrobound.cerf_adami_check(
+        entrobound.EntropyValue(v), entrobound.EntropyValue(0.1), entrobound.EntropyValue(0.1)),
+    "shannon-base": lambda v: entrobound.shannon_entropy(entrobound.JointDistribution.uniform((2,)), v),
+    "boltzmann-base": lambda v: entrobound.boltzmann_entropy(4, v),
+}
+
+
+@pytest.mark.parametrize("call, value", [
+    (call, value) for call in sorted(_REAL_ARGUMENTS) for value in (True, "0.5", None, 1j)
+    if not (call == "classical-bound" and value is None)  # bound=None asks for the default bound of 1
+])
+def test_a_real_argument_must_be_a_real_number(call, value):
+    # float() alone read True as 1 and "0.5" as 0.5, and raised a bare TypeError on None and 1j
+    with pytest.raises(entrobound.errors.EntroboundError, match=re.escape(f"must be real numbers, got {value!r}")):
+        _REAL_ARGUMENTS[call](value)

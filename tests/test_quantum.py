@@ -436,6 +436,12 @@ def test_measurement_settings_rejects_non_finite():
         MeasurementSettings((math.nan, 0.0, 0.0))
 
 
+def test_measurement_settings_need_exactly_three_angles():
+    for angles in ((0.0, 1.0), (0.0, 1.0, 2.0, 3.0)):
+        with pytest.raises(ValidationError, match=f"need exactly 3 angles, got {len(angles)}"):
+            MeasurementSettings(angles)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pair_measurements_reject_non_finite_angles(bad):
     rho = singlet()

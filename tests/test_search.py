@@ -24,7 +24,8 @@ from entrobound import (
     werner_state,
     werner_threshold,
 )
-from entrobound.errors import ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
+from entrobound.errors import (MonotonicityViolatedError, ResolutionTooLargeError, ResolutionTooSmallError,
+                               ValidationError)
 from entrobound import search as search_module
 from entrobound.quantum import pair_mi_table
 from entrobound.search import GRID_MAX_RESOLUTION
@@ -253,6 +254,19 @@ def test_werner_threshold_steps_unchanged_where_the_old_loop_ended(monkeypatch, 
         assert stand_in.calls == 2 + steps  # p = 1 and p = 0, then one call per halving
 
 
+def test_werner_threshold_is_one_when_no_parameter_violates(monkeypatch):
+    stand_in = _ThresholdStandIn(monkeypatch, 1.5)  # max LHS 0.5 at p = 1
+    assert werner_threshold(32, 1e-3) == 1.0
+    assert stand_in.calls == 1
+
+
+def test_werner_threshold_refuses_a_max_lhs_that_decreases_in_p(monkeypatch):
+    stand_in = _ThresholdStandIn(monkeypatch, 0.5)
+    stand_in.max_lhs = lambda p: 1.5 if p == 1.0 else 1.0 - p  # violates at p = 1 only, falling from p = 0
+    with pytest.raises(MonotonicityViolatedError, match="max LHS decreased from 1.0 at p=0.0"):
+        werner_threshold(32, 1e-3)
+
+
 def test_werner_threshold_rejects_small_resolution():
     with pytest.raises(ResolutionTooSmallError):
         werner_threshold(16, 1e-3)
@@ -390,6 +404,9 @@ def test_grid_refine_trace_concatenates_lazily():
     assert combined.trace[8 ** 3] == fine.trace[0] and combined.trace[-1] == fine.trace[-1]
     assert (fine.trace + coarse.trace)[0] == fine.trace[0]
     assert tuple(fine.trace) + coarse.trace == fine.trace + coarse.trace
+    assert coarse.trace + tuple(fine.trace) == combined.trace
+    with pytest.raises(TypeError):
+        coarse.trace + list(fine.trace)
 
 
 def test_grid_search_exact_ties_keep_the_first_cell_across_chunks():
@@ -591,14 +608,20 @@ def test_search_rejects_a_bad_tolerance_before_evaluating(monkeypatch, tol):
     calls = []
     monkeypatch.setattr(search_module, "_lhs_at", lambda *args: calls.append(args))
     monkeypatch.setattr(search_module, "grid_refine", lambda *args, **kwargs: calls.append(args))
-    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
         refine(singlet(), MeasurementSettings((0.0, 0.0, 0.0)), tol=tol)
-    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
         werner_threshold(32, tol)
     monkeypatch.setattr(search_module, "grid_search", lambda *args: calls.append(args))
-    with pytest.raises(ValidationError, match="tol must be positive and finite"):
+    with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
         grid_refine(singlet(), 512, tol=tol)  # the module's own function; only its callees are patched
     assert calls == []
+
+
+@pytest.mark.parametrize("resolution", [0, -8])
+def test_refine_rejects_a_resolution_below_one(resolution):
+    with pytest.raises(ValidationError, match=f"resolution must be >= 1, got {resolution}"):
+        refine(singlet(), MeasurementSettings((0.0, 0.0, 0.0)), resolution=resolution)
 
 
 # --- closed-form optima -------------------------------------------------------------

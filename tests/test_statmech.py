@@ -121,6 +121,10 @@ def test_coin_probability_exact_powers():
 def test_coin_rejects_zero_length():
     with pytest.raises(ValidationError):
         coin_reversal_probability(0)
+    with pytest.raises(ValidationError, match="sequence length must be >= 1, got 0"):
+        coin_reversal_unordered_probability(0, 0)
+    with pytest.raises(ValidationError, match="sequence length must be >= 1, got 0"):
+        coin_reversal_monte_carlo(0, 10, seed=0)
 
 
 def test_coin_unordered_conjecture_mode():
