@@ -134,14 +134,14 @@ def _load(path: str, kind: str, module: str, cls: str):
             payload = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deeply nested to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int of over 4300 digits; deep nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     from_dict = getattr(importlib.import_module(f".{module}", __package__), cls).from_dict
     try:
         return from_dict(payload)
     except KeyError as exc:
         raise ParseError(f"{path} is not a {kind} file: missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # an integer too large for a float
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"{path} is not a {kind} file: {exc}") from exc
 
 

@@ -81,7 +81,10 @@ def _entries(table) -> list:
 def _reals(entries: list, what: str, error=ValidationError) -> list[float]:
     """``entries`` as floats, each by the ``_as_real`` rule; a non-real entry raises ``error``."""
     if _NUMBER_TYPES.issuperset(map(type, entries)):
-        return list(map(float, entries))
+        try:
+            return list(map(float, entries))
+        except OverflowError:
+            pass  # an int past the float range: _as_real raises ``error`` for it
     return [_as_real(x, what, error) for x in entries]
 
 

@@ -133,9 +133,15 @@ def _canonical_angle(angle: float) -> float:
 
 
 def _finite_angles(angles) -> tuple[float, ...]:
-    """``angles`` as floats by the ``_as_real`` rule; ValidationError unless all are finite."""
+    """``angles`` as floats by the ``_as_real`` rule; ValidationError unless all are finite.
+
+    The message shows up to three angles whole, as a setting's; of a longer list only the first non-finite one.
+    """
     raw = tuple([_as_real(a, "angles") for a in angles])
     if not all(map(math.isfinite, raw)):
+        if len(raw) > 3:
+            i = next(i for i, a in enumerate(raw) if not math.isfinite(a))
+            raise ValidationError(f"angles must be finite, got angle {i} of {len(raw)}: {raw[i]}")
         raise ValidationError(f"angles must be finite, got {raw}")
     return raw
 

@@ -109,13 +109,19 @@ def _as_size(value, what: str = "sizes") -> int:
 
 
 def _as_real(value, what: str, error=ValidationError) -> float:
-    """``value`` as a float: a real number (numpy's too), not a bool or a string, which ``float()`` would read."""
+    """``value`` as a float: a real number (numpy's too), not a bool or a string, which ``float()`` would read.
+
+    An integer past the float range raises ``error`` too, where ``float()`` raises OverflowError.
+    """
     if type(value) is float:
         return value
     from numbers import Real  # past the plain-float return, as in _as_size
     if isinstance(value, bool) or not isinstance(value, Real):
         raise error(f"{what} must be real numbers, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # not repr(value): an int past 4300 digits has none
+        raise error(f"{what} must lie within the float range (magnitude below 1.8e308)") from exc
 
 
 def _check_base(base: float) -> float:

@@ -17,7 +17,9 @@ replaced; the vector-based checks must reproduce them bit for bit.
 ``reference_cube_argmax`` is the four-pass grid reduction (subtract, abs,
 add, max over row chunks of the resolution^3 cube) that the
 reduce-over-i-first sweep replaced; the grid search must reproduce its
-maximum and winner bit for bit.
+maximum and winner bit for bit.  ``reference_upper_bounds`` is the
+triangle bound at the best of all pivots that the two pivots around each
+column replaced; the grid search must sweep no more column pairs than it.
 """
 from __future__ import annotations
 
@@ -195,6 +197,16 @@ def reference_cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     index = starts[first] * n * n + int(np.argmax(fill(starts[first]) >= threshold))
     i, j, k = np.unravel_index(index, (n, n, n))
     return best, (int(i), int(j), int(k))
+
+
+def reference_upper_bounds(mi: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """``search._upper_bounds`` with the triangle bound min_r S[j, r] + S[r, k] over every pivot row r of spread."""
+    n = len(mi)
+    f, offset = mi[0], (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    eps = float(np.abs(mi - f[offset]).max())
+    shift = np.abs(f[offset] - f).max(axis=1)
+    top = np.minimum(np.min(spread[:, :, None] + spread[:, None, :], axis=0), shift[offset] + 2.0 * eps)
+    return top * (1.0 + 2.0 ** -50) + mi
 
 
 def report_fields(r: InequalityReport) -> str:

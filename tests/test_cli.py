@@ -279,6 +279,7 @@ _BAD_INPUT_FILES = {
     "dist-numeric-str": {"alphabet_sizes": [2], "probs": ["0.5", "0.5"]},
     "dist-padded-str": {"alphabet_sizes": [2], "probs": [" 0.5 ", 0.5]},
     "dist-ragged": {"alphabet_sizes": [2, 2], "probs": [[0.5, 0.25], [0.25]]},
+    "dist-huge-int": {"alphabet_sizes": [2], "probs": [10 ** 400, 0]},  # a 401-digit literal
     "spec": {"initial": [0.5, "x"], "t1": [[1, 0], [0, 1]], "t2": [[1, 0], [0, 1]]},
     "spec-bool-initial": {"initial": [True, False], "t1": [[1, 0], [0, 1]], "t2": [[1, 0], [0, 1]]},
     "spec-str-t1": {"initial": [0.5, 0.5], "t1": [["0.5", "0.5"], [0, 1]], "t2": [[1, 0], [0, 1]]},
@@ -295,6 +296,7 @@ _BAD_INPUT_COMMANDS = {
     "dist-numeric-str": ["entropy", "--dist"],
     "dist-padded-str": ["inequality", "--dist"],
     "dist-ragged": ["entropy", "--dist"],
+    "dist-huge-int": ["entropy", "--dist"],
     "spec": ["markov", "--spec"],
     "spec-bool-initial": ["markov", "--spec"],
     "spec-str-t1": ["markov", "--spec"],
@@ -310,6 +312,7 @@ _BAD_INPUT_MESSAGES = {
     "dist-numeric-str": "probabilities must be real numbers, got '0.5'",
     "dist-padded-str": "probabilities must be real numbers, got ' 0.5 '",
     "dist-ragged": "ragged table",
+    "dist-huge-int": "probabilities must lie within the float range",
     "spec": "probabilities must be real numbers, got 'x'",
     "spec-bool-initial": "probabilities must be real numbers, got True",
     "spec-str-t1": "t1 entries must be real numbers, got '0.5'",
@@ -395,6 +398,14 @@ def test_infinite_size_in_file_is_exit_2(capsys, tmp_path, argv, case):
     path.write_text(_INFINITE_SIZE_FILES[case])
     code, out, err = run_cli(capsys, *argv, str(path))
     assert_input_error(code, out, err, "cannot convert float infinity to integer")
+
+
+def test_an_integer_literal_past_the_conversion_limit_is_exit_2(capsys, tmp_path):
+    # json.load raises a plain ValueError, not a JSONDecodeError, on an int of over 4300 digits
+    path = tmp_path / "long_int.json"
+    path.write_text('{"alphabet_sizes": [2], "probs": [1' + "0" * 5000 + ", 0]}")
+    code, out, err = run_cli(capsys, "entropy", "--dist", str(path))
+    assert_input_error(code, out, err, "is not valid JSON: Exceeds the limit (4300 digits)")
 
 
 def test_too_deeply_nested_file_is_exit_2(capsys, tmp_path):

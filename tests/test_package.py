@@ -125,3 +125,16 @@ def test_a_real_argument_must_be_a_real_number(call, value):
     # float() alone read True as 1 and "0.5" as 0.5, and raised a bare TypeError on None and 1j
     with pytest.raises(entrobound.errors.EntroboundError, match=re.escape(f"must be real numbers, got {value!r}")):
         _REAL_ARGUMENTS[call](value)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: entrobound.werner_state(10 ** 400), entrobound.errors.ValidationError),
+    (lambda: entrobound.JointDistribution.from_flat((2,), [10 ** 400, 0]), entrobound.errors.ValidationError),
+    (lambda: entrobound.MarkovChainSpec(entrobound.JointDistribution.uniform((1,)), [[10 ** 400]], [[1.0]]),
+     entrobound.errors.InvalidSpecError),
+    (lambda: entrobound.MeasurementSettings((10 ** 400, 0, 0)), entrobound.errors.ValidationError),
+], ids=["werner", "distribution", "spec-row", "settings"])
+def test_an_integer_past_the_float_range_raises_the_callers_error(call, error):
+    # float() raised a bare OverflowError on each of these
+    with pytest.raises(error, match="must lie within the float range"):
+        call()

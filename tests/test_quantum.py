@@ -451,6 +451,15 @@ def test_pair_measurements_reject_non_finite_angles(bad):
             call()
 
 
+def test_a_long_angle_list_names_only_its_first_non_finite_angle():
+    # the whole tuple of 1024 angles made a 20,281-character message
+    angles = [i * math.pi / 1024 for i in range(1024)]
+    angles[700], angles[900] = math.nan, math.inf
+    with pytest.raises(ValidationError) as info:
+        pair_mi_table(singlet(), angles, angles[:3])
+    assert str(info.value) == "angles must be finite, got angle 700 of 1024: nan"
+
+
 def test_bell_state_unknown_name():
     with pytest.raises(ValidationError):
         bell_state("sigma+")

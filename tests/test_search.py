@@ -34,6 +34,7 @@ from conftest import (
     brute_entropy_bits,
     random_mixed_state,
     reference_cube_argmax,
+    reference_upper_bounds,
     singlet_mi,
     spin_projector,
     werner_mi,
@@ -552,8 +553,39 @@ def test_column_upper_bounds_are_at_least_the_cube_maxima(case):
     # least the column maximum everywhere exactly when each of them is
     mi, pivots = case
     spreads = np.abs(mi[:, :, None] - mi[:, None, :])
-    bounds = search_module._upper_bounds(mi, spreads.max(axis=0)[pivots])
+    bounds = search_module._upper_bounds(mi, spreads.max(axis=0)[pivots], pivots)
     assert (bounds >= (spreads + mi).max(axis=0)).all()
+
+
+@pytest.mark.parametrize("resolution", [31, 96, 257])
+def test_two_pivots_per_column_sweep_no_more_pairs_than_every_pivot(monkeypatch, resolution):
+    # the bound through the pivots around each column is never below the
+    # bound at the best pivot, so sweeping no more pairs means as many
+    spreads, swept = search_module._spreads, [0]
+
+    def counted(mi, j, k):
+        s = spreads(mi, j, k)
+        swept[0] += s.size if s.ndim == 1 else 0  # the pivot columns are 2-D
+        return s
+
+    def sweep(mi):
+        swept[0] = 0
+        search_module._cube_argmax(mi)
+        return swept[0]
+
+    monkeypatch.setattr(search_module, "_spreads", counted)
+    step = math.pi / resolution
+    angles = tuple(i * step for i in range(resolution))
+    total = 0
+    for name, rho in _reduction_states():
+        mi = pair_mi_table(rho, angles, angles)
+        two_pivots = sweep(mi)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search_module, "_upper_bounds", lambda mi, spread, pivots: reference_upper_bounds(mi, spread))
+            every_pivot = sweep(mi)
+        assert two_pivots <= every_pivot, name
+        total += every_pivot
+    assert total > 0
 
 
 def test_grid_winner_is_the_textbook_singlet_triple():
