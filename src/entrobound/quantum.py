@@ -11,7 +11,7 @@ For such measurements a two-qubit state enters only through eight numbers,
 its x-z Bloch components and correlations (``_correlations``; Horodecki et
 al., Phys. Lett. A 200, 340, 1995).  H(X:Y) = H(X) + H(Y) - H(X,Y) of a pair
 is one closed form over them (``_pair_mi``), with H(X) and H(Y) computed
-once per angle (``_sides``) and H(X,Y), four logs, once per pair.  A setting
+once per angle it is passed and H(X,Y), four logs, once per pair.  A setting
 is one call (``_three_pairs``): three angles in, the 2x2 joints and MIs of
 (A, B), (A, C) and (B, C) out; its report reads the marginals from the joints.
 
@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .inequalities import InequalityReport, _cerf_adami
-from .value import _as_real, _as_size
+from .value import _as_complex, _as_real, _as_size
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -57,6 +57,18 @@ _CORRELATORS = np.array(
 _BLOCK_CELLS = 1 << 17
 # log2 of a probability clamped to this is finite, so 0 log2 0 adds 0 without a mask
 _TINY = np.finfo(float).tiny
+
+
+def _complex_array(values, what: str) -> np.ndarray:
+    """A complex copy of ``values``, each entry by the ``_as_complex`` rule unless they are a float or complex ndarray.
+
+    ``np.array(values, dtype=complex)`` alone would read True and "1" as 1, and raise a bare OverflowError or
+    ValueError for 10**400 or "a".
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fc":
+        return np.array(values, dtype=complex)
+    entries = np.array(values, dtype=object)
+    return np.array([_as_complex(v, what) for v in entries.flat], dtype=complex).reshape(entries.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +88,7 @@ class DensityMatrix:
         if da < 1 or db < 1:
             raise InvalidDensityMatrixError(f"dimensions must be positive, got ({da}, {db})")
         n = da * db
-        m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays theirs and writeable
+        m = _complex_array(self.matrix, "density matrix entries")  # the caller's array stays theirs and writeable
         if m.shape != (n, n):
             raise InvalidDensityMatrixError(f"matrix shape {m.shape} != ({n}, {n}) for dims ({da}, {db})")
         # NaN compares false, so the tolerance checks below would pass it
@@ -166,7 +178,7 @@ class MeasurementSettings:
 
 def pure_state(amplitudes, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
     """Density matrix |psi><psi| from an amplitude vector (normalized here)."""
-    v = np.asarray(amplitudes, dtype=complex).ravel()
+    v = _complex_array(amplitudes, "amplitudes").ravel()
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValidationError("amplitude vector must be nonzero")
@@ -203,8 +215,8 @@ def werner_state(p: float) -> DensityMatrix:
 
 def product_state(rho_a, rho_b) -> DensityMatrix:
     """Tensor product of two single-subsystem density matrices."""
-    a = np.asarray(rho_a, dtype=complex)
-    b = np.asarray(rho_b, dtype=complex)
+    a = _complex_array(rho_a, "density matrix entries")
+    b = _complex_array(rho_b, "density matrix entries")
     return DensityMatrix(a.shape[0], b.shape[0], np.kron(a, b))
 
 
@@ -288,29 +300,23 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     return -(p * np.log2(np.maximum(p, _TINY))).sum(axis=0)
 
 
-def _sides(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
-    """Per-angle terms of measuring x on qubit 1 and y on qubit 2, for ``_pair_mi``.
+def _pair_mi(c: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """H(X:Y) = H(X) + H(Y) - H(X,Y) in bits into ``out``, clamped like entropy._clamp, for angles x and y.
 
-    sin x, cos x, a/4, H(X), (T n(y))_x / 4, (T n(y))_z / 4, b/4, H(Y), with a(x) = a_x sin x + a_z cos x
-    and b(y) likewise; the outcomes of x are (1/2 + a/2, 1/2 - a/2).  Quartering c first is exact.
+    ``c`` is ``_correlations(rho)``; x is measured on qubit 1 and y on qubit 2, and the two arrays broadcast to
+    ``out.shape``.  The outcomes of x are (1/2 + a/2, 1/2 - a/2), a(x) = a_x sin x + a_z cos x, and those of y
+    likewise with b(y); quartering c first is exact.  H(X) and H(Y) are computed once per angle passed, H(X,Y)
+    once per pair.  Returns the joint p(s, t) = ((1 + s a) + t b + s t E)/4, E = n(x)^T T n(y), shaped
+    (4, *out.shape) for (s, t) = (+, +), (+, -), (-, +), (-, -); below -1e-9 it raises InternalError.  A pair
+    with a negative entry is clamped at 0 and renormalised, and takes H(X) and H(Y) from that joint.  The
+    scratch is 8 cells per pair: callers bound it by the number of pairs they pass.
     """
     ax, az, bx, bz, txx, txz, tzx, tzz = (c / 4.0).tolist()
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
     a4, b4 = ax * sx + az * cx, bx * sy + bz * cy
     hx = _entropy_bits(np.maximum([0.5 + 2.0 * a4, 0.5 - 2.0 * a4], 0.0))
     hy = _entropy_bits(np.maximum([0.5 + 2.0 * b4, 0.5 - 2.0 * b4], 0.0))
-    return sx, cx, a4, hx, txx * sy + txz * cy, tzx * sy + tzz * cy, b4, hy
-
-
-def _pair_mi(sides: tuple, out: np.ndarray) -> np.ndarray:
-    """H(X:Y) = H(X) + H(Y) - H(X,Y) in bits of the ``_sides`` pairs into ``out``, clamped like entropy._clamp.
-
-    Returns the joint p(s, t) = ((1 + s a) + t b + s t E)/4, E = n(x)^T T n(y), shaped (4, *out.shape) for
-    (s, t) = (+, +), (+, -), (-, +), (-, -); below -1e-9 it raises InternalError.  A pair with a negative
-    entry is clamped at 0 and renormalised, and takes H(X) and H(Y) from that joint.  The scratch is
-    8 cells per pair: callers bound it by the number of pairs they pass.
-    """
-    sx, cx, a4, hx, tx, tz, b4, hy = sides
+    tx, tz = txx * sy + txz * cy, tzx * sy + tzz * cy  # (T n(y))_x / 4, (T n(y))_z / 4
     p, logs = np.empty((2, 4, *out.shape))
     e = np.multiply(sx, tx, out=logs[0])
     e += np.multiply(cx, tz, out=logs[1])  # E/4
@@ -353,11 +359,11 @@ def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
     non-finite angle raises ValidationError.
     """
     x, y = np.array(_finite_angles(angles_x)), np.array(_finite_angles(angles_y))
-    sides = _sides(_correlations(rho), x, y)
+    c = _correlations(rho)
     table = np.empty((len(x), len(y)))
     rows = max(1, _BLOCK_CELLS // (8 * max(1, len(y))))
     for start in range(0, len(x), rows):
-        _pair_mi(tuple(v[start:start + rows, None] for v in sides[:4]) + sides[4:], table[start:start + rows])
+        _pair_mi(c, x[start:start + rows, None], y, table[start:start + rows])
     return table
 
 
@@ -368,7 +374,7 @@ def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDis
     and index 1 to outcome -1 on each side:
     p(i, j) = tr[rho (P_i(angle_1) x P_j(angle_2))].
     """
-    p = _pair_mi(_sides(_correlations(rho), *np.array(_finite_angles((angle_1, angle_2)))[:, None]), np.empty(1))
+    p = _pair_mi(_correlations(rho), *np.array(_finite_angles((angle_1, angle_2)))[:, None], np.empty(1))
     return JointDistribution((2, 2), p.reshape(2, 2))
 
 
@@ -376,7 +382,7 @@ def _three_pairs(c: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
     """H(A:B), H(A:C), H(B:C) in bits at ``angles``, and the (4, 3) ``_pair_mi`` joints of those experiments."""
     theta_a, theta_b, theta_c = angles
     mi = np.empty(3)
-    joints = _pair_mi(_sides(c, np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c])), mi)
+    joints = _pair_mi(c, np.array([theta_a, theta_a, theta_b]), np.array([theta_b, theta_c, theta_c]), mi)
     return mi, joints  # mi finite and >= 0
 
 

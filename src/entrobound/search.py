@@ -11,8 +11,9 @@ and of k and by a shift bound, and only columns that could hold the max are
 swept over the first angle.  That reduction is exact, so the max and winner
 are bit-identical to a full evaluation of the cube, and memory stays
 O(resolution^2).  The trace holds one entry per grid cell in lexicographic
-order, each computed when it is read.  Refinement is a derivative-free
-coordinate search (the LHS has absolute-value kinks).
+order, each computed when it is read, then one per refine probe.
+Refinement is a derivative-free coordinate search (the LHS has
+absolute-value kinks).
 
 Everything here is deterministic: identical inputs give identical results,
 including trace order.  Winners do not depend on last-bit rounding: the grid
@@ -48,26 +49,36 @@ WERNER_MONOTONE_ATOL = 1e-6
 WINNER_ATOL = 1e-12
 
 
-class _GridCells:
-    """The resolution^3 cells of one grid, computed on access from the pair-MI table.
+class Trace(Sequence):
+    """Read-only sequence of ``((theta_A, theta_B, theta_C), lhs)`` evaluations: grid cells, then refine probes.
 
-    Cell (i, j, k) is |MI(i, j) - MI(i, k)| + MI(j, k), in the same float
-    arithmetic as the winner search; the grid maximum is the largest of
-    these values, bit for bit.
+    The grid's ``len(angles)^3`` cells come first, in lexicographic order, each
+    computed on access from the pair-MI table ``mi``: cell (i, j, k) is
+    |mi[i, j] - mi[i, k]| + mi[j, k], in the same float arithmetic as the
+    winner search, so the grid maximum is the largest of these values, bit for
+    bit.  The tuple ``probes`` follows.  Supports ``len``, int, negative and
+    slice indexing (a slice is a tuple), iteration and ``hash``, and compares
+    equal to a tuple or another trace holding the same entries.
     """
 
-    __slots__ = ("angles", "mi")
+    __slots__ = ("angles", "mi", "probes")
 
-    def __init__(self, angles: tuple[float, ...], mi: np.ndarray) -> None:
+    def __init__(self, angles: tuple[float, ...] = (), mi: np.ndarray | None = None, probes: tuple = ()) -> None:
         self.angles = angles
         self.mi = mi
+        self.probes = probes
 
     def __len__(self) -> int:
-        return len(self.angles) ** 3
+        return len(self.angles) ** 3 + len(self.probes)
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index):
+        position = range(len(self))[index]  # int/negative/slice semantics and errors of a tuple
+        if isinstance(position, range):
+            return tuple(self[i] for i in position)
         n, a, mi = len(self.angles), self.angles, self.mi
-        i, rest = divmod(index, n * n)
+        if position >= n ** 3:
+            return self.probes[position - n ** 3]
+        i, rest = divmod(position, n * n)
         j, k = divmod(rest, n)
         return (a[i], a[j], a[k]), float(abs(mi[i, j] - mi[i, k]) + mi[j, k])
 
@@ -78,49 +89,7 @@ class _GridCells:
             for aj, row in zip(a, block):
                 for ak, lhs in zip(a, row):
                     yield (ai, aj, ak), lhs
-
-
-class Trace(Sequence):
-    """Read-only sequence of ``((theta_A, theta_B, theta_C), lhs)`` evaluations.
-
-    Grid parts are computed entry by entry on access; ``+`` concatenates
-    without materialising anything.  Supports ``len``, int, negative and
-    slice indexing (a slice is a tuple), iteration and ``hash``, and
-    compares equal to a tuple or another trace holding the same entries.
-    """
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, *parts) -> None:
-        self._parts = parts
-
-    def __len__(self) -> int:
-        return sum(len(part) for part in self._parts)
-
-    def __getitem__(self, index):
-        position = range(len(self))[index]  # int/negative/slice semantics and errors of a tuple
-        if isinstance(position, range):
-            return tuple(self[i] for i in position)
-        for part in self._parts:
-            if position < len(part):
-                return part[position]
-            position -= len(part)
-
-    def __iter__(self):
-        for part in self._parts:
-            yield from part
-
-    def __add__(self, other):
-        if isinstance(other, Trace):
-            return Trace(*self._parts, *other._parts)
-        if isinstance(other, tuple):
-            return Trace(*self._parts, other)
-        return NotImplemented
-
-    def __radd__(self, other):
-        if isinstance(other, tuple):
-            return Trace(other, *self._parts)
-        return NotImplemented
+        yield from self.probes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Trace, tuple)):
@@ -319,7 +288,7 @@ def grid_search(rho: DensityMatrix, resolution: int) -> SearchResult:
     return SearchResult(
         best_settings=MeasurementSettings((angles[bi], angles[bj], angles[bk])),
         best_lhs=best,
-        trace=Trace(_GridCells(angles, mi)),
+        trace=Trace(angles, mi),
         grid_resolution=resolution,
         refined=False,
     )
@@ -369,7 +338,7 @@ def refine(
     return SearchResult(
         best_settings=MeasurementSettings(current),
         best_lhs=current_lhs,
-        trace=Trace(tuple(trace)),
+        trace=Trace(probes=tuple(trace)),
         grid_resolution=resolution,
         refined=True,
     )
@@ -384,7 +353,7 @@ def grid_refine(rho: DensityMatrix, resolution: int, tol: float = 1e-6) -> Searc
     return SearchResult(
         best_settings=winner.best_settings,
         best_lhs=winner.best_lhs,
-        trace=coarse.trace + fine.trace,
+        trace=Trace(coarse.trace.angles, coarse.trace.mi, fine.trace.probes),
         grid_resolution=coarse.grid_resolution,
         refined=True,
     )

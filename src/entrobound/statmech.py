@@ -25,6 +25,8 @@ MAX_MIXING_PARTICLES = 60
 # draws n * trials flips; these caps bound the time and memory of both.
 MAX_COINS = 10_000
 MAX_COIN_FLIPS = 100_000_000
+# About 3900 decimal digits: the interpreter prints no int of over 4300.
+MAX_MULTIPLICITY_BITS = 13_000
 
 
 class MacrostateSpec(_Frozen):
@@ -70,8 +72,12 @@ def dice_multiplicity(num_dice: int, total: int) -> MacrostateSpec:
 
 
 def combine_multiplicities(a: MacrostateSpec, b: MacrostateSpec) -> MacrostateSpec:
-    """Joint macrostate of two labeled systems: multiplicities multiply."""
-    return MacrostateSpec(f"({a.description}) and ({b.description})", a.multiplicity * b.multiplicity)
+    """Joint macrostate of two labeled systems: multiplicities multiply, up to MAX_MULTIPLICITY_BITS bits."""
+    product = a.multiplicity * b.multiplicity
+    if product.bit_length() > MAX_MULTIPLICITY_BITS:  # not the product itself: it may be past printing
+        raise ValidationError(f"combined multiplicity capped at {MAX_MULTIPLICITY_BITS} bits, "
+                              f"got {product.bit_length()}")
+    return MacrostateSpec(f"({a.description}) and ({b.description})", product)
 
 
 def coin_reversal_probability(sequence_length: int) -> float:
@@ -79,12 +85,13 @@ def coin_reversal_probability(sequence_length: int) -> float:
 
     The same value covers both re-running n sequential flips and flipping n
     coins at once, since either way one ordered pattern of n binary
-    outcomes must be matched.
+    outcomes must be matched.  It is 0.0 past n = 1074; ``ldexp`` gives that for any n, where
+    ``2.0 ** -n`` raises OverflowError past n = 1.8e308.
     """
     n = _as_size(sequence_length, "sequence lengths")
     if n < 1:
         raise ValidationError(f"sequence length must be >= 1, got {n}")
-    return 2.0 ** (-n)
+    return math.ldexp(1.0, -n)
 
 
 def _check_coins(n: int) -> None:

@@ -5,10 +5,11 @@ nothing more than :func:`math.log`, so the statistical-mechanics commands
 run without importing numpy.  :mod:`entrobound.entropy` re-exports
 :class:`EntropyValue` and the functions here.  :class:`_Frozen` is the
 immutable base that this module's, :mod:`entrobound.dist`'s and
-:mod:`entrobound.statmech`'s value classes share.  :func:`_as_size` and
-:func:`_as_real` are the rules every module applies to its integer and
-real arguments, and :func:`_check_base` and :func:`_check_tol` the one check
-of a logarithm base and of a tolerance, which the command line calls too.
+:mod:`entrobound.statmech`'s value classes share.  :func:`_as_size`,
+:func:`_as_real` and :func:`_as_complex` are the rules every module applies
+to its integer, real and complex arguments, and :func:`_check_base` and
+:func:`_check_tol` the one check of a logarithm base and of a tolerance,
+which the command line calls too.
 """
 from __future__ import annotations
 
@@ -122,6 +123,19 @@ def _as_real(value, what: str, error=ValidationError) -> float:
         return float(value)
     except OverflowError as exc:  # not repr(value): an int past 4300 digits has none
         raise error(f"{what} must lie within the float range (magnitude below 1.8e308)") from exc
+
+
+def _as_complex(value, what: str) -> complex:
+    """``value`` as a float or complex: a number (numpy's too), not a bool or a string, within the float range."""
+    if type(value) in (float, complex):
+        return value
+    from numbers import Complex  # past the plain-float return, as in _as_size
+    if isinstance(value, bool) or not isinstance(value, Complex):
+        raise ValidationError(f"{what} must be numbers, got {value!r}")
+    try:
+        return complex(value)
+    except OverflowError as exc:  # not repr(value), as in _as_real
+        raise ValidationError(f"{what} must lie within the float range (magnitude below 1.8e308)") from exc
 
 
 def _check_base(base: float) -> float:

@@ -638,7 +638,9 @@ def _arg(good, bad=()):
 _GOOD_FILES = ("tri", "counter", "pair", "spec", "singlet")
 _FILE = _arg((f"@{name}" for name in _GOOD_FILES),
              [f"@{name}" for name in sorted(_FUZZ_FILES) if name not in _GOOD_FILES] + ["@missing"])
-_INDEX = _arg(("0", "1", "2"), ("3", "-1", "x"))
+# past the interpreter's 4300-digit int-to-str limit when two are multiplied, and past the float range
+_HUGE = ("9" * 2200, "9" * 310)
+_INDEX = _arg(("0", "1", "2"), ("3", "-1", "x", *_HUGE))
 _STATE = _arg(("singlet", "bell-phi-plus", "bell-psi-plus", "werner:0.9", "werner:0.3"),
               ("werner:2", "werner:nan", "werner:x", "ghz", ""))
 # flag -> its arguments, none for a switch; search always gets a small or bad --resolution
@@ -653,16 +655,16 @@ _FLAGS = {
                 "--angles": (_arg(("0,0.3927,0.7854", "0.5,0.5,0.5", "0,0,0", "-1,4,9"),
                                   ("nan,0,0", "inf,0,0", "1e999,0,0", "1,2", "a,b,c", "0,1,2,3")),)},
     "search": {"--state": (_STATE,), "--state-file": (_FILE,),
-               "--resolution": (_arg(("8", "12", "16"), ("7", "0", "-4", "200", "1025", "x")),),
+               "--resolution": (_arg(("8", "12", "16"), ("7", "0", "-4", "200", "1025", "x", *_HUGE)),),
                "--no-refine": (), "--werner-threshold": (),
                "--tolerance": (_arg(("1e-3", "1e-6"), ("0", "-1", "nan", "inf", "x")),), "--trace": ()},
-    "statmech": {"--dice": (_arg(("2", "6"), ("9", "0", "x")), _arg(("7", "30"), ("0", "-1"))),
-                 "--combine": (_arg(("3", "10" * 15), ("0", "-2")), _arg(("4", "1"))),
-                 "--coins": (_arg(("5", "2000"), ("10001", "0", "x")),),
-                 "--trials": (_arg(("100", "100000"), ("0", "-5")),),
-                 "--seed": (_arg(("0", "7"), ("-1", "x")),),
-                 "--heads": (_arg(("0", "3"), ("6", "-1")),),
-                 "--mix": (_arg(("1", "20"), ("60", "0", "x")), _arg(("1", "20"))),
+    "statmech": {"--dice": (_arg(("2", "6"), ("9", "0", "x", *_HUGE)), _arg(("7", "30"), ("0", "-1", *_HUGE))),
+                 "--combine": (_arg(("3", "10" * 15), ("0", "-2", *_HUGE)), _arg(("4", "1"), _HUGE)),
+                 "--coins": (_arg(("5", "2000"), ("10001", "0", "x", *_HUGE)),),
+                 "--trials": (_arg(("100", "100000"), ("0", "-5", *_HUGE)),),
+                 "--seed": (_arg(("0", "7"), ("-1", "x", *_HUGE)),),
+                 "--heads": (_arg(("0", "3"), ("6", "-1", *_HUGE)),),
+                 "--mix": (_arg(("1", "20"), ("60", "0", "x", *_HUGE)), _arg(("1", "20"), _HUGE)),
                  "--same-species": ()},
 }
 
@@ -714,6 +716,8 @@ def fuzz_dir(tmp_path_factory):
 @example(argv=["quantum", "--state-file", "@inf_state", "--angles", "0,0,0"])
 @example(argv=["entropy", "--dist", "@fraction_dist"])
 @example(argv=["inequality", "--dist", "@tri", "--base", "10"])
+@example(argv=["statmech", "--combine", "9" * 2200, "9" * 2200])  # a product past printing
+@example(argv=["statmech", "--coins", "9" * 310])  # 2.0 ** -n past the float range
 @given(argv=_argv())
 def test_main_keeps_its_exit_contract_on_any_input(fuzz_dir, argv):
     """0, 1 or 2 and nothing raised; 2 is one ``error:`` line; 1 only with a violation."""

@@ -86,6 +86,19 @@ def test_density_matrix_rejects_non_finite_entry(entry):
         DensityMatrix(2, 2, m)
 
 
+@pytest.mark.parametrize("entry", [10 ** 400, True, "1", "a", None])
+@pytest.mark.parametrize("build", [
+    lambda v: DensityMatrix(1, 1, [[v]]),
+    lambda v: pure_state([v, 1.0, 0.0, 0.0]),
+    lambda v: product_state([[v, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 0.0]]),
+], ids=["DensityMatrix", "pure_state", "product_state"])
+def test_state_constructors_take_only_numbers_in_the_float_range(build, entry):
+    # np.array(..., dtype=complex) alone reads True and "1" as 1 and raises bare errors for 10**400 and "a"
+    with pytest.raises(ValidationError, match="must be numbers|float range") as caught:
+        build(entry)
+    assert len(str(caught.value)) < 100  # the huge value is not printed
+
+
 def test_density_matrix_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
     with pytest.raises(NotPositiveSemidefiniteError):

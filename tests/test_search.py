@@ -403,11 +403,6 @@ def test_grid_refine_trace_concatenates_lazily():
     assert combined.trace == tuple(coarse.trace) + tuple(fine.trace)
     assert len(combined.trace) == 8 ** 3 + len(fine.trace)
     assert combined.trace[8 ** 3] == fine.trace[0] and combined.trace[-1] == fine.trace[-1]
-    assert (fine.trace + coarse.trace)[0] == fine.trace[0]
-    assert tuple(fine.trace) + coarse.trace == fine.trace + coarse.trace
-    assert coarse.trace + tuple(fine.trace) == combined.trace
-    with pytest.raises(TypeError):
-        coarse.trace + list(fine.trace)
 
 
 def test_grid_search_exact_ties_keep_the_first_cell_across_chunks():

@@ -23,7 +23,7 @@ from entrobound.errors import (
     ValidationError,
     ZeroMultiplicityError,
 )
-from entrobound.statmech import MAX_COIN_FLIPS, MAX_COINS, MAX_DICE
+from entrobound.statmech import MAX_COIN_FLIPS, MAX_COINS, MAX_DICE, MAX_MULTIPLICITY_BITS
 
 
 def test_two_dice_seven():
@@ -88,6 +88,17 @@ def test_combine_direct_product():
     assert combine_multiplicities(MacrostateSpec("a", 6), MacrostateSpec("b", 6)).multiplicity == 36
 
 
+def test_combine_refuses_a_product_past_the_cap_without_printing_it():
+    big = 10 ** 2200 - 1
+    assert (big * big).bit_length() > MAX_MULTIPLICITY_BITS
+    with pytest.raises(ValidationError, match=f"capped at {MAX_MULTIPLICITY_BITS} bits") as caught:
+        combine_multiplicities(MacrostateSpec("a", big), MacrostateSpec("b", big))
+    assert len(str(caught.value)) < 100
+    at_cap = MacrostateSpec("a", 1 << (MAX_MULTIPLICITY_BITS - 1))
+    assert combine_multiplicities(at_cap, MacrostateSpec("b", 1)).multiplicity == 1 << (MAX_MULTIPLICITY_BITS - 1)
+    str(1 << MAX_MULTIPLICITY_BITS)  # every allowed product is below this, and it still prints
+
+
 def test_combine_additivity_sweep():
     import numpy as np
 
@@ -116,6 +127,13 @@ def test_coin_ten_flips():
 def test_coin_probability_exact_powers():
     for n in range(1, 51):
         assert coin_reversal_probability(n) == 2.0 ** (-n)
+
+
+def test_coin_probability_is_the_float_power_then_zero():
+    for n in range(1, 3000):
+        assert coin_reversal_probability(n) == 2.0 ** (-n)
+    assert coin_reversal_probability(1075) == 0.0
+    assert coin_reversal_probability(int("9" * 310)) == 0.0  # 2.0 ** -n raises OverflowError here
 
 
 def test_coin_rejects_zero_length():
