@@ -71,6 +71,14 @@ def _complex_array(values, what: str) -> np.ndarray:
     return np.array([_as_complex(v, what) for v in entries.flat], dtype=complex).reshape(entries.shape)
 
 
+def _positive_dims(dim_a, dim_b) -> tuple[int, int]:
+    """The two subsystem dimensions by the ``_as_size`` rule; InvalidDensityMatrixError unless both are positive."""
+    da, db = _as_size(dim_a), _as_size(dim_b)
+    if da < 1 or db < 1:
+        raise InvalidDensityMatrixError(f"dimensions must be positive, got ({da}, {db})")
+    return da, db
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive semidefinite matrix over dim_a * dim_b.
@@ -84,9 +92,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        da, db = _as_size(self.dim_a), _as_size(self.dim_b)
-        if da < 1 or db < 1:
-            raise InvalidDensityMatrixError(f"dimensions must be positive, got ({da}, {db})")
+        da, db = _positive_dims(self.dim_a, self.dim_b)
         n = da * db
         m = _complex_array(self.matrix, "density matrix entries")  # the caller's array stays theirs and writeable
         if m.shape != (n, n):
@@ -178,12 +184,16 @@ class MeasurementSettings:
 
 def pure_state(amplitudes, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
     """Density matrix |psi><psi| from an amplitude vector (normalized here)."""
+    try:
+        dim_a, dim_b = dims
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ValidationError(f"dims must be a pair of sizes, got {dims!r}") from None
     v = _complex_array(amplitudes, "amplitudes").ravel()
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValidationError("amplitude vector must be nonzero")
     v = v / norm
-    return DensityMatrix(dims[0], dims[1], np.outer(v, v.conj()))
+    return DensityMatrix(dim_a, dim_b, np.outer(v, v.conj()))
 
 
 def singlet() -> DensityMatrix:
@@ -199,7 +209,7 @@ def bell_state(name: str) -> DensityMatrix:
         "psi+": [0.0, 1.0, 1.0, 0.0],
         "psi-": [0.0, 1.0, -1.0, 0.0],
     }
-    if name not in vectors:
+    if not isinstance(name, str) or name not in vectors:  # a list is not hashable
         raise ValidationError(f"unknown Bell state {name!r}; expected one of {sorted(vectors)}")
     return pure_state(vectors[name])
 
@@ -217,12 +227,16 @@ def product_state(rho_a, rho_b) -> DensityMatrix:
     """Tensor product of two single-subsystem density matrices."""
     a = _complex_array(rho_a, "density matrix entries")
     b = _complex_array(rho_b, "density matrix entries")
+    for m in (a, b):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InvalidDensityMatrixError(f"each factor must be a square matrix, got shape {m.shape}")
     return DensityMatrix(a.shape[0], b.shape[0], np.kron(a, b))
 
 
 def maximally_mixed(dim_a: int = 2, dim_b: int = 2) -> DensityMatrix:
-    n = _as_size(dim_a) * _as_size(dim_b)
-    return DensityMatrix(dim_a, dim_b, np.eye(n) / n)
+    da, db = _positive_dims(dim_a, dim_b)
+    n = da * db
+    return DensityMatrix(da, db, np.eye(n) / n)
 
 
 # --- operations -----------------------------------------------------------------

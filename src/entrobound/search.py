@@ -5,13 +5,16 @@ singlet family that planar restriction is lossless.  The LHS depends only on
 the three pairwise mutual informations, so the grid evaluator computes the
 ordered resolution^2 pair-MI table in one kernel call and finds the max of
 the resolution^3 LHS cube by branch and bound over its (second angle, third
-angle) columns: ~sqrt(resolution) exact pivot columns bound each column
-(j, k), by the triangle inequality through the pivots on either side of j
-and of k and by a shift bound, and only columns that could hold the max are
-swept over the first angle.  That reduction is exact, so the max and winner
-are bit-identical to a full evaluation of the cube, and memory stays
-O(resolution^2).  The trace holds one entry per grid cell in lexicographic
-order, each computed when it is read, then one per refine probe.
+angle) columns.  A shift bound, tight for tables that depend only on the
+difference or only on the sum of the angles, bounds each column (j, k), and
+one column's maximum is the lower bound.  Where that bound leaves too many
+columns to sweep, ~sqrt(resolution) exact pivot columns tighten it, by the
+triangle inequality through the pivots on either side of j and of k.  Only
+columns that could hold the max are swept over the first angle.  That
+reduction is exact, so the max and winner are bit-identical to a full
+evaluation of the cube, and memory stays O(resolution^2).  The trace holds
+one entry per grid cell in lexicographic order, each computed when it is
+read, then one per refine probe.
 Refinement is a derivative-free coordinate search (the LHS has
 absolute-value kinks).
 
@@ -35,12 +38,12 @@ from .errors import MonotonicityViolatedError, ResolutionTooLargeError, Resoluti
 from .inequalities import SATISFIED_ATOL
 from .quantum import (_BLOCK_CELLS, DensityMatrix, MeasurementSettings, _canonical_angle, _correlations, _three_pairs,
                       pair_mi_table, werner_state)
-from .value import _as_size, _check_tol
+from .value import _as_real, _as_size, _check_tol
 
 GRID_MIN_RESOLUTION = 8
 # The pair-MI table and the column bounds are resolution^2 float64 each; the
 # rest is built in slabs or blocks of _BLOCK_CELLS (1 MiB), so this cap bounds
-# memory (~21 MiB at 1024 under tracemalloc) and time (~resolution^3 when no
+# memory (~20 MiB at 1024 under tracemalloc) and time (~resolution^3 when no
 # column can be pruned, as for a table of i.i.d. noise).
 GRID_MAX_RESOLUTION = 1024
 WERNER_MIN_RESOLUTION = 32
@@ -145,31 +148,41 @@ def _lhs_at(c: np.ndarray, angles: tuple[float, float, float]) -> float:
 def _spreads(mi: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """max_i |mi[i, j] - mi[i, k]| for column indices j and k broadcast together, bit for bit.
 
-    Gathered from rows of i in blocks of _BLOCK_CELLS cells, at least one
-    row; |x| is never -0.0, so starting from 0.0 changes no maximum.
+    Gathered from rows of i in blocks of _BLOCK_CELLS cells, at least one row.
     """
-    out = np.zeros(np.broadcast_shapes(j.shape, k.shape))
-    rows = max(1, _BLOCK_CELLS // max(1, out.size))
+    out = None
+    rows = max(1, _BLOCK_CELLS // max(1, np.broadcast(j, k).size))
     for i0 in range(0, len(mi), rows):
         block = mi[i0:i0 + rows]
         diff = block.take(j, axis=1) - block.take(k, axis=1)
         np.abs(diff, out=diff)
-        np.maximum(out, diff.max(axis=0), out=out)
+        out = diff.max(axis=0) if out is None else np.maximum(out, diff.max(axis=0), out=out)
     return out
 
 
-def _circulant(v: np.ndarray) -> np.ndarray:
-    """The read-only view c[a, b] = v[(b - a) % len(v)]."""
+def _circulant(v: np.ndarray, hankel: bool = False) -> np.ndarray:
+    """The read-only view c[a, b] = v[(b - a) % len(v)], or with ``hankel`` h[a, b] = v[(a + b) % len(v)]."""
     n, size = len(v), v.itemsize
-    return np.ndarray((n, n), v.dtype, np.concatenate((v, v)).data.toreadonly(), n * size, (-size, size))
+    offset, strides = (0, (size, size)) if hankel else (n * size, (-size, size))
+    return np.ndarray((n, n), v.dtype, np.concatenate((v, v)).data.toreadonly(), offset, strides)
+
+
+def _blocks(stop: int, rows: int, cap: int):
+    """Blocks [i0, i1) covering range(stop): the first min(rows, cap) long, each next one twice as long, up to cap."""
+    start, rows = 0, min(rows, cap)
+    while start < stop:
+        yield start, min(start + rows, stop)
+        start += rows
+        rows = min(2 * rows, cap)
 
 
 def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[int, int, int]:
     """Lexicographically first cell (i, j, k) with lhs >= threshold, (j, k) among ``columns``.
 
     Row slabs of the ``columns`` mask are scanned upward in i, below the best i
-    found so far, in blocks of _BLOCK_CELLS cells (at least one row of i): all
-    of i at once unless the slab holds over _BLOCK_CELLS // n candidates.
+    found so far, in growing blocks: the first holds about n cells (at least
+    one row of i), and each next one twice as many, up to _BLOCK_CELLS.  So a
+    winner at small i costs a few rows, however many columns tie.
     """
     n = len(mi)
     first = (n, 0, 0)
@@ -179,9 +192,8 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
         if not len(j):
             continue
         m = mi[j, k]
-        rows = max(1, _BLOCK_CELLS // len(j))
-        for i0 in range(0, first[0], rows):
-            block = mi[i0:min(i0 + rows, first[0])]
+        for i0, i1 in _blocks(first[0], max(1, n // len(j)), max(1, _BLOCK_CELLS // len(j))):
+            block = mi[i0:i1]
             lhs = block[:, j]
             np.subtract(lhs, block[:, k], out=lhs)
             np.abs(lhs, out=lhs)
@@ -194,36 +206,95 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
     return first
 
 
-def _upper_bounds(mi: np.ndarray, spread: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-    """Upper bounds on the column maxima fl(S[j, k] + mi[j, k]) of the lhs cube.
+# Both column bounds hold for the real differences.  The floats differ from
+# them by three roundings, each within a relative 2^-53 and exact below
+# 2^-1022: a difference inside S, one inside a pivot spread, D or eps, and the
+# sum of two of those.  So S[j, k] <= (1 + 2^-53) / (1 - 2^-53)^2 * bound, and
+# the rounded product bound * _SLACK still covers that factor.
+_SLACK = 1.0 + 2.0 ** -50
 
-    Row t of spread is S[pivots[t]], pivots sorted.  S[j, k] is bounded by the
-    least of the triangle inequality S[j, r] + S[r, k] for r each of the two
-    pivots around j and around k, cyclically, and the shift bound D[(k - j) % n]
-    + 2 eps, for a table within eps of the circulant f[(b - a) % n], f = mi[0],
-    D[d] = max_u |f[u] - f[u + d]|; the latter is tight for the singlet and
-    Werner states, whose MI depends only on the angle difference.
+
+def _shift_bound(mi: np.ndarray) -> tuple[np.ndarray, bool]:
+    """g with S[j, k] <= g[(k - j) % n] for every column spread, before the rounding slack, and if mi read as Hankel.
+
+    g = D + 2 eps, for f = mi[0] and D[d] = max_u |f[u] - f[u + d]|, and eps
+    the distance of the table from the circulant f[(b - a) % n] or, if its last
+    row is nearer that of the Hankel table f[(a + b) % n], from the latter:
+    either way |mi[i, j] - mi[i, k]| is within 2 eps of some
+    |f[u] - f[u + k - j]|.  g[d] = g[n - d].  Tight for the singlet, Werner
+    states and phi+, whose MI depends only on the difference of the angles,
+    and for phi- and psi+, whose MI depends only on their sum.
+    """
+    f = mi[0]
+    circulant, hankel = _circulant(f), _circulant(f, hankel=True)
+    hankel_nearer = np.abs(mi[-1] - hankel[-1]).max() < np.abs(mi[-1] - circulant[-1]).max()
+    scratch = mi - (hankel if hankel_nearer else circulant)  # in place from here on
+    eps = float(np.abs(scratch, out=scratch).max())
+    half = scratch[:len(mi) // 2 + 1]  # D[d] = max_u |f[u - d] - f[u]| for d up to n / 2
+    shift = np.abs(np.subtract(circulant[:len(half)], f, out=half), out=half).max(axis=1)
+    shift = np.concatenate((shift, shift[len(mi) - len(half):0:-1]))  # D[n - d] = D[d], as fl(a - b) = -fl(b - a)
+    return shift + 2.0 * eps, hankel_nearer
+
+
+def _lower_bound(mi: np.ndarray, shift: np.ndarray, hankel: bool) -> float:
+    """The exact maximum of one column (j, j + d), chosen in O(n) where the table the shift bound read would peak.
+
+    Column (j, j + d) of a circulant table peaks at about g[d] + f[d] for
+    every j, so j = 0 and d maximises that; of a Hankel table at about
+    g[d] + f[2 j + d], so d maximises g, and j the table along that diagonal.
     """
     n = len(mi)
-    circulant = _circulant(mi[0])
-    top = mi - circulant  # in place from here on: the table, top and two slabs are the peak
-    eps = float(np.abs(top, out=top).max())
-    shift = np.abs(np.subtract(circulant, mi[0], out=top), out=top).max(axis=1)  # D[d] = max_u |f[u - d] - f[u]|
-    top[...] = _circulant(shift + 2.0 * eps)  # symmetric, as D[d] = D[n - d]
+    if hankel:
+        d, rows = int(shift.argmax()), np.arange(n)
+        j = int(mi[rows, (rows + d) % n].argmax())
+    else:
+        d, j = int((shift + mi[0]).argmax()), 0
+    k = (j + d) % n
+    return float(np.abs(mi[:, j] - mi[:, k]).max() + mi[j, k])
+
+
+def _shift_survivors(mi: np.ndarray, shift: np.ndarray, lb: float, limit: int) -> tuple:
+    """The shift bounds on the column maxima, and the symmetric mask of columns bounded above lb at (j, k) or (k, j).
+
+    The bounds are finished as ``_upper_bounds`` finishes its own.  (None,
+    None) if the mask holds over ``limit`` cells.  The bounds are built and
+    counted in growing slabs of rows, the first just past ``limit`` cells; as
+    the cells counted so far are in the mask, a table the shift bound cannot
+    prune stops after one slab.
+    """
+    n = len(mi)
+    bound, top, alive, count = _circulant(shift * _SLACK), np.empty((n, n)), np.empty((n, n), dtype=bool), 0
+    for j0, j1 in _blocks(n, limit // n + 1, n):
+        np.add(bound[j0:j1], mi[j0:j1], out=top[j0:j1])
+        count += np.count_nonzero(np.greater(top[j0:j1], lb, out=alive[j0:j1]))
+        if count > limit:
+            return None, None
+    alive |= alive.T
+    return (top, alive) if np.count_nonzero(alive) <= limit else (None, None)
+
+
+def _upper_bounds(mi: np.ndarray, spread: np.ndarray, pivots: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Upper bounds on the column maxima fl(S[j, k] + mi[j, k]) of the lhs cube.
+
+    Row t of spread is S[pivots[t]], pivots sorted, and shift is
+    ``_shift_bound(mi)``.  S[j, k] is bounded by the least of shift[(k - j) % n]
+    and the triangle inequality S[j, r] + S[r, k] for r each of the two pivots
+    around j and around k, cyclically.
+    """
+    n = len(mi)
+    bound, top = _circulant(shift), np.empty((n, n))  # top, the table and two slabs are the peak
     after, slab = np.searchsorted(pivots, np.arange(n), side="right"), max(1, _BLOCK_CELLS // n)
     for r in (after - 1, after % len(pivots)):  # the pivots around each column j: previous and next, cyclically
         d = spread[r, np.arange(n), None]  # S[j, r(j)]
         for j0 in range(0, n, slab):
-            np.minimum(top[j0:j0 + slab], spread[r[j0:j0 + slab]] + d[j0:j0 + slab], out=top[j0:j0 + slab])
+            through = spread[r[j0:j0 + slab]]
+            through += d[j0:j0 + slab]
+            np.minimum(bound[j0:j0 + slab], through, out=top[j0:j0 + slab])
+        bound = top
     for j0 in range(0, n, slab):  # the pivots around k give the transpose, as S is symmetric
-        block = np.minimum(top[j0:j0 + slab, j0:], top[j0:, j0:j0 + slab].T)
-        top[j0:j0 + slab, j0:], top[j0:, j0:j0 + slab] = block, block.T
-    # Both bounds hold for the real differences.  The floats differ from them
-    # by three roundings, each within a relative 2^-53 and exact below
-    # 2^-1022: a difference inside S, one inside a pivot spread, D or eps,
-    # and the sum above.  So S[j, k] <= (1 + 2^-53) / (1 - 2^-53)^2 * top, and
-    # the rounded product top * (1 + 2^-50) still covers that factor.
-    top *= 1.0 + 2.0 ** -50
+        block = np.minimum(top[j0:j0 + slab, j0:], top[j0:, j0:j0 + slab].T)  # its first slab columns are symmetric
+        top[j0:j0 + slab, j0:], top[j0 + slab:, j0:j0 + slab] = block, block[:, slab:].T
+    top *= _SLACK
     top += mi  # rounding of + is monotone
     return top
 
@@ -234,31 +305,41 @@ def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     The winner is the lexicographically first cell within WINNER_ATOL of the
     max.  Rounding of ``+`` is monotone, so column (j, k) peaks at
     fl(S[j, k] + mi[j, k]) with S[j, k] = max_i |mi[i, j] - mi[i, k]|, and
-    fl(b - a) = -fl(a - b) makes S symmetric.  Branch and bound: S is exact
-    for ~sqrt(n) evenly spaced pivot columns, whose column maxima give the
-    lower bound LB; ``_upper_bounds`` bounds every column, and only pairs of
-    columns (j, k), (k, j) bounded above LB are swept.  The winner lies in a
-    column whose exact maximum, or unswept bound, reaches the threshold; only
-    those are scanned.  Memory is O(resolution^2).
+    fl(b - a) = -fl(a - b) makes S symmetric.  Branch and bound: the shift
+    bound (``_shift_bound``) bounds every column, and the maximum of the one
+    column where it peaks (``_lower_bound``) is the lower bound LB.  Sweeping
+    a pair of columns (j, k), (k, j) costs n cells and a pivot column n^2, so
+    if at most 2 p n columns are bounded above LB, for p = isqrt(n), only
+    those pairs are swept.  Otherwise S is made exact for p evenly spaced
+    pivot columns, ``_upper_bounds`` tightens every bound through them, LB
+    rises to the largest maximum known, and the pairs bounded above it are
+    swept.  The winner lies in a column whose exact maximum, or unswept
+    bound, reaches the threshold; only those are scanned.  Memory is
+    O(resolution^2).
     """
     n = len(mi)
     pivots = np.arange(math.isqrt(n)) * n // math.isqrt(n)
-    spread = _spreads(mi, pivots[:, None], np.arange(n)[None, :])
-    top = _upper_bounds(mi, spread, pivots)
-    top[pivots] = exact = spread + mi[pivots]
-    top[:, pivots] = exact_t = spread.T + mi[:, pivots]
-    lb = max(exact.max(), exact_t.max())
-    alive = top > lb
-    alive |= alive.T
+    shift, hankel = _shift_bound(mi)
+    lb = _lower_bound(mi, shift, hankel)
+    top, alive = _shift_survivors(mi, shift, lb, 2 * len(pivots) * n)
+    if alive is None:
+        spread = _spreads(mi, pivots[:, None], np.arange(n)[None, :])
+        top = _upper_bounds(mi, spread, pivots, shift)
+        top[pivots] = exact = spread + mi[pivots]
+        top[:, pivots] = exact_t = spread.T + mi[:, pivots]
+        alive = top > max(lb, exact.max(), exact_t.max())
+        alive |= alive.T
     rows = max(1, _BLOCK_CELLS // n)
     for j0 in range(0, n, rows):
         j, k = np.divmod(np.flatnonzero(alive[j0:j0 + rows]) + j0 * n, n)
-        j, k = j[k >= j], k[k >= j]
+        upper = k >= j
+        j, k = j[upper], k[upper]
         s = _spreads(mi, j, k)
         top[j, k] = s + mi[j, k]
         top[k, j] = s + mi[k, j]
     # top now holds each column's exact maximum where it was computed and an
-    # upper bound no larger than LB elsewhere, so its max is the cube's
+    # upper bound no larger than LB elsewhere; LB is some column's maximum, so
+    # that column's entry is at least LB, and the max of top is the cube's
     best = float(top.max())
     threshold = best - WINNER_ATOL
     columns = top >= threshold
@@ -315,8 +396,8 @@ def refine(
     if resolution < 1:
         raise ValidationError(f"resolution must be >= 1, got {resolution}")
 
+    step = math.pi / _as_real(resolution, "resolutions", ResolutionTooLargeError)
     c = _correlations(rho)
-    step = math.pi / resolution
     current = start.angles
     current_lhs = _lhs_at(c, current)
     trace = [(current, current_lhs)]

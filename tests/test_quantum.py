@@ -31,6 +31,7 @@ from entrobound import (
 )
 from entrobound.errors import (
     DimensionMismatchError,
+    EntroboundError,
     InternalError,
     InvalidDensityMatrixError,
     InvalidSubsystemError,
@@ -476,6 +477,18 @@ def test_a_long_angle_list_names_only_its_first_non_finite_angle():
 def test_bell_state_unknown_name():
     with pytest.raises(ValidationError):
         bell_state("sigma+")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: product_state(-1, np.eye(2) / 2), id="product_state-scalar-factor"),
+    pytest.param(lambda: bell_state([]), id="bell_state-list-name"),
+    pytest.param(lambda: pure_state([1.0, 0.0, 0.0, 0.0], dims="a"), id="pure_state-string-dims"),
+    pytest.param(lambda: pure_state([1.0, 0.0, 0.0, 0.0], dims={}), id="pure_state-empty-dict-dims"),
+    pytest.param(lambda: maximally_mixed(-1, 2), id="maximally_mixed-negative-size"),
+])
+def test_state_constructors_raise_package_errors(build):
+    with pytest.raises(EntroboundError):
+        build()
 
 
 def test_werner_parameter_range():

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -503,7 +505,7 @@ def test_column_maxima_are_the_cube_maxima_byte_for_byte(monkeypatch, resolution
         top = (np.abs(mi[:, :, None] - mi[:, None, :]) + mi).max(axis=0)
         computed.clear()
         search_module._cube_argmax(mi)
-        assert computed[0][0].shape == (math.isqrt(resolution), resolution), name  # the pivot columns
+        assert [s.shape for _, _, s in computed if s.ndim > 1] in ([], [(math.isqrt(resolution), resolution)]), name
         for j, k, s in computed:
             assert (s + mi[j, k]).tobytes() == top[j, k].tobytes(), name
             assert (s + mi[k, j]).tobytes() == top[k, j].tobytes(), name
@@ -515,20 +517,21 @@ def test_column_maxima_are_the_cube_maxima_byte_for_byte(monkeypatch, resolution
 def _bound_tables(draw):
     """A square table and a non-empty set of pivot columns.
 
-    Tables are i.i.d. entries spread over five decades, circulant tables
-    with noise of exactly 0 or +-delta (so eps = delta and the shift bound is
-    tight) near the rounding of the entries, tables of one value, and tables
-    of signed zeros.
+    Tables are i.i.d. entries spread over five decades, circulant and Hankel
+    tables with noise of exactly 0 or +-delta (so eps = delta and the shift
+    bound is tight) near the rounding of the entries, tables of one value, and
+    tables of signed zeros.
     """
     n = draw(st.integers(min_value=1, max_value=10))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "circulant", "ties", "signed zeros"]))
+    kind = draw(st.sampled_from(["random", "circulant", "hankel", "ties", "signed zeros"]))
     if kind == "random":
         mi = rng.random((n, n)) * 10.0 ** rng.integers(-3, 3, (n, n))
-    elif kind == "circulant":
+    elif kind in ("circulant", "hankel"):
         f = rng.random(n)
         noise = rng.choice([-1.0, 0.0, 1.0], (n, n)) * draw(st.sampled_from([0.0, 1e-17, 1e-16, 1e-15, 1e-13, 1e-9]))
-        mi = f[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n] + noise
+        sign = 1 if kind == "hankel" else -1
+        mi = f[(np.arange(n)[None, :] + sign * np.arange(n)[:, None]) % n] + noise
     elif kind == "ties":
         mi = np.full((n, n), draw(st.sampled_from([0.0, 0.25, 1.0, rng.random()])))
     else:
@@ -548,7 +551,7 @@ def test_column_upper_bounds_are_at_least_the_cube_maxima(case):
     # least the column maximum everywhere exactly when each of them is
     mi, pivots = case
     spreads = np.abs(mi[:, :, None] - mi[:, None, :])
-    bounds = search_module._upper_bounds(mi, spreads.max(axis=0)[pivots], pivots)
+    bounds = search_module._upper_bounds(mi, spreads.max(axis=0)[pivots], pivots, search_module._shift_bound(mi)[0])
     assert (bounds >= (spreads + mi).max(axis=0)).all()
 
 
@@ -576,11 +579,32 @@ def test_two_pivots_per_column_sweep_no_more_pairs_than_every_pivot(monkeypatch,
         mi = pair_mi_table(rho, angles, angles)
         two_pivots = sweep(mi)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search_module, "_upper_bounds", lambda mi, spread, pivots: reference_upper_bounds(mi, spread))
+            mp.setattr(search_module, "_upper_bounds", lambda mi, spread, *_: reference_upper_bounds(mi, spread))
             every_pivot = sweep(mi)
         assert two_pivots <= every_pivot, name
         total += every_pivot
     assert total > 0
+
+
+def test_pivot_columns_are_computed_only_where_the_shift_bound_cannot_prune(monkeypatch):
+    # the singlet and Werner tables are circulant and phi-'s is Hankel, each to
+    # rounding, so the shift bound prunes them with no pivot column; the mixed
+    # state's table is neither, so it takes all isqrt(n) pivot columns at once
+    spreads, pivot_calls = search_module._spreads, []
+
+    def counted(mi, j, k):
+        if j.ndim > 1:
+            pivot_calls.append(np.broadcast(j, k).shape)
+        return spreads(mi, j, k)
+
+    monkeypatch.setattr(search_module, "_spreads", counted)
+    mixed = DensityMatrix.from_dict(json.loads((Path(__file__).parent / "data" / "mixed_state.json").read_text()))
+    n = GRID_MAX_RESOLUTION
+    for name, rho, expected in [("singlet", singlet(), []), ("werner 0.9", werner_state(0.9), []),
+                                ("phi-", bell_state("phi-"), []), ("mixed", mixed, [(math.isqrt(n), n)])]:
+        pivot_calls.clear()
+        grid_search(rho, n)
+        assert pivot_calls == expected, name
 
 
 def test_grid_winner_is_the_textbook_singlet_triple():
@@ -649,6 +673,14 @@ def test_search_rejects_a_bad_tolerance_before_evaluating(monkeypatch, tol):
 def test_refine_rejects_a_resolution_below_one(resolution):
     with pytest.raises(ValidationError, match=f"resolution must be >= 1, got {resolution}"):
         refine(singlet(), MeasurementSettings((0.0, 0.0, 0.0)), resolution=resolution)
+
+
+def test_refine_rejects_a_resolution_past_the_float_range():
+    # the first step is pi / resolution; a resolution that converts to a float keeps it, however small
+    start = MeasurementSettings((0.0, 0.5, 1.0))
+    with pytest.raises(ResolutionTooLargeError, match="resolutions must lie within the float range"):
+        refine(singlet(), start, 1e-3, 10**400)
+    assert refine(singlet(), start, 1e-3, 10**308).best_settings == start
 
 
 # --- closed-form optima -------------------------------------------------------------
