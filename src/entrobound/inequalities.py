@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .dist import JointDistribution
 from .entropy import EntropyValue, _vector, convert_base
 from .errors import NegativeMutualInformationError, ValidationError, WrongArityError
-from .value import _as_real, _as_size
+from .value import _as_flag, _as_real, _as_size
 
 SATISFIED_ATOL = 1e-9
 
@@ -230,10 +230,10 @@ def dpi_check(d: JointDistribution, markov_certified: bool) -> list[InequalityRe
     Four reports: the source entropy bounds H(A:B) <= H(A) and
     H(C:B) <= H(C) (unconditional), and the decay links H(A:C) <= H(A:B)
     and H(C:A) <= H(C:B), which require the Markov property.
-    ``markov_certified`` is recorded on every report, not enforced.
+    ``markov_certified``, True or False, is recorded on every report, not enforced.
     """
     h = _vector(d)
-    meta = {"markov_certified": bool(markov_certified)}
+    meta = {"markov_certified": _as_flag(markov_certified, "markov_certified")}
     return [_check(name, h, meta) for name in
             ("dpi_forward_source", "dpi_forward_chain", "dpi_reverse_source", "dpi_reverse_chain")]
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import JointDistribution, _entries, _reals
+from .dist import MAX_CELLS, JointDistribution, _entries, _reals
 from .entropy import CLAMP_ATOL, EntropyValue, _check_base, _clamp, _plogp_bits
 from .errors import (
     DimensionMismatchError,
@@ -63,19 +63,26 @@ def _complex_array(values, what: str) -> np.ndarray:
     """A complex copy of ``values``, each entry by the ``_as_complex`` rule unless they are a float or complex ndarray.
 
     ``np.array(values, dtype=complex)`` alone would read True and "1" as 1, and raise a bare OverflowError or
-    ValueError for 10**400 or "a".
+    ValueError for 10**400 or "a".  Nested arrays of unequal shapes raise ValidationError too.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "fc":
         return np.array(values, dtype=complex)
-    entries = np.array(values, dtype=object)
+    try:
+        entries = np.array(values, dtype=object)
+    except ValueError as exc:  # numpy cannot lay the nested arrays out as one
+        raise ValidationError(f"{what} must form a rectangular array: {exc}") from exc
     return np.array([_as_complex(v, what) for v in entries.flat], dtype=complex).reshape(entries.shape)
 
 
 def _positive_dims(dim_a, dim_b) -> tuple[int, int]:
-    """The two subsystem dimensions by the ``_as_size`` rule; InvalidDensityMatrixError unless both are positive."""
-    da, db = _as_size(dim_a), _as_size(dim_b)
-    if da < 1 or db < 1:
-        raise InvalidDensityMatrixError(f"dimensions must be positive, got ({da}, {db})")
+    """The two subsystem dimensions by the ``_as_size`` rule; InvalidDensityMatrixError unless both are positive.
+
+    Their product is capped at isqrt(dist.MAX_CELLS) = 2048, so a density matrix holds at most as many entries as
+    a table; the check comes before anything is allocated.
+    """
+    da, db, cap = _as_size(dim_a), _as_size(dim_b), math.isqrt(MAX_CELLS)
+    if not (da >= 1 and db >= 1 and da * db <= cap):  # no numbers: past 4300 digits an int has no str
+        raise InvalidDensityMatrixError(f"dimensions must be positive with a product of at most {cap}")
     return da, db
 
 

@@ -6,10 +6,11 @@ the three pairwise mutual informations, so the grid evaluator computes the
 ordered resolution^2 pair-MI table in one kernel call and finds the max of
 the resolution^3 LHS cube by branch and bound over its (second angle, third
 angle) columns.  A shift bound, tight for tables that depend only on the
-difference or only on the sum of the angles, bounds each column (j, k), and
-one column's maximum is the lower bound.  Where that bound leaves too many
-columns to sweep, ~sqrt(resolution) exact pivot columns tighten it, by the
-triangle inequality through the pivots on either side of j and of k.  Only
+difference or only on the sum of the angles, fills one table of bounds on
+the columns (j, k), and the maximum of the column it rates highest is the
+lower bound.  Where that table leaves too many columns to sweep,
+~sqrt(resolution) exact pivot columns tighten it in place, by the triangle
+inequality through the pivots on either side of j and of k.  Only
 columns that could hold the max are swept over the first angle.  That
 reduction is exact, so the max and winner are bit-identical to a full
 evaluation of the cube, and memory stays O(resolution^2).  The trace holds
@@ -167,15 +168,6 @@ def _circulant(v: np.ndarray, hankel: bool = False) -> np.ndarray:
     return np.ndarray((n, n), v.dtype, np.concatenate((v, v)).data.toreadonly(), offset, strides)
 
 
-def _blocks(stop: int, rows: int, cap: int):
-    """Blocks [i0, i1) covering range(stop): the first min(rows, cap) long, each next one twice as long, up to cap."""
-    start, rows = 0, min(rows, cap)
-    while start < stop:
-        yield start, min(start + rows, stop)
-        start += rows
-        rows = min(2 * rows, cap)
-
-
 def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[int, int, int]:
     """Lexicographically first cell (i, j, k) with lhs >= threshold, (j, k) among ``columns``.
 
@@ -191,9 +183,10 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
         j, k = np.divmod(np.flatnonzero(columns[j0:j0 + slab_rows]) + j0 * n, n)  # ~5x faster than a 2-D nonzero
         if not len(j):
             continue
-        m = mi[j, k]
-        for i0, i1 in _blocks(first[0], max(1, n // len(j)), max(1, _BLOCK_CELLS // len(j))):
-            block = mi[i0:i1]
+        m, i0, cap = mi[j, k], 0, max(1, _BLOCK_CELLS // len(j))
+        rows = min(max(1, n // len(j)), cap)
+        while i0 < first[0]:
+            block = mi[i0:min(i0 + rows, first[0])]
             lhs = block[:, j]
             np.subtract(lhs, block[:, k], out=lhs)
             np.abs(lhs, out=lhs)
@@ -203,6 +196,7 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
                 r, c = divmod(int(hits.argmax()), len(j))
                 first = (i0 + r, int(j[c]), int(k[c]))
                 break
+            i0, rows = i0 + rows, min(2 * rows, cap)
     return first
 
 
@@ -214,8 +208,8 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
 _SLACK = 1.0 + 2.0 ** -50
 
 
-def _shift_bound(mi: np.ndarray) -> tuple[np.ndarray, bool]:
-    """g with S[j, k] <= g[(k - j) % n] for every column spread, before the rounding slack, and if mi read as Hankel.
+def _shift_bound(mi: np.ndarray) -> np.ndarray:
+    """g with S[j, k] <= g[(k - j) % n] for every column spread, before the rounding slack.
 
     g = D + 2 eps, for f = mi[0] and D[d] = max_u |f[u] - f[u + d]|, and eps
     the distance of the table from the circulant f[(b - a) % n] or, if its last
@@ -233,56 +227,20 @@ def _shift_bound(mi: np.ndarray) -> tuple[np.ndarray, bool]:
     half = scratch[:len(mi) // 2 + 1]  # D[d] = max_u |f[u - d] - f[u]| for d up to n / 2
     shift = np.abs(np.subtract(circulant[:len(half)], f, out=half), out=half).max(axis=1)
     shift = np.concatenate((shift, shift[len(mi) - len(half):0:-1]))  # D[n - d] = D[d], as fl(a - b) = -fl(b - a)
-    return shift + 2.0 * eps, hankel_nearer
+    return shift + 2.0 * eps
 
 
-def _lower_bound(mi: np.ndarray, shift: np.ndarray, hankel: bool) -> float:
-    """The exact maximum of one column (j, j + d), chosen in O(n) where the table the shift bound read would peak.
-
-    Column (j, j + d) of a circulant table peaks at about g[d] + f[d] for
-    every j, so j = 0 and d maximises that; of a Hankel table at about
-    g[d] + f[2 j + d], so d maximises g, and j the table along that diagonal.
-    """
-    n = len(mi)
-    if hankel:
-        d, rows = int(shift.argmax()), np.arange(n)
-        j = int(mi[rows, (rows + d) % n].argmax())
-    else:
-        d, j = int((shift + mi[0]).argmax()), 0
-    k = (j + d) % n
-    return float(np.abs(mi[:, j] - mi[:, k]).max() + mi[j, k])
-
-
-def _shift_survivors(mi: np.ndarray, shift: np.ndarray, lb: float, limit: int) -> tuple:
-    """The shift bounds on the column maxima, and the symmetric mask of columns bounded above lb at (j, k) or (k, j).
-
-    The bounds are finished as ``_upper_bounds`` finishes its own.  (None,
-    None) if the mask holds over ``limit`` cells.  The bounds are built and
-    counted in growing slabs of rows, the first just past ``limit`` cells; as
-    the cells counted so far are in the mask, a table the shift bound cannot
-    prune stops after one slab.
-    """
-    n = len(mi)
-    bound, top, alive, count = _circulant(shift * _SLACK), np.empty((n, n)), np.empty((n, n), dtype=bool), 0
-    for j0, j1 in _blocks(n, limit // n + 1, n):
-        np.add(bound[j0:j1], mi[j0:j1], out=top[j0:j1])
-        count += np.count_nonzero(np.greater(top[j0:j1], lb, out=alive[j0:j1]))
-        if count > limit:
-            return None, None
-    alive |= alive.T
-    return (top, alive) if np.count_nonzero(alive) <= limit else (None, None)
-
-
-def _upper_bounds(mi: np.ndarray, spread: np.ndarray, pivots: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Upper bounds on the column maxima fl(S[j, k] + mi[j, k]) of the lhs cube.
+def _upper_bounds(mi: np.ndarray, spread: np.ndarray, pivots: np.ndarray, shift: np.ndarray, top: np.ndarray) -> None:
+    """Tighten ``top``, the shift bounds on the column maxima fl(S[j, k] + mi[j, k]) of the lhs cube, in place.
 
     Row t of spread is S[pivots[t]], pivots sorted, and shift is
     ``_shift_bound(mi)``.  S[j, k] is bounded by the least of shift[(k - j) % n]
     and the triangle inequality S[j, r] + S[r, k] for r each of the two pivots
-    around j and around k, cyclically.
+    around j and around k, cyclically.  top is rewritten from shift with that
+    least, finished as the shift bound is, so no entry rises; no other n^2
+    array is allocated.
     """
-    n = len(mi)
-    bound, top = _circulant(shift), np.empty((n, n))  # top, the table and two slabs are the peak
+    n, bound = len(mi), _circulant(shift)  # top, the table and two slabs are the peak
     after, slab = np.searchsorted(pivots, np.arange(n), side="right"), max(1, _BLOCK_CELLS // n)
     for r in (after - 1, after % len(pivots)):  # the pivots around each column j: previous and next, cyclically
         d = spread[r, np.arange(n), None]  # S[j, r(j)]
@@ -296,7 +254,6 @@ def _upper_bounds(mi: np.ndarray, spread: np.ndarray, pivots: np.ndarray, shift:
         top[j0:j0 + slab, j0:], top[j0 + slab:, j0:j0 + slab] = block, block[:, slab:].T
     top *= _SLACK
     top += mi  # rounding of + is monotone
-    return top
 
 
 def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
@@ -305,42 +262,47 @@ def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     The winner is the lexicographically first cell within WINNER_ATOL of the
     max.  Rounding of ``+`` is monotone, so column (j, k) peaks at
     fl(S[j, k] + mi[j, k]) with S[j, k] = max_i |mi[i, j] - mi[i, k]|, and
-    fl(b - a) = -fl(a - b) makes S symmetric.  Branch and bound: the shift
-    bound (``_shift_bound``) bounds every column, and the maximum of the one
-    column where it peaks (``_lower_bound``) is the lower bound LB.  Sweeping
-    a pair of columns (j, k), (k, j) costs n cells and a pivot column n^2, so
-    if at most 2 p n columns are bounded above LB, for p = isqrt(n), only
-    those pairs are swept.  Otherwise S is made exact for p evenly spaced
-    pivot columns, ``_upper_bounds`` tightens every bound through them, LB
-    rises to the largest maximum known, and the pairs bounded above it are
-    swept.  The winner lies in a column whose exact maximum, or unswept
-    bound, reaches the threshold; only those are scanned.  Memory is
-    O(resolution^2).
+    fl(b - a) = -fl(a - b) makes S symmetric.  Branch and bound on one table
+    of column bounds, top: the shift bound (``_shift_bound``) fills it, and
+    the exact maximum of the column it rates highest is the lower bound LB.
+    Sweeping a pair of columns (j, k), (k, j) costs n cells and a pivot
+    column n^2, so if at most 2 p n columns are bounded above LB, for
+    p = isqrt(n), only those pairs are swept.  Otherwise S is made exact for
+    p evenly spaced pivot columns, ``_upper_bounds`` tightens top in place
+    through them, LB rises to the largest maximum known, and the pairs
+    bounded above it are swept.  The winner lies in a column whose exact
+    maximum, or unswept bound, reaches the threshold; only those are
+    scanned.  Memory is O(resolution^2).
     """
-    n = len(mi)
-    pivots = np.arange(math.isqrt(n)) * n // math.isqrt(n)
-    shift, hankel = _shift_bound(mi)
-    lb = _lower_bound(mi, shift, hankel)
-    top, alive = _shift_survivors(mi, shift, lb, 2 * len(pivots) * n)
-    if alive is None:
+    n, p = len(mi), math.isqrt(len(mi))
+    pivots, limit = np.arange(p) * n // p, 2 * p * n
+    shift = _shift_bound(mi)
+    top = _circulant(shift * _SLACK) + mi
+    j, k = divmod(int(top.argmax()), n)
+    lb = float(np.abs(mi[:, j] - mi[:, k]).max() + mi[j, k])
+    alive = top > lb
+    if np.count_nonzero(alive) <= limit:  # else the symmetric mask is over the limit too
+        alive |= alive.T
+    if np.count_nonzero(alive) > limit:
         spread = _spreads(mi, pivots[:, None], np.arange(n)[None, :])
-        top = _upper_bounds(mi, spread, pivots, shift)
+        _upper_bounds(mi, spread, pivots, shift, top)
         top[pivots] = exact = spread + mi[pivots]
         top[:, pivots] = exact_t = spread.T + mi[:, pivots]
-        alive = top > max(lb, exact.max(), exact_t.max())
+        lb = max(lb, float(exact.max()), float(exact_t.max()))
+        np.greater(top, lb, out=alive)
         alive |= alive.T
-    rows = max(1, _BLOCK_CELLS // n)
+    best, rows = lb, max(1, _BLOCK_CELLS // n)
     for j0 in range(0, n, rows):
         j, k = np.divmod(np.flatnonzero(alive[j0:j0 + rows]) + j0 * n, n)
         upper = k >= j
         j, k = j[upper], k[upper]
         s = _spreads(mi, j, k)
-        top[j, k] = s + mi[j, k]
-        top[k, j] = s + mi[k, j]
+        top[j, k] = forward = s + mi[j, k]
+        top[k, j] = backward = s + mi[k, j]
+        best = max(best, float(forward.max(initial=lb)), float(backward.max(initial=lb)))
     # top now holds each column's exact maximum where it was computed and an
     # upper bound no larger than LB elsewhere; LB is some column's maximum, so
-    # that column's entry is at least LB, and the max of top is the cube's
-    best = float(top.max())
+    # the cube's max is the largest of LB and the swept maxima
     threshold = best - WINNER_ATOL
     columns = top >= threshold
     del top  # the winner search needs only the mask

@@ -17,7 +17,7 @@ from .errors import (
     TotalOutOfRangeError,
     ValidationError,
 )
-from .value import EntropyValue, _as_size, _Frozen
+from .value import EntropyValue, _as_flag, _as_size, _Frozen
 
 MAX_DICE = 8
 MAX_MIXING_PARTICLES = 60
@@ -157,6 +157,7 @@ def mixing_demo(n_a: int, n_b: int, same_species: bool) -> EntropyValue:
     binomial is exact.
     """
     n_a, n_b = _as_size(n_a, "particle counts"), _as_size(n_b, "particle counts")
+    same_species = _as_flag(same_species, "same_species")
     if n_a < 1 or n_b < 1:
         raise ValidationError(f"particle counts must be >= 1, got ({n_a}, {n_b})")
     if n_a + n_b > MAX_MIXING_PARTICLES:

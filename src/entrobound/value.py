@@ -6,14 +6,15 @@ run without importing numpy.  :mod:`entrobound.entropy` re-exports
 :class:`EntropyValue` and the functions here.  :class:`_Frozen` is the
 immutable base that this module's, :mod:`entrobound.dist`'s and
 :mod:`entrobound.statmech`'s value classes share.  :func:`_as_size`,
-:func:`_as_real` and :func:`_as_complex` are the rules every module applies
-to its integer, real and complex arguments, and :func:`_check_base` and
-:func:`_check_tol` the one check of a logarithm base and of a tolerance,
-which the command line calls too.
+:func:`_as_real`, :func:`_as_complex` and :func:`_as_flag` are the rules
+every module applies to its integer, real, complex and true-or-false
+arguments, and :func:`_check_base` and :func:`_check_tol` the one check of
+a logarithm base and of a tolerance, which the command line calls too.
 """
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import InvalidBaseError, ValidationError, ZeroMultiplicityError
 
@@ -136,6 +137,21 @@ def _as_complex(value, what: str) -> complex:
         return complex(value)
     except OverflowError as exc:  # not repr(value), as in _as_real
         raise ValidationError(f"{what} must lie within the float range (magnitude below 1.8e308)") from exc
+
+
+def _as_flag(value, what: str) -> bool:
+    """``value`` as a bool: True or False, numpy's too.
+
+    ``bool()`` alone would read 1, "no" and [0] as flags, and raise a bare ValueError on an array of two or more
+    entries.
+    """
+    if type(value) is bool:
+        return value
+    numpy = sys.modules.get("numpy")  # a numpy bool exists only once numpy is imported
+    if numpy is not None and isinstance(value, numpy.bool_):
+        return bool(value)
+    # not repr(value): past 4300 digits an int has none
+    raise ValidationError(f"{what} must be True or False, got a {type(value).__name__}")
 
 
 def _check_base(base: float) -> float:

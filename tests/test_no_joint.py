@@ -88,3 +88,21 @@ def test_the_entropic_witness_misses_werner_half():
     gap, lo, hi = no_joint_certificate(reference_measure_pair(rho, a, b), reference_measure_pair(rho, a, c),
                                        reference_measure_pair(rho, b, c))
     assert gap <= TOL and lo - hi > TOL
+
+
+def test_werner_at_equal_angles_has_no_joint_by_the_closed_form():
+    # each table is (1 - p s t) / 4, so t = p(0, 0, 0) lies in [0, (1 - 3p) / 4]: empty by (3p - 1) / 4 above 1/3
+    for p in (0.3334, 0.34, 0.5, 0.9):
+        for theta in (0.0, 0.7, math.pi / 2, 2.9):
+            gap, lo, hi = no_joint_certificate(*[reference_measure_pair(werner_state(p), theta, theta)] * 3)
+            assert gap <= TOL
+            assert abs((lo - hi) - (3.0 * p - 1.0) / 4.0) <= 1e-12, (p, theta)
+
+
+def test_werner_third_has_a_joint_at_every_grid_setting():
+    # at p = 1/3 the equal-angle interval closes to a point; no setting of a 12^3 grid certifies a missing joint
+    rho, angles = werner_state(1.0 / 3.0), [i * math.pi / 12 for i in range(12)]
+    tables = [[reference_measure_pair(rho, x, y) for y in angles] for x in angles]
+    worst = max(_no_joint(*no_joint_certificate(tables[a][b], tables[a][c], tables[b][c]))
+                for a in range(12) for b in range(12) for c in range(12))
+    assert worst <= TOL

@@ -1,4 +1,4 @@
-"""The package namespace: lazy public names, which runs load numpy, its immutable values and its rule for reals."""
+"""The package namespace: lazy public names, which runs load numpy, its immutable values and its argument rules."""
 import copy
 import inspect
 import os
@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entrobound
@@ -137,4 +138,21 @@ def test_a_real_argument_must_be_a_real_number(call, value):
 def test_an_integer_past_the_float_range_raises_the_callers_error(call, error):
     # float() raised a bare OverflowError on each of these
     with pytest.raises(error, match="must lie within the float range"):
+        call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: entrobound.maximally_mixed(10 ** 400, 2), entrobound.errors.InvalidDensityMatrixError),
+    (lambda: entrobound.maximally_mixed(2 ** 40, 2), entrobound.errors.InvalidDensityMatrixError),
+    (lambda: entrobound.maximally_mixed(-10 ** 5000, 2), entrobound.errors.InvalidDensityMatrixError),
+    (lambda: entrobound.DensityMatrix(2, 1, [np.zeros((2, 2)), np.zeros((2, 3))]), entrobound.errors.ValidationError),
+    (lambda: entrobound.dpi_check(entrobound.JointDistribution.uniform((2, 2, 2)), np.array([1, 0])),
+     entrobound.errors.ValidationError),
+    (lambda: entrobound.mixing_demo(2, 3, np.array([1, 0])), entrobound.errors.ValidationError),
+], ids=["huge-density-matrix", "oversized-density-matrix", "huge-negative-dimension", "ragged-entries",
+        "array-markov-flag", "array-species-flag"])
+def test_oversized_ragged_and_array_arguments_raise_package_errors(call, error):
+    # numpy raised a bare ValueError on each: np.eye past its size limit, a ragged object array, bool() of an array
+    # (str() of the -10**5000 in the message did too)
+    with pytest.raises(error):
         call()

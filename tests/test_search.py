@@ -49,6 +49,8 @@ SINGLET_GRID32_LHS = 1.1342227793909867
 SINGLET_REFINED_LHS = 1.1342543799752633
 WERNER_THRESHOLD_RES32_TOL1E3 = 0.9560546875
 
+DATA = Path(__file__).parent / "data"
+
 
 def closed_form_grid_max(resolution: int) -> float:
     """Independent oracle: the grid maximum from the closed-form singlet MI."""
@@ -347,11 +349,13 @@ def test_grid_memory_stays_quadratic_in_resolution():
     assert len(result.trace) == 256 ** 3
 
 
-@pytest.mark.parametrize("state", ["singlet", "phi-", "maximally mixed"])
+@pytest.mark.parametrize("state", ["singlet", "phi-", "maximally mixed", "mixed"])
 def test_grid_memory_at_the_resolution_cap(state):
     # the table and the column bounds are 8 MiB each at 1024; a transposed
-    # copy of the table would take another 8 MiB
-    rho = {"singlet": singlet(), "phi-": bell_state("phi-"), "maximally mixed": maximally_mixed()}[state]
+    # copy of the table would take another 8 MiB.  The mixed state takes the
+    # pivot path, which tightens the bounds in place
+    rho = {"singlet": singlet, "phi-": lambda: bell_state("phi-"), "maximally mixed": maximally_mixed,
+           "mixed": lambda: DensityMatrix.from_dict(json.loads((DATA / "mixed_state.json").read_text()))}[state]()
     tracemalloc.start()
     try:
         result = grid_search(rho, GRID_MAX_RESOLUTION)
@@ -551,7 +555,8 @@ def test_column_upper_bounds_are_at_least_the_cube_maxima(case):
     # least the column maximum everywhere exactly when each of them is
     mi, pivots = case
     spreads = np.abs(mi[:, :, None] - mi[:, None, :])
-    bounds = search_module._upper_bounds(mi, spreads.max(axis=0)[pivots], pivots, search_module._shift_bound(mi)[0])
+    bounds = np.empty_like(mi)
+    search_module._upper_bounds(mi, spreads.max(axis=0)[pivots], pivots, search_module._shift_bound(mi), bounds)
     assert (bounds >= (spreads + mi).max(axis=0)).all()
 
 
@@ -579,7 +584,8 @@ def test_two_pivots_per_column_sweep_no_more_pairs_than_every_pivot(monkeypatch,
         mi = pair_mi_table(rho, angles, angles)
         two_pivots = sweep(mi)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search_module, "_upper_bounds", lambda mi, spread, *_: reference_upper_bounds(mi, spread))
+            mp.setattr(search_module, "_upper_bounds",
+                       lambda mi, spread, pivots, shift, top: np.copyto(top, reference_upper_bounds(mi, spread)))
             every_pivot = sweep(mi)
         assert two_pivots <= every_pivot, name
         total += every_pivot
@@ -587,9 +593,10 @@ def test_two_pivots_per_column_sweep_no_more_pairs_than_every_pivot(monkeypatch,
 
 
 def test_pivot_columns_are_computed_only_where_the_shift_bound_cannot_prune(monkeypatch):
-    # the singlet and Werner tables are circulant and phi-'s is Hankel, each to
-    # rounding, so the shift bound prunes them with no pivot column; the mixed
-    # state's table is neither, so it takes all isqrt(n) pivot columns at once
+    # the singlet, Werner and phi+ tables are circulant and phi-'s and psi+'s
+    # Hankel, each to rounding, so the shift bound prunes them with no pivot
+    # column; the mixed state's table is neither, so it takes all isqrt(n)
+    # pivot columns at once
     spreads, pivot_calls = search_module._spreads, []
 
     def counted(mi, j, k):
@@ -598,10 +605,11 @@ def test_pivot_columns_are_computed_only_where_the_shift_bound_cannot_prune(monk
         return spreads(mi, j, k)
 
     monkeypatch.setattr(search_module, "_spreads", counted)
-    mixed = DensityMatrix.from_dict(json.loads((Path(__file__).parent / "data" / "mixed_state.json").read_text()))
+    mixed = DensityMatrix.from_dict(json.loads((DATA / "mixed_state.json").read_text()))
     n = GRID_MAX_RESOLUTION
     for name, rho, expected in [("singlet", singlet(), []), ("werner 0.9", werner_state(0.9), []),
-                                ("phi-", bell_state("phi-"), []), ("mixed", mixed, [(math.isqrt(n), n)])]:
+                                ("phi-", bell_state("phi-"), []), ("psi+", bell_state("psi+"), []),
+                                ("phi+", bell_state("phi+"), []), ("mixed", mixed, [(math.isqrt(n), n)])]:
         pivot_calls.clear()
         grid_search(rho, n)
         assert pivot_calls == expected, name
