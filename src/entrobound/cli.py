@@ -8,13 +8,15 @@ pipelines can branch on "violation found"), and 2 means a usage or input
 error.  Output is deterministic byte-for-byte for identical invocations:
 keys are emitted in fixed order and floats with 12 significant digits.
 
-Imports are lazy: this module loads the standard library and
-:mod:`~entrobound.errors` only, and each handler imports the modules it
-computes with.  The exact statistical mechanics (``statmech --dice``,
-``--combine``, ``--mix``, ``--coins`` without ``--trials``) and ``--version``
-thus never load numpy, which costs more than interpreter start.  An input
-file is read and parsed as JSON before any module that needs numpy, so a
-missing or malformed file is reported without loading it either.
+Imports are lazy: this module loads the standard library,
+:mod:`~entrobound.errors` and :mod:`~entrobound.value` only, and each
+handler imports the modules it computes with.  The exact statistical
+mechanics (``statmech --dice``, ``--combine``, ``--mix``, ``--coins``
+without ``--trials``) and ``--version`` thus never load numpy, which costs
+more than interpreter start.  An input file is read and parsed as JSON
+before any module that needs numpy, so a missing or malformed file is
+reported without loading it either, and so are a bad ``--angles``, an
+unknown ``--state`` name and a grid ``--resolution`` out of range.
 """
 from __future__ import annotations
 
@@ -29,12 +31,12 @@ from typing import TYPE_CHECKING, TextIO
 
 from . import __version__
 from .errors import EntroboundError, ParseError, ValidationError
-from .value import _check_base, _check_tol
+from .value import _check_base, _check_resolution, _check_tol, _finite_angles
 
 if TYPE_CHECKING:
     from .dist import JointDistribution
     from .inequalities import InequalityReport
-    from .quantum import DensityMatrix, MeasurementSettings
+    from .quantum import DensityMatrix
 
 # A trace has about resolution^3 entries and streams at ~100k entries/s: at 128
 # it is 2.1e6 entries, 136 MB of JSON and ~21 s; at the grid's own cap (1024) it
@@ -150,20 +152,23 @@ def _load_distribution(path: str) -> JointDistribution:
 
 
 def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
+    """The state of ``--state-file`` or ``--state``; a name is checked, and a Werner parameter parsed, before numpy."""
     if path is not None:
         return _load(path, "density-matrix", "quantum", "DensityMatrix")
-    from .quantum import bell_state, werner_state
-
     key = name.strip().lower()
     bell = {"singlet": "psi-", "bell-phi-plus": "phi+", "bell-phi-minus": "phi-", "bell-psi-plus": "psi+",
             "bell-psi-minus": "psi-"}
     if key in bell:
+        from .quantum import bell_state
+
         return bell_state(bell[key])
     if key.startswith("werner:"):
         try:
             p = float(key.split(":", 1)[1])
         except ValueError as exc:
             raise ValidationError(f"bad Werner parameter in {name!r}: {exc}") from exc
+        from .quantum import werner_state
+
         return werner_state(p)
     raise ValidationError(
         f"unknown state {name!r}; expected singlet, bell-phi-plus, bell-phi-minus, "
@@ -171,14 +176,13 @@ def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
     )
 
 
-def _parse_angles(text: str) -> MeasurementSettings:
-    from .quantum import MeasurementSettings
-
+def _parse_angles(text: str) -> tuple[float, float, float]:
+    """Three finite angles by the rule of ``MeasurementSettings``, which the handler builds from them."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ValidationError(f"--angles needs three comma-separated values, got {text!r}")
     try:
-        return MeasurementSettings(tuple(float(p) for p in parts))
+        return _finite_angles(tuple(float(p) for p in parts))
     except ValueError as exc:
         raise ValidationError(f"bad angle in {text!r}: {exc}") from exc
 
@@ -261,10 +265,10 @@ def _cmd_markov(args: argparse.Namespace) -> dict:
 
 def _cmd_quantum(args: argparse.Namespace) -> dict:
     rho = _resolve_state(args.state, args.state_file)
-    from .quantum import (PURITY_ATOL, cerf_adami_quantum, conditional_quantum_entropy, is_entangled_pure,
-                          partial_trace, von_neumann_entropy)
+    from .quantum import (PURITY_ATOL, MeasurementSettings, cerf_adami_quantum, conditional_quantum_entropy,
+                          is_entangled_pure, partial_trace, von_neumann_entropy)
 
-    report = cerf_adami_quantum(rho, args.angles)
+    report = cerf_adami_quantum(rho, MeasurementSettings(args.angles))
     s_joint = von_neumann_entropy(rho)
     s_a = von_neumann_entropy(partial_trace(rho, 0))
     s_b = von_neumann_entropy(partial_trace(rho, 1))
@@ -304,6 +308,7 @@ def _cmd_search(args: argparse.Namespace) -> dict:
         }
     if args.trace and args.resolution > TRACE_MAX_RESOLUTION:
         raise ValidationError(f"--trace capped at resolution {TRACE_MAX_RESOLUTION}, got {args.resolution}")
+    _check_resolution(args.resolution)  # before the state, which loads numpy
     rho = _resolve_state(args.state, args.state_file)
     from .search import grid_refine, grid_search
 

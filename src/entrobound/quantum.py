@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .inequalities import InequalityReport, _cerf_adami
-from .value import _as_complex, _as_real, _as_size
+from .value import _as_complex, _as_real, _as_size, _canonical_angle, _finite_angles
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -149,26 +149,6 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dims=({self.dim_a}, {self.dim_b}))"
-
-
-def _canonical_angle(angle: float) -> float:
-    """``angle`` mod pi, the period of a projector pair up to relabeling; a hair below 0 gives pi, read as 0.0."""
-    reduced = angle % math.pi
-    return 0.0 if reduced == math.pi else reduced
-
-
-def _finite_angles(angles) -> tuple[float, ...]:
-    """``angles`` as floats by the ``_as_real`` rule; ValidationError unless all are finite.
-
-    The message shows up to three angles whole, as a setting's; of a longer list only the first non-finite one.
-    """
-    raw = tuple([_as_real(a, "angles") for a in angles])
-    if not all(map(math.isfinite, raw)):
-        if len(raw) > 3:
-            i = next(i for i, a in enumerate(raw) if not math.isfinite(a))
-            raise ValidationError(f"angles must be finite, got angle {i} of {len(raw)}: {raw[i]}")
-        raise ValidationError(f"angles must be finite, got {raw}")
-    return raw
 
 
 @dataclass(frozen=True)
@@ -321,6 +301,13 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     return -(p * np.log2(np.maximum(p, _TINY))).sum(axis=0)
 
 
+def _outcomes(v: np.ndarray) -> np.ndarray:
+    """(1/2 + 2v, 1/2 - 2v) clamped at 0, stacked on a new first axis: one setting's outcomes for v = a/4 or b/4."""
+    m = np.multiply.outer((2.0, -2.0), v)
+    m += 0.5  # fl(0.5 - 2v) = fl(-2v + 0.5)
+    return np.maximum(m, 0.0, out=m)
+
+
 def _pair_mi(c: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """H(X:Y) = H(X) + H(Y) - H(X,Y) in bits into ``out``, clamped like entropy._clamp, for angles x and y.
 
@@ -330,13 +317,14 @@ def _pair_mi(c: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np
     once per pair.  Returns the joint p(s, t) = ((1 + s a) + t b + s t E)/4, E = n(x)^T T n(y), shaped
     (4, *out.shape) for (s, t) = (+, +), (+, -), (-, +), (-, -); below -1e-9 it raises InternalError.  A pair
     with a negative entry is clamped at 0 and renormalised, and takes H(X) and H(Y) from that joint.  The
-    scratch is 8 cells per pair: callers bound it by the number of pairs they pass.
+    joint's four p log2 p terms are summed left to right in one reduction; p is clamped to _TINY before its log
+    only when some entry lies below it, as only exact zeros and denormals do, and the MIs are clamped at 0 only
+    when one is not positive.  The scratch is 8 cells per pair: callers bound it by the number of pairs they pass.
     """
     ax, az, bx, bz, txx, txz, tzx, tzz = (c / 4.0).tolist()
     sx, cx, sy, cy = np.sin(x), np.cos(x), np.sin(y), np.cos(y)
     a4, b4 = ax * sx + az * cx, bx * sy + bz * cy
-    hx = _entropy_bits(np.maximum([0.5 + 2.0 * a4, 0.5 - 2.0 * a4], 0.0))
-    hy = _entropy_bits(np.maximum([0.5 + 2.0 * b4, 0.5 - 2.0 * b4], 0.0))
+    hx, hy = _entropy_bits(_outcomes(a4)), _entropy_bits(_outcomes(b4))
     tx, tz = txx * sy + txz * cy, tzx * sy + tzz * cy  # (T n(y))_x / 4, (T n(y))_z / 4
     p, logs = np.empty((2, 4, *out.shape))
     e = np.multiply(sx, tx, out=logs[0])
@@ -348,7 +336,7 @@ def _pair_mi(c: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np
     np.subtract(um, b4, out=p[3])
     p[::3] += e
     p[1:3] -= e
-    low = float(np.minimum.reduce(p, axis=None, initial=0.0))
+    low = float(np.minimum.reduce(p, axis=None, initial=np.inf))
     if low < -EIGENVALUE_ATOL:
         raise InternalError(f"measurement probability {low} below -{EIGENVALUE_ATOL}")
     if low < 0.0:
@@ -357,17 +345,26 @@ def _pair_mi(c: np.ndarray, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np
         p[:, bad] = q = q / q.sum(axis=0)
         hx, hy = (np.broadcast_to(h, bad.shape).copy() for h in (hx, hy))
         hx[bad], hy[bad] = _entropy_bits(q[::2] + q[1::2]), _entropy_bits(q[:2] + q[2:])
-    np.log2(np.maximum(p, _TINY, out=logs), out=logs)
+    np.log2(np.maximum(p, _TINY, out=logs) if low < _TINY else p, out=logs)
     logs *= p  # p log2 p, 0 where p = 0
-    np.add(logs[0], logs[1], out=out)
-    out += logs[2]
-    out += logs[3]
+    np.add.reduce(logs, axis=0, out=out)
     out += np.add(hx, hy, out=logs[0])
-    low = float(np.minimum.reduce(out, axis=None, initial=0.0))
+    low = float(np.minimum.reduce(out, axis=None, initial=np.inf))
     if not low >= -CLAMP_ATOL:
         raise InternalError(f"mutual entropy = {low}, negative beyond tolerance {CLAMP_ATOL}")
-    out[out <= 0.0] = 0.0  # -0.0 included
+    if low <= 0.0:
+        out[out <= 0.0] = 0.0  # -0.0 included
     return p
+
+
+def _table(rho: DensityMatrix, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ``_pair_mi`` table of the finite angle arrays x by y, in row blocks of at most _BLOCK_CELLS of scratch."""
+    c = _correlations(rho)
+    table = np.empty((len(x), len(y)))
+    rows = max(1, _BLOCK_CELLS // (8 * max(1, len(y))))
+    for start in range(0, len(x), rows):
+        _pair_mi(c, x[start:start + rows, None], y, table[start:start + rows])
+    return table
 
 
 def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
@@ -376,16 +373,13 @@ def pair_mi_table(rho: DensityMatrix, angles_x, angles_y) -> np.ndarray:
     ``table[x, y]`` is H(X:Y) of measuring angles_x[x] on the first qubit and
     angles_y[y] on the second, computed in closed form from the state's eight
     x-z correlations.  Rows are evaluated in blocks of at most 1 MiB of
-    kernel scratch, so working memory stays bounded for any table size.  A
-    non-finite angle raises ValidationError.
+    kernel scratch (``_table``, which the grid search calls too), so working
+    memory stays bounded for any table size.  A non-finite angle raises
+    ValidationError; the angles are checked once when ``angles_y`` is
+    ``angles_x``.
     """
-    x, y = np.array(_finite_angles(angles_x)), np.array(_finite_angles(angles_y))
-    c = _correlations(rho)
-    table = np.empty((len(x), len(y)))
-    rows = max(1, _BLOCK_CELLS // (8 * max(1, len(y))))
-    for start in range(0, len(x), rows):
-        _pair_mi(c, x[start:start + rows, None], y, table[start:start + rows])
-    return table
+    x = np.array(_finite_angles(angles_x))
+    return _table(rho, x, x if angles_y is angles_x else np.array(_finite_angles(angles_y)))
 
 
 def measure_pair(rho: DensityMatrix, angle_1: float, angle_2: float) -> JointDistribution:

@@ -37,16 +37,10 @@ import numpy as np
 
 from .errors import MonotonicityViolatedError, ResolutionTooLargeError, ResolutionTooSmallError, ValidationError
 from .inequalities import SATISFIED_ATOL
-from .quantum import (_BLOCK_CELLS, DensityMatrix, MeasurementSettings, _canonical_angle, _correlations, _three_pairs,
-                      pair_mi_table, werner_state)
-from .value import _as_real, _as_size, _check_tol
+from .quantum import _BLOCK_CELLS, DensityMatrix, MeasurementSettings, _correlations, _table, _three_pairs, werner_state
+from .value import GRID_MAX_RESOLUTION, GRID_MIN_RESOLUTION  # noqa: F401 - re-exported
+from .value import _as_real, _as_size, _canonical_angle, _check_resolution, _check_tol
 
-GRID_MIN_RESOLUTION = 8
-# The pair-MI table and the column bounds are resolution^2 float64 each; the
-# rest is built in slabs or blocks of _BLOCK_CELLS (1 MiB), so this cap bounds
-# memory (~20 MiB at 1024 under tracemalloc) and time (~resolution^3 when no
-# column can be pruned, as for a table of i.i.d. noise).
-GRID_MAX_RESOLUTION = 1024
 WERNER_MIN_RESOLUTION = 32
 WERNER_MONOTONE_ATOL = 1e-6
 # Grid and refinement winners ignore LHS differences up to this size.
@@ -140,7 +134,7 @@ def _lhs_at(c: np.ndarray, angles: tuple[float, float, float]) -> float:
     """``cerf_adami_quantum(rho, MeasurementSettings(angles)).lhs`` from ``c = _correlations(rho)``, bit for bit.
 
     No settings or report are built, and ``angles`` are not reduced: they must already be canonical, as
-    settings angles and refine probes are (``quantum._canonical_angle``).
+    settings angles and refine probes are (``value._canonical_angle``).
     """
     ab, ac, bc = _three_pairs(c, angles)[0].tolist()
     return abs(ab - ac) + bc
@@ -150,12 +144,15 @@ def _spreads(mi: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """max_i |mi[i, j] - mi[i, k]| for column indices j and k broadcast together, bit for bit.
 
     Gathered from rows of i in blocks of _BLOCK_CELLS cells, at least one row.
+    A k of shape (1, n) that lists every column in order, as the pivot
+    pass's does, is read as a view of the block, not gathered as a copy of it.
     """
-    out = None
+    out, n = None, mi.shape[1]
+    every = k.shape == (1, n) and bool((k[0] == np.arange(n)).all())
     rows = max(1, _BLOCK_CELLS // max(1, np.broadcast(j, k).size))
     for i0 in range(0, len(mi), rows):
         block = mi[i0:i0 + rows]
-        diff = block.take(j, axis=1) - block.take(k, axis=1)
+        diff = block.take(j, axis=1) - (block[:, None] if every else block.take(k, axis=1))
         np.abs(diff, out=diff)
         out = diff.max(axis=0) if out is None else np.maximum(out, diff.max(axis=0), out=out)
     return out
@@ -267,12 +264,16 @@ def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     the exact maximum of the column it rates highest is the lower bound LB.
     Sweeping a pair of columns (j, k), (k, j) costs n cells and a pivot
     column n^2, so if at most 2 p n columns are bounded above LB, for
-    p = isqrt(n), only those pairs are swept.  Otherwise S is made exact for
-    p evenly spaced pivot columns, ``_upper_bounds`` tightens top in place
-    through them, LB rises to the largest maximum known, and the pairs
-    bounded above it are swept.  The winner lies in a column whose exact
-    maximum, or unswept bound, reaches the threshold; only those are
-    scanned.  Memory is O(resolution^2).
+    p = isqrt(n), only those pairs are swept, each once, from the rows of
+    the one-sided mask: the mask is never transposed for the sweep.  The
+    columns whose own bound is above LB are between half and all of that
+    count, so it is taken only when they number between half the limit
+    and the limit.  Otherwise S is made exact for p evenly spaced pivot
+    columns, ``_upper_bounds`` tightens top in place through them, LB rises
+    to the largest maximum known, and the pairs bounded above it are swept.
+    The winner lies in a column whose exact maximum, or unswept bound,
+    reaches the threshold; only those are scanned.  Memory is
+    O(resolution^2).
     """
     n, p = len(mi), math.isqrt(len(mi))
     pivots, limit = np.arange(p) * n // p, 2 * p * n
@@ -281,21 +282,19 @@ def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     j, k = divmod(int(top.argmax()), n)
     lb = float(np.abs(mi[:, j] - mi[:, k]).max() + mi[j, k])
     alive = top > lb
-    if np.count_nonzero(alive) <= limit:  # else the symmetric mask is over the limit too
-        alive |= alive.T
-    if np.count_nonzero(alive) > limit:
+    survivors = np.count_nonzero(alive)  # the symmetric mask holds between 1 and 2 times as many columns
+    if 2 * survivors > limit and (survivors > limit or np.count_nonzero(alive | alive.T) > limit):
         spread = _spreads(mi, pivots[:, None], np.arange(n)[None, :])
         _upper_bounds(mi, spread, pivots, shift, top)
         top[pivots] = exact = spread + mi[pivots]
         top[:, pivots] = exact_t = spread.T + mi[:, pivots]
         lb = max(lb, float(exact.max()), float(exact_t.max()))
         np.greater(top, lb, out=alive)
-        alive |= alive.T
     best, rows = lb, max(1, _BLOCK_CELLS // n)
     for j0 in range(0, n, rows):
         j, k = np.divmod(np.flatnonzero(alive[j0:j0 + rows]) + j0 * n, n)
-        upper = k >= j
-        j, k = j[upper], k[upper]
+        keep = ~(np.less(k, j) & alive[k, j])  # a pair alive both ways is swept from the row of its smaller index
+        j, k = j[keep], k[keep]
         s = _spreads(mi, j, k)
         top[j, k] = forward = s + mi[j, k]
         top[k, j] = backward = s + mi[k, j]
@@ -313,19 +312,18 @@ def grid_search(rho: DensityMatrix, resolution: int) -> SearchResult:
     """Evaluate the LHS on the full 3-angle grid over [0, pi)^3.
 
     Grid angles are i * pi/resolution, for resolutions from
-    GRID_MIN_RESOLUTION to GRID_MAX_RESOLUTION.  Deterministic; ``best_lhs``
-    is the largest float LHS, and the winner is the first cell in
-    lexicographic (theta_A, theta_B, theta_C) order within WINNER_ATOL of it.
+    GRID_MIN_RESOLUTION to GRID_MAX_RESOLUTION (``value._check_resolution``).
+    Deterministic; ``best_lhs`` is the largest float LHS, and the winner is the
+    first cell in lexicographic (theta_A, theta_B, theta_C) order within
+    WINNER_ATOL of it.  The angles are one array, finite by construction, so
+    the table is ``pair_mi_table(rho, angles, angles)`` without its angle
+    check: the same block loop (``quantum._table``), bit for bit.
     """
-    resolution = _as_size(resolution, "resolutions")
-    if resolution < GRID_MIN_RESOLUTION:
-        raise ResolutionTooSmallError(f"resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}")
-    if resolution > GRID_MAX_RESOLUTION:
-        raise ResolutionTooLargeError(f"resolution must be <= {GRID_MAX_RESOLUTION}, got {resolution}")
-    step = math.pi / resolution
-    angles = tuple(i * step for i in range(resolution))
+    resolution = _check_resolution(resolution)
+    x = np.arange(resolution) * (math.pi / resolution)  # i * step, bit for bit
+    angles = tuple(x.tolist())
 
-    mi = pair_mi_table(rho, angles, angles)
+    mi = _table(rho, x, x)
     mi.setflags(write=False)
     best, (bi, bj, bk) = _cube_argmax(mi)
     return SearchResult(

@@ -8,15 +8,25 @@ immutable base that this module's, :mod:`entrobound.dist`'s and
 :mod:`entrobound.statmech`'s value classes share.  :func:`_as_size`,
 :func:`_as_real`, :func:`_as_complex` and :func:`_as_flag` are the rules
 every module applies to its integer, real, complex and true-or-false
-arguments, and :func:`_check_base` and :func:`_check_tol` the one check of
-a logarithm base and of a tolerance, which the command line calls too.
+arguments.  :func:`_check_base`, :func:`_check_tol`,
+:func:`_finite_angles` and :func:`_check_resolution` are the one check of a
+logarithm base, a tolerance, a list of angles and a grid resolution, which
+the command line calls too, before it loads numpy.
 """
 from __future__ import annotations
 
 import math
 import sys
 
-from .errors import InvalidBaseError, ValidationError, ZeroMultiplicityError
+from .errors import (InvalidBaseError, ResolutionTooLargeError, ResolutionTooSmallError, ValidationError,
+                     ZeroMultiplicityError)
+
+GRID_MIN_RESOLUTION = 8
+# The pair-MI table and the column bounds are resolution^2 float64 each; the
+# rest is built in slabs or blocks of quantum._BLOCK_CELLS (1 MiB), so this cap
+# bounds memory (~20 MiB at 1024 under tracemalloc) and time (~resolution^3
+# when no column can be pruned, as for a table of i.i.d. noise).
+GRID_MAX_RESOLUTION = 1024
 
 
 class _Frozen:
@@ -171,6 +181,39 @@ def _check_tol(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tolerance must be positive and finite, got {tol}")
     return tol
+
+
+def _canonical_angle(angle: float) -> float:
+    """``angle`` mod pi, the period of a projector pair up to relabeling; a hair below 0 gives pi, read as 0.0."""
+    reduced = angle % math.pi
+    return 0.0 if reduced == math.pi else reduced
+
+
+def _finite_angles(angles) -> tuple[float, ...]:
+    """``angles`` as floats by the ``_as_real`` rule; ValidationError unless all are finite.
+
+    The message shows up to three angles whole, as a setting's; of a longer list only the first non-finite one.
+    """
+    raw = tuple([_as_real(a, "angles") for a in angles])
+    if not all(map(math.isfinite, raw)):
+        if len(raw) > 3:
+            i = next(i for i, a in enumerate(raw) if not math.isfinite(a))
+            raise ValidationError(f"angles must be finite, got angle {i} of {len(raw)}: {raw[i]}")
+        raise ValidationError(f"angles must be finite, got {raw}")
+    return raw
+
+
+def _check_resolution(resolution) -> int:
+    """``resolution`` as an int by the ``_as_size`` rule; an error unless it lies in the grid's range.
+
+    ResolutionTooSmallError below GRID_MIN_RESOLUTION, ResolutionTooLargeError above GRID_MAX_RESOLUTION.
+    """
+    resolution = _as_size(resolution, "resolutions")
+    if resolution < GRID_MIN_RESOLUTION:
+        raise ResolutionTooSmallError(f"resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}")
+    if resolution > GRID_MAX_RESOLUTION:
+        raise ResolutionTooLargeError(f"resolution must be <= {GRID_MAX_RESOLUTION}, got {resolution}")
+    return resolution
 
 
 def boltzmann_entropy(multiplicity: int, base: float = math.e) -> EntropyValue:

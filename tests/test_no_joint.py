@@ -106,3 +106,35 @@ def test_werner_third_has_a_joint_at_every_grid_setting():
     worst = max(_no_joint(*no_joint_certificate(tables[a][b], tables[a][c], tables[b][c]))
                 for a in range(12) for b in range(12) for c in range(12))
     assert worst <= TOL
+
+
+def _werner_no_joint(p: float, a: float, b: float, c: float) -> float:
+    """lo - hi of the Werner tables (1 + s t E) / 4, E = -p cos(x - y): -min(1 + s E_ab + t E_ac + s t E_bc) / 4."""
+    e_ab, e_ac, e_bc = (-p * math.cos(x - y) for x, y in ((a, b), (a, c), (b, c)))
+    return -min(1.0 + s * e_ab + t * e_ac + s * t * e_bc for s in (1.0, -1.0) for t in (1.0, -1.0)) / 4.0
+
+
+def _certificate_at(rho, a: float, b: float, c: float) -> tuple[float, float, float]:
+    return no_joint_certificate(reference_measure_pair(rho, a, b), reference_measure_pair(rho, a, c),
+                                reference_measure_pair(rho, b, c))
+
+
+def test_werner_no_joint_distance_matches_the_closed_form():
+    # E = -p cos(x - y) fixes each Werner table, and lo - hi is a closed form over the four sign pairs
+    rng = np.random.default_rng(1962)
+    for p in (0.3, 0.5, 0.9, 0.97):
+        rho = werner_state(p)
+        for a, b, c in rng.uniform(0.0, math.pi, size=(300, 3)).tolist():
+            gap, lo, hi = _certificate_at(rho, a, b, c)
+            assert gap <= TOL
+            assert abs((lo - hi) - _werner_no_joint(p, a, b, c)) <= 1e-15, (p, a, b, c)
+
+
+def test_werner_no_joint_distance_at_the_refined_winner():
+    # the entropic LHS misses Werner 0.5 (see above) but the marginal problem does not: no joint at any of these
+    for p, expected in ((0.5, 0.0336), (0.9, 0.293), (0.97, 0.354)):
+        a, b, c = grid_refine(werner_state(p), 32).best_settings.angles
+        gap, lo, hi = _certificate_at(werner_state(p), a, b, c)
+        assert gap <= TOL
+        assert abs((lo - hi) - _werner_no_joint(p, a, b, c)) <= 1e-15
+        assert abs((lo - hi) - expected) < 5e-4, (p, lo - hi)

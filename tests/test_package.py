@@ -47,9 +47,16 @@ print(code, "numpy" in sys.modules, "dataclasses" in sys.modules, file=sys.stder
     (["inequality", "--dist", "{data}/random.json", "--markov-checks", "--format", "human"], 0),
     (["markov", "--spec", "{data}/nonbinary_spec.json", "--emit-joint"], 0),
     (["entropy", "--dist", "{tmp}/negative.json"], 2),
+    # bad quantum and search arguments are refused before the state is built
+    (["quantum", "--state", "nosuch", "--angles", "0,0.5,1.0"], 2),
+    (["quantum", "--state", "werner:abc", "--angles", "0,0.5,1.0"], 2),
+    (["quantum", "--state", "singlet", "--angles", "0,1,nan"], 2),
+    (["search", "--state", "singlet", "--resolution", "4", "--no-refine"], 2),
+    (["search", "--state", "singlet", "--resolution", "2000", "--no-refine"], 2),
 ], ids=["import", "version", "dice", "combine", "mix", "coins-heads", "missing-file", "bad-json", "entropy-joint",
         "entropy-mutual", "entropy-conditional", "entropy-relative", "inequality-markov", "markov-joint",
-        "negative-probability"])
+        "negative-probability", "unknown-state", "werner-not-a-number", "non-finite-angle", "resolution-4",
+        "resolution-2000"])
 def test_runs_without_array_work_never_load_numpy(tmp_path, argv, code):
     """No run here loads numpy; none but inequality and markov (frozen dataclass values) loads dataclasses."""
     (tmp_path / "bad.json").write_text('{"alphabet_sizes": [2, 2], "probs": [0.5,', encoding="utf-8")

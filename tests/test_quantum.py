@@ -420,6 +420,29 @@ def test_exact_zero_probabilities_match_the_reference_without_warnings(name):
         assert max(abs(v - w) for v, w in zip(report.terms.values(), want)) <= 1e-12
 
 
+@pytest.mark.parametrize("name, clamped", [("00", True), ("clamped negative", True), ("singlet", False),
+                                           ("phi+", False), ("werner 0", False), ("werner 0.5", False),
+                                           ("mixed", False)])
+def test_pair_kernel_clamps_before_its_log_only_where_a_probability_is_below_tiny(name, clamped):
+    # a table with no probability below the smallest normal float skips the clamp (on this grid the Bell states'
+    # least probability rounds to 5.6e-17, not 0); |00> has exact zeros, and a clamped negative entry leaves one
+    states = {"00": pure_state([1.0, 0.0, 0.0, 0.0]),
+              "clamped negative": DensityMatrix(2, 2, np.diag(_CLAMPED_DIAGONALS[0]).astype(complex)),
+              "singlet": singlet(), "phi+": bell_state("phi+"), "werner 0": werner_state(0.0),
+              "werner 0.5": werner_state(0.5),
+              "mixed": DensityMatrix(2, 2, random_mixed_state(np.random.default_rng(96)))}
+    rho, angles = states[name], np.arange(12) * (math.pi / 12)
+    table = np.empty((12, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        joints = quantum_module._pair_mi(_correlations(rho), angles[:, None], angles, table)
+        assert pair_mi_table(rho, angles, angles).tobytes() == table.tobytes()
+    assert bool(joints.min() < np.finfo(float).tiny) is clamped
+    expected = np.array([[reference_pair_mi(rho, a, b) for b in angles] for a in angles])
+    assert np.max(np.abs(table - expected)) <= 1e-12
+    assert not np.signbit(table).any()
+
+
 def test_product_states_never_violate_sweep():
     rng = np.random.default_rng(76)
     for _ in range(25):

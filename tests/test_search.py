@@ -28,6 +28,7 @@ from entrobound import (
 )
 from entrobound.errors import (MonotonicityViolatedError, ResolutionTooLargeError, ResolutionTooSmallError,
                                ValidationError)
+from entrobound import quantum as quantum_module
 from entrobound import search as search_module
 from entrobound.quantum import pair_mi_table
 from entrobound.search import GRID_MAX_RESOLUTION
@@ -613,6 +614,39 @@ def test_pivot_columns_are_computed_only_where_the_shift_bound_cannot_prune(monk
         pivot_calls.clear()
         grid_search(rho, n)
         assert pivot_calls == expected, name
+
+
+def _table_states():
+    """Tables with exact zero probabilities (singlet, phi+), a uniform one (Werner 0) and seeded mixed states."""
+    rng = np.random.default_rng(2028)
+    return [singlet(), bell_state("phi+"), werner_state(0.0), *(DensityMatrix(2, 2, random_mixed_state(rng))
+                                                                for _ in range(3))]
+
+
+@pytest.mark.parametrize("resolution", [8, 96])
+def test_grid_table_is_the_pair_mi_table_byte_for_byte(resolution):
+    # the grid builds its angles as one array and skips their check; the table is the public one, bit for bit
+    step = math.pi / resolution
+    angles = tuple(i * step for i in range(resolution))
+    for rho in _table_states():
+        trace = grid_search(rho, resolution).trace
+        assert trace.angles == angles
+        assert trace.mi.tobytes() == pair_mi_table(rho, angles, angles).tobytes()
+        assert trace.mi.tobytes() == pair_mi_table(rho, angles, list(angles)).tobytes()  # each axis checked apart
+
+
+def test_grid_table_spans_row_blocks(monkeypatch):
+    # 40 rows of 40 pairs in blocks of 3 rows: 14 kernel calls, the same bytes as one block
+    step = math.pi / 40
+    angles = tuple(i * step for i in range(40))
+    whole = [pair_mi_table(rho, angles, angles).tobytes() for rho in _table_states()]
+    monkeypatch.setattr(quantum_module, "_BLOCK_CELLS", 8 * 40 * 3)
+    calls, kernel = [], quantum_module._pair_mi
+    monkeypatch.setattr(quantum_module, "_pair_mi", lambda c, x, y, out: calls.append(len(x)) or kernel(c, x, y, out))
+    for rho, table in zip(_table_states(), whole):
+        calls.clear()
+        assert grid_search(rho, 40).trace.mi.tobytes() == table
+        assert calls == [3] * 13 + [1]
 
 
 def test_grid_winner_is_the_textbook_singlet_triple():
