@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
     WeightsNotNormalizedError,
 )
-from .value import _Frozen, _as_real, _as_size
+from .value import _Frozen, _as_real, _as_sequence, _as_size
 
 NORMALIZATION_ATOL = 1e-9
 MAX_VARS = 3
@@ -90,7 +90,7 @@ def _reals(entries: list, what: str, error=ValidationError) -> list[float]:
 
 def _shape(alphabet_sizes: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Sizes and cell count of a table, checked before it is built: 1 to MAX_VARS sizes >= 1, at most MAX_CELLS cells."""
-    sizes = tuple(_as_size(s) for s in alphabet_sizes)
+    sizes = tuple(_as_size(s) for s in _as_sequence(alphabet_sizes, "alphabet sizes", ShapeMismatchError))
     if len(sizes) == 0:
         raise ShapeMismatchError("need at least one variable")
     if len(sizes) > MAX_VARS:
@@ -175,7 +175,7 @@ class JointDistribution(_Frozen):
     @classmethod
     def from_flat(cls, alphabet_sizes: Sequence[int], flat_probs) -> "JointDistribution":
         """Build from a row-major flat table (last variable fastest)."""
-        return cls(tuple(alphabet_sizes), flat_probs)
+        return cls(alphabet_sizes, flat_probs)
 
     @classmethod
     def uniform(cls, alphabet_sizes: Sequence[int]) -> "JointDistribution":
@@ -186,7 +186,7 @@ class JointDistribution(_Frozen):
     def point_mass(cls, alphabet_sizes: Sequence[int], outcome: Sequence[int]) -> "JointDistribution":
         """All mass on a single outcome tuple."""
         sizes, _ = _shape(alphabet_sizes)
-        outcome = tuple(_as_size(i, "outcomes") for i in outcome)
+        outcome = tuple(_as_size(i, "outcomes") for i in _as_sequence(outcome, "outcomes", IndexOutOfRangeError))
         if len(outcome) != len(sizes) or not all(0 <= i < s for i, s in zip(outcome, sizes)):
             raise IndexOutOfRangeError(f"outcome {outcome} out of range for sizes {sizes}")
         return cls(sizes, [float(cell == outcome) for cell in _cells(*map(range, sizes))])
@@ -233,7 +233,7 @@ def marginalize(d: JointDistribution, keep: Iterable[int]) -> JointDistribution:
 
     The kept variables stay in their original relative order.
     """
-    keep_set = {_variable(d, i) for i in keep}
+    keep_set = {_variable(d, i) for i in _as_sequence(keep, "kept variables")}
     if not keep_set:
         raise EmptyKeepSetError("must keep at least one variable")
     kept = tuple(sorted(keep_set))
@@ -250,7 +250,7 @@ def product(d1: JointDistribution, d2: JointDistribution) -> JointDistribution:
 
 def mix(components: Sequence[JointDistribution], weights: Sequence[float]) -> JointDistribution:
     """Weighted mixture of same-shape distributions; nested weights are read row-major."""
-    w = _entries(weights)
+    components, w = _as_sequence(components, "components"), _entries(weights)
     if len(components) == 0 or len(components) != len(w):
         raise ValidationError("need matching, nonempty components and weights")
     shape = components[0].alphabet_sizes

@@ -26,6 +26,7 @@ from .errors import (
     InvalidSpecError,
     RepeatedIndexError,
 )
+from .value import _as_sequence
 
 CMI_ATOL = 1e-9
 
@@ -119,7 +120,11 @@ def is_markov(d: JointDistribution, order: tuple[int, int, int] = (0, 1, 2)) -> 
     as :func:`conditional_mutual_information` reads it; symmetric under
     reversal of the order, as Markov chains are.
     """
-    keys = _ORDER_KEYS.get(tuple(order))
+    order = _as_sequence(order, "orders", InvalidPermutationError)
+    try:
+        keys = _ORDER_KEYS.get(order)
+    except TypeError:  # an unhashable entry, such as a list, is no variable index
+        keys = None
     if keys is None:
         raise InvalidPermutationError(f"order must be a permutation of (0, 1, 2), got {order}")
     first, middle, last = order

@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .inequalities import InequalityReport, _cerf_adami
-from .value import _as_complex, _as_real, _as_size, _canonical_angle, _finite_angles
+from .value import _as_complex, _as_real, _as_sequence, _as_size, _canonical_angle, _finite_angles
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -131,7 +131,10 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DensityMatrix":
-        da, db = payload["dims"]
+        dims = _as_sequence(payload["dims"], "dims", InvalidDensityMatrixError)
+        if len(dims) != 2:
+            raise InvalidDensityMatrixError(f"dims must be a pair of sizes, got {len(dims)} of them")
+        da, db = dims
         for key in ("re", "im"):  # the rule for numbers of distribution and spec files
             _reals(_entries(payload[key]), "density matrix entries")
         re = np.asarray(payload["re"], dtype=float)
@@ -176,7 +179,13 @@ def pure_state(amplitudes, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
     except (TypeError, ValueError):  # not iterable, or not two entries
         raise ValidationError(f"dims must be a pair of sizes, got {dims!r}") from None
     v = _complex_array(amplitudes, "amplitudes").ravel()
-    norm = float(np.linalg.norm(v))
+    if not np.isfinite(v).all():
+        raise ValidationError("amplitudes must be finite")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not math.isfinite(norm):  # the squares overflow: scale by the largest real or imaginary part first
+        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+        norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValidationError("amplitude vector must be nonzero")
     v = v / norm

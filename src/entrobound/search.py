@@ -83,7 +83,7 @@ class Trace(Sequence):
     def __iter__(self):
         a, mi = self.angles, self.mi
         for i, ai in enumerate(a):
-            block = (np.abs(mi[i, :, None] - mi[i, None, :]) + mi).tolist()
+            block = (_gaps(mi[i:i + 1], np.arange(len(a))[:, None])[0] + mi).tolist()
             for aj, row in zip(a, block):
                 for ak, lhs in zip(a, row):
                     yield (ai, aj, ak), lhs
@@ -140,21 +140,22 @@ def _lhs_at(c: np.ndarray, angles: tuple[float, float, float]) -> float:
     return abs(ab - ac) + bc
 
 
-def _spreads(mi: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """max_i |mi[i, j] - mi[i, k]| for column indices j and k broadcast together, bit for bit.
+def _gaps(block: np.ndarray, j, k=None) -> np.ndarray:
+    """|block[:, j] - block[:, k]| for column indices j and k broadcast together, gathered with ``take(axis=1)``.
 
-    Gathered from rows of i in blocks of _BLOCK_CELLS cells, at least one row.
-    A k of shape (1, n) that lists every column in order, as the pivot
-    pass's does, is read as a view of the block, not gathered as a copy of it.
+    k=None means every column, read as a view of the block: a j of shape (m, 1) gives the (rows, m, n) gaps.
     """
-    out, n = None, mi.shape[1]
-    every = k.shape == (1, n) and bool((k[0] == np.arange(n)).all())
-    rows = max(1, _BLOCK_CELLS // max(1, np.broadcast(j, k).size))
+    gap = block.take(j, axis=1) - (block[:, None] if k is None else block.take(k, axis=1))
+    return np.abs(gap, out=gap)
+
+
+def _spreads(mi: np.ndarray, j: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """max_i ``_gaps(mi, j, k)``, bit for bit, from rows of i in blocks of _BLOCK_CELLS cells, at least one row."""
+    cells = np.size(j) * mi.shape[1] if k is None else np.broadcast(j, k).size
+    out, rows = None, max(1, _BLOCK_CELLS // max(1, cells))
     for i0 in range(0, len(mi), rows):
-        block = mi[i0:i0 + rows]
-        diff = block.take(j, axis=1) - (block[:, None] if every else block.take(k, axis=1))
-        np.abs(diff, out=diff)
-        out = diff.max(axis=0) if out is None else np.maximum(out, diff.max(axis=0), out=out)
+        gap = _gaps(mi[i0:i0 + rows], j, k).max(axis=0)
+        out = gap if out is None else np.maximum(out, gap, out=out)
     return out
 
 
@@ -183,10 +184,7 @@ def _first_cell(mi: np.ndarray, columns: np.ndarray, threshold: float) -> tuple[
         m, i0, cap = mi[j, k], 0, max(1, _BLOCK_CELLS // len(j))
         rows = min(max(1, n // len(j)), cap)
         while i0 < first[0]:
-            block = mi[i0:min(i0 + rows, first[0])]
-            lhs = block[:, j]
-            np.subtract(lhs, block[:, k], out=lhs)
-            np.abs(lhs, out=lhs)
+            lhs = _gaps(mi[i0:min(i0 + rows, first[0])], j, k)
             np.add(lhs, m, out=lhs)
             hits = lhs >= threshold
             if hits.any():
@@ -280,11 +278,11 @@ def _cube_argmax(mi: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     shift = _shift_bound(mi)
     top = _circulant(shift * _SLACK) + mi
     j, k = divmod(int(top.argmax()), n)
-    lb = float(np.abs(mi[:, j] - mi[:, k]).max() + mi[j, k])
+    lb = float(_gaps(mi, j, k).max() + mi[j, k])
     alive = top > lb
     survivors = np.count_nonzero(alive)  # the symmetric mask holds between 1 and 2 times as many columns
     if 2 * survivors > limit and (survivors > limit or np.count_nonzero(alive | alive.T) > limit):
-        spread = _spreads(mi, pivots[:, None], np.arange(n)[None, :])
+        spread = _spreads(mi, pivots[:, None])
         _upper_bounds(mi, spread, pivots, shift, top)
         top[pivots] = exact = spread + mi[pivots]
         top[:, pivots] = exact_t = spread.T + mi[:, pivots]

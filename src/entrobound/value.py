@@ -6,9 +6,10 @@ run without importing numpy.  :mod:`entrobound.entropy` re-exports
 :class:`EntropyValue` and the functions here.  :class:`_Frozen` is the
 immutable base that this module's, :mod:`entrobound.dist`'s and
 :mod:`entrobound.statmech`'s value classes share.  :func:`_as_size`,
-:func:`_as_real`, :func:`_as_complex` and :func:`_as_flag` are the rules
-every module applies to its integer, real, complex and true-or-false
-arguments.  :func:`_check_base`, :func:`_check_tol`,
+:func:`_as_real`, :func:`_as_complex`, :func:`_as_flag` and
+:func:`_as_sequence` are the rules every module applies to its integer,
+real, complex, true-or-false and sequence arguments.
+:func:`_check_base`, :func:`_check_tol`,
 :func:`_finite_angles` and :func:`_check_resolution` are the one check of a
 logarithm base, a tolerance, a list of angles and a grid resolution, which
 the command line calls too, before it loads numpy.
@@ -164,6 +165,20 @@ def _as_flag(value, what: str) -> bool:
     raise ValidationError(f"{what} must be True or False, got a {type(value).__name__}")
 
 
+def _as_sequence(value, what: str, error=ValidationError) -> tuple:
+    """The entries of ``value`` as a tuple: any iterable, an ndarray of one or more dimensions too.
+
+    ``tuple()`` alone would raise a bare TypeError for a number, None or a 0-d array.
+    """
+    if type(value) is tuple:
+        return value
+    try:
+        entries = iter(value)
+    except TypeError:
+        raise error(f"{what} must be a sequence, got a {type(value).__name__}") from None
+    return tuple(entries)
+
+
 def _check_base(base: float) -> float:
     base = _as_real(base, "logarithm bases", InvalidBaseError)
     if not (math.isfinite(base) and base > 1.0):
@@ -194,7 +209,7 @@ def _finite_angles(angles) -> tuple[float, ...]:
 
     The message shows up to three angles whole, as a setting's; of a longer list only the first non-finite one.
     """
-    raw = tuple([_as_real(a, "angles") for a in angles])
+    raw = tuple([_as_real(a, "angles") for a in _as_sequence(angles, "angles")])
     if not all(map(math.isfinite, raw)):
         if len(raw) > 3:
             i = next(i for i, a in enumerate(raw) if not math.isfinite(a))

@@ -232,6 +232,12 @@ def test_unknown_state_is_exit_2(capsys):
     assert "unknown state" in err
 
 
+def test_a_non_numeric_angle_is_exit_2(capsys):
+    code, out, err = run_cli(capsys, "quantum", "--state", "singlet", "--angles", "0,x,1")
+    assert (code, out) == (2, "")
+    assert "bad angle in '0,x,1'" in err and len(err.strip().splitlines()) == 1
+
+
 def test_csv_format_reports(capsys, tri_file):
     code, out, _ = run_cli(capsys, "inequality", "--dist", tri_file, "--format", "csv")
     assert code == 0

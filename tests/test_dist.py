@@ -104,6 +104,12 @@ def test_point_mass_takes_integer_outcomes_only():
     assert JointDistribution.point_mass((2, 2), (1.0, np.int64(0))).flat == (0.0, 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("outcome", [(0, 2), (-1, 0), (0,), (0, 0, 0)], ids=["past-size", "negative", "short", "long"])
+def test_point_mass_refuses_an_outcome_out_of_range(outcome):
+    with pytest.raises(IndexOutOfRangeError, match="out of range for sizes"):
+        JointDistribution.point_mass((2, 2), outcome)
+
+
 def test_product_uniform():
     half = JointDistribution.from_flat((2,), [0.5, 0.5])
     np.testing.assert_allclose(product(half, half).probs, np.full((2, 2), 0.25), atol=1e-15)

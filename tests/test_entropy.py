@@ -243,6 +243,12 @@ def test_mixing_biased_pair():
     assert got == pytest.approx(1.0 - h2(0.1), abs=1e-12)
 
 
+def test_mixing_entropy_refuses_an_after_of_another_shape():
+    d = bits([0.5, 0.5])
+    with pytest.raises(ShapeMismatchError, match="shapes differ"):
+        mixing_entropy([d, d], [0.5, 0.5], JointDistribution.uniform((4,)))
+
+
 def test_mixing_reads_the_weights_mix_reads():
     a = bits([0.9, 0.1])
     b = bits([0.1, 0.9])

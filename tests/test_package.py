@@ -163,3 +163,26 @@ def test_oversized_ragged_and_array_arguments_raise_package_errors(call, error):
     # (str() of the -10**5000 in the message did too)
     with pytest.raises(error):
         call()
+
+
+_UNIFORM3 = entrobound.JointDistribution.uniform((2, 2, 2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: entrobound.JointDistribution.uniform(2), entrobound.errors.ShapeMismatchError),
+    (lambda: entrobound.JointDistribution.from_flat(2, [1.0, 0.0]), entrobound.errors.ShapeMismatchError),
+    (lambda: entrobound.JointDistribution(None, [1.0]), entrobound.errors.ShapeMismatchError),
+    (lambda: entrobound.JointDistribution.point_mass((2, 2), 0), entrobound.errors.IndexOutOfRangeError),
+    (lambda: entrobound.marginalize(_UNIFORM3, 0), entrobound.errors.ValidationError),
+    (lambda: entrobound.mix(0, [1.0]), entrobound.errors.ValidationError),
+    (lambda: entrobound.is_markov(_UNIFORM3, 0), entrobound.errors.InvalidPermutationError),
+    (lambda: entrobound.is_markov(_UNIFORM3, [[0], 1, 2]), entrobound.errors.InvalidPermutationError),
+    (lambda: entrobound.MeasurementSettings(0.5), entrobound.errors.ValidationError),
+    (lambda: entrobound.pair_mi_table(entrobound.singlet(), 0.5, 0.5), entrobound.errors.ValidationError),
+], ids=["uniform-int-sizes", "from_flat-int-sizes", "none-sizes", "point_mass-int-outcome", "marginalize-int-keep",
+        "mix-int-components", "is_markov-int-order", "is_markov-nested-order", "settings-one-angle",
+        "pair_mi_table-scalar-angles"])
+def test_a_sequence_argument_given_a_scalar_or_none_raises_the_sites_error(call, error):
+    # tuple() or iteration raised a bare TypeError on each, and a list entry made the order lookup unhashable
+    with pytest.raises(error):
+        call()

@@ -514,6 +514,36 @@ def test_state_constructors_raise_package_errors(build):
         build()
 
 
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda: pure_state([math.nan, 0.0, 0.0, 0.0]), ValidationError, id="pure_state-nan-amplitude"),
+    pytest.param(lambda: pure_state([0.0, math.inf, 0.0, 0.0]), ValidationError, id="pure_state-inf-amplitude"),
+    pytest.param(lambda: DensityMatrix.from_dict({"dims": [2, 2, 1], "re": np.eye(4).tolist(),
+                                                  "im": np.zeros((4, 4)).tolist()}),
+                 InvalidDensityMatrixError, id="from_dict-three-dims"),
+])
+def test_non_finite_amplitudes_and_three_dims_raise_package_errors(build, error):
+    # the norm raised a RuntimeWarning on a non-finite amplitude, and unpacking three dims a bare ValueError
+    with pytest.raises(error):
+        build()
+
+
+def test_amplitudes_near_the_float_range_are_rescaled_before_the_norm():
+    # the squares overflowed the norm, so the state was refused as "trace deviates from 1 by 1.0"
+    assert pure_state([1e308, 1e308, 0.0, 0.0]).matrix.tobytes() == pure_state([1.0, 1.0, 0.0, 0.0]).matrix.tobytes()
+    assert pure_state([-1.7e308, 0.0, 0.0, 1.7e308j]).purity() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: pure_state([0.0] * 4), ValidationError, "amplitude vector must be nonzero",
+                 id="pure_state-zero-amplitudes"),
+    pytest.param(lambda: DensityMatrix(2, 2, np.eye(2) / 2), InvalidDensityMatrixError, r"matrix shape \(2, 2\)",
+                 id="matrix-shape"),
+])
+def test_a_zero_state_vector_and_a_matrix_of_the_wrong_shape_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_werner_parameter_range():
     with pytest.raises(ValidationError):
         werner_state(1.5)

@@ -496,9 +496,9 @@ def test_column_maxima_are_the_cube_maxima_byte_for_byte(monkeypatch, resolution
         monkeypatch.setattr(search_module, "_BLOCK_CELLS", block_cells)
     spreads, computed = search_module._spreads, []
 
-    def recorded(mi, j, k):
+    def recorded(mi, j, k=None):  # k=None: every column
         s = spreads(mi, j, k)
-        computed.append((*np.broadcast_arrays(j, k), s))
+        computed.append((*np.broadcast_arrays(j, np.arange(len(mi))[None, :] if k is None else k), s))
         return s
 
     monkeypatch.setattr(search_module, "_spreads", recorded)
@@ -567,7 +567,7 @@ def test_two_pivots_per_column_sweep_no_more_pairs_than_every_pivot(monkeypatch,
     # bound at the best pivot, so sweeping no more pairs means as many
     spreads, swept = search_module._spreads, [0]
 
-    def counted(mi, j, k):
+    def counted(mi, j, k=None):
         s = spreads(mi, j, k)
         swept[0] += s.size if s.ndim == 1 else 0  # the pivot columns are 2-D
         return s
@@ -600,9 +600,9 @@ def test_pivot_columns_are_computed_only_where_the_shift_bound_cannot_prune(monk
     # pivot columns at once
     spreads, pivot_calls = search_module._spreads, []
 
-    def counted(mi, j, k):
+    def counted(mi, j, k=None):  # k=None: every column
         if j.ndim > 1:
-            pivot_calls.append(np.broadcast(j, k).shape)
+            pivot_calls.append(np.broadcast(j, np.arange(len(mi))[None, :] if k is None else k).shape)
         return spreads(mi, j, k)
 
     monkeypatch.setattr(search_module, "_spreads", counted)
@@ -614,6 +614,30 @@ def test_pivot_columns_are_computed_only_where_the_shift_bound_cannot_prune(monk
         pivot_calls.clear()
         grid_search(rho, n)
         assert pivot_calls == expected, name
+
+
+def test_a_table_whose_one_sided_count_is_in_the_band_computes_no_pivot_column(monkeypatch):
+    # a near-Werner table, 0.99 W(0.9) + 0.01 rho at res 96: its one-sided survivor count lies between half the
+    # limit 2 isqrt(n) n and the limit, so only its symmetric count, also within the limit, keeps it off the pivot
+    # path, which was the slower side on such tables
+    n = 96
+    limit, angles = 2 * math.isqrt(n) * n, tuple(i * math.pi / n for i in range(n))
+    rho = DensityMatrix(2, 2, 0.99 * werner_state(0.9).matrix + 0.01 * random_mixed_state(np.random.default_rng(1)))
+    mi = pair_mi_table(rho, angles, angles)
+    top = search_module._circulant(search_module._shift_bound(mi) * search_module._SLACK) + mi
+    j, k = divmod(int(top.argmax()), n)
+    alive = top > float(np.abs(mi[:, j] - mi[:, k]).max() + mi[j, k])
+    assert limit < 2 * np.count_nonzero(alive) <= 2 * limit and np.count_nonzero(alive | alive.T) <= limit
+    spreads, pivot_calls = search_module._spreads, []
+
+    def counted(mi, j, k=None):  # k=None: every column, the pivot pass
+        if k is None:
+            pivot_calls.append(j.shape)
+        return spreads(mi, j, k)
+
+    monkeypatch.setattr(search_module, "_spreads", counted)
+    assert repr(search_module._cube_argmax(mi)) == repr(reference_cube_argmax(mi))
+    assert pivot_calls == []
 
 
 def _table_states():

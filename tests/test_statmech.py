@@ -78,6 +78,11 @@ def test_combine_pair_of_pairs():
     assert abs(total - parts) <= 1e-12
 
 
+def test_a_macrostate_refuses_a_negative_multiplicity():
+    with pytest.raises(ValidationError, match="multiplicity must be >= 0"):
+        MacrostateSpec("impossible", -1)
+
+
 def test_combine_identity():
     one = MacrostateSpec("unique", 1)
     k = MacrostateSpec("k-fold", 17)
@@ -187,6 +192,11 @@ def test_monte_carlo_long_sequence_rarely_matches():
 
 def test_mixing_same_species_is_zero():
     assert mixing_demo(4, 9, same_species=True).value == 0.0
+
+
+def test_mixing_reads_numpy_bools_as_flags():
+    for flag in (True, False):
+        assert repr(mixing_demo(4, 9, same_species=np.bool_(flag))) == repr(mixing_demo(4, 9, same_species=flag))
 
 
 def test_mixing_two_particles():
