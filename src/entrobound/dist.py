@@ -70,6 +70,8 @@ def _entries(table) -> list:
     Every nesting level must hold only sequences of one length, or only
     scalars; the entries themselves are not checked here.
     """
+    if isinstance(table, (list, tuple)) and _NUMBER_TYPES.issuperset(map(type, table)):
+        return list(table)  # already flat: plain ints and floats, one step
     rows = [table.tolist() if hasattr(table, "tolist") else table]
     while not _NUMBER_TYPES.issuperset(map(type, rows)) and any(isinstance(r, (list, tuple)) for r in rows):
         if not all(isinstance(r, (list, tuple)) for r in rows) or len({len(r) for r in rows}) > 1:

@@ -8,10 +8,11 @@ natural log, matching its usual statistical-mechanics convention, and
 summation rules, so a result does not depend on the Python version.  One
 reduction of a pair table, ``_pair_bits``, gives H(X,Y), H(X) and H(Y) to
 :func:`mutual_entropy`, :func:`conditional_entropy` and the pair entries of
-:func:`entropy_vector` alike.  The 0*log(0) = 0 convention is implemented
-by skipping zero-probability terms exactly, never by epsilon-shifting, so
-inequality margins stay uncorrupted.  Results within 1e-9 below zero are
-clamped to 0; anything more negative raises
+:func:`entropy_vector` alike; a ``(2, 2, 2)`` table's vector takes it
+unrolled, ``_pair2``, which returns the same floats.  The 0*log(0) = 0
+convention is implemented by skipping zero-probability terms exactly, never
+by epsilon-shifting, so inequality margins stay uncorrupted.  Results
+within 1e-9 below zero are clamped to 0; anything more negative raises
 :class:`~entrobound.errors.InternalError` because it indicates a bug rather
 than physics.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from math import log2
 from types import MappingProxyType
 from typing import Sequence
 
@@ -55,7 +57,7 @@ def _plogp_bits(flat, total: float = 1.0) -> float:
     for x in flat:
         p = x / total
         if p > 0.0:
-            bits += p * math.log2(p)
+            bits += p * log2(p)
     return -bits
 
 
@@ -78,7 +80,7 @@ def _pair_bits(sums, rows: int, cols: int) -> tuple[float, float, float]:
             row += p
             col_sums[j] += p
             if p > 0.0:
-                bits += p * math.log2(p)
+                bits += p * log2(p)
         row_sums[i] = row
     return -bits, _plogp_bits(row_sums), _plogp_bits(col_sums)
 
@@ -91,7 +93,7 @@ def shannon_entropy(d: JointDistribution, base: float = 2.0) -> EntropyValue:
     """
     base = _check_base(base)
     bits = _plogp_bits(d.flat)
-    return EntropyValue(_clamp(bits / math.log2(base), "entropy"), base)
+    return EntropyValue(_clamp(bits / log2(base), "entropy"), base)
 
 
 def relative_entropy(d: JointDistribution, ref: JointDistribution, base: float = 2.0) -> EntropyValue:
@@ -109,8 +111,8 @@ def relative_entropy(d: JointDistribution, ref: JointDistribution, base: float =
         if p > 0.0:
             if q == 0.0:
                 return EntropyValue(math.inf, base)
-            bits += p * math.log2(p / q)
-    return EntropyValue(_clamp(bits / math.log2(base), "relative entropy"), base)
+            bits += p * log2(p / q)
+    return EntropyValue(_clamp(bits / log2(base), "relative entropy"), base)
 
 
 def _pair(d: JointDistribution, i, j) -> tuple[float, float, float]:
@@ -134,8 +136,9 @@ def mutual_entropy(d: JointDistribution, var_x: int, var_y: int) -> EntropyValue
     return EntropyValue(_clamp(h_x + h_y - h_pair, "mutual entropy"), 2.0)
 
 
-# The vector's keys in order.
+# The vector's keys in order, and what the clamp rule calls each entry.
 _LABELS = ("H(A)", "H(B)", "H(C)", "H(A,B)", "H(A,C)", "H(B,C)", "H(A,B,C)", "H(A:B)", "H(A:C)", "H(B:C)")
+_CLAMPED = ("entropy",) * 7 + ("mutual entropy",) * 3
 
 
 def entropy_vector(d: JointDistribution) -> dict[str, float]:
@@ -147,7 +150,8 @@ def entropy_vector(d: JointDistribution) -> dict[str, float]:
     bit-identical to its one-quantity path: a marginal is renormalized as
     :func:`~entrobound.dist.marginalize` does, ``H(A,B,C)`` is
     :func:`shannon_entropy` of the table itself, and each pair table goes
-    through ``_pair_bits``, the same code :func:`mutual_entropy` calls.
+    through ``_pair_bits``, the same code :func:`mutual_entropy` calls (a
+    ``(2, 2, 2)`` table through its unrolled form, with the same floats).
 
     The vector of the most recent table is memoized, so the checks of one
     battery share one computation; each call returns a fresh dict.
@@ -155,15 +159,8 @@ def entropy_vector(d: JointDistribution) -> dict[str, float]:
     return dict(_vector(d))
 
 
-# One slot: keyed by identity (JointDistribution compares by identity), and the
-# strong reference it holds to that one table keeps its id from being reused.
-# The package's own checks read the memo itself, so it is handed out read-only.
-@lru_cache(maxsize=1)
-def _vector(d: JointDistribution) -> MappingProxyType:
-    if d.num_vars != 3:
-        raise WrongArityError(f"need a tripartite distribution, got {d.num_vars} variables")
-    na, nb, nc = d.alphabet_sizes
-    flat = d.flat
+def _loop_values(flat, na: int, nb: int, nc: int) -> list[float]:
+    """The vector's seven entropies and three pair MIs of a table, in ``_LABELS`` order, before the clamp rule."""
     # One pass: each marginal cell adds its entries in table order, as
     # _marginal_sums does; each marginal's entropy then renormalizes it as
     # the constructor does.
@@ -190,11 +187,66 @@ def _vector(d: JointDistribution) -> MappingProxyType:
         bits.append(h_pair)
         mis.append(h_x + h_y - h_pair)
     bits.append(_plogp_bits(flat))
-    # the clamp rule, called only for an entry that is not positive
-    h = {label: b if b > 0.0 else _clamp(b, "entropy") for label, b in zip(_LABELS, bits)}
-    for label, mi in zip(_LABELS[7:], mis):
-        h[label] = mi if mi > 0.0 else _clamp(mi, "mutual entropy")
-    return MappingProxyType(h)
+    return bits + mis
+
+
+def _plogp2(p: float, q: float) -> float:
+    """``_plogp_bits((p, q))`` unrolled."""
+    bits = 0.0
+    if p > 0.0:
+        bits += p * log2(p)
+    if q > 0.0:
+        bits += q * log2(q)
+    return -bits
+
+
+def _pair2(s0: float, s1: float, s2: float, s3: float) -> tuple[float, float, float]:
+    """``_pair_bits((s0, s1, s2, s3), 2, 2)`` unrolled."""
+    total = math.fsum((s0, s1, s2, s3))
+    p0, p1, p2, p3 = s0 / total, s1 / total, s2 / total, s3 / total
+    bits = 0.0
+    if p0 > 0.0:
+        bits += p0 * log2(p0)
+    if p1 > 0.0:
+        bits += p1 * log2(p1)
+    if p2 > 0.0:
+        bits += p2 * log2(p2)
+    if p3 > 0.0:
+        bits += p3 * log2(p3)
+    return -bits, _plogp2(p0 + p1, p2 + p3), _plogp2(p0 + p2, p1 + p3)
+
+
+def _binary_values(flat) -> list[float]:
+    """``_loop_values(flat, 2, 2, 2)`` unrolled: the same sums in the same order, so the same floats.
+
+    A one-variable marginal's fsum total is the IEEE sum of its two cells.
+    """
+    f0, f1, f2, f3, f4, f5, f6, f7 = flat
+    ab0, ab1, ab2, ab3 = f0 + f1, f2 + f3, f4 + f5, f6 + f7
+    ac0, ac1 = f0 + f2, f1 + f3
+    a0, a1 = (ab0 + f2) + f3, (ab2 + f6) + f7
+    b0, b1 = (ab0 + f4) + f5, (ab1 + f6) + f7
+    c0, c1 = (ac0 + f4) + f6, (ac1 + f5) + f7
+    ta, tb, tc = a0 + a1, b0 + b1, c0 + c1
+    h_ab, h_a, h_b = _pair2(ab0, ab1, ab2, ab3)
+    h_ac, h_a2, h_c = _pair2(ac0, ac1, f4 + f6, f5 + f7)
+    h_bc, h_b2, h_c2 = _pair2(f0 + f4, f1 + f5, f2 + f6, f3 + f7)
+    return [_plogp2(a0 / ta, a1 / ta), _plogp2(b0 / tb, b1 / tb), _plogp2(c0 / tc, c1 / tc),
+            h_ab, h_ac, h_bc, _plogp_bits(flat), h_a + h_b - h_ab, h_a2 + h_c - h_ac, h_b2 + h_c2 - h_bc]
+
+
+# One slot: keyed by identity (JointDistribution compares by identity), and the
+# strong reference it holds to that one table keeps its id from being reused.
+# The package's own checks read the memo itself, so it is handed out read-only.
+@lru_cache(maxsize=1)
+def _vector(d: JointDistribution) -> MappingProxyType:
+    if d.num_vars != 3:
+        raise WrongArityError(f"need a tripartite distribution, got {d.num_vars} variables")
+    sizes = d.alphabet_sizes
+    values = _binary_values(d.flat) if sizes == (2, 2, 2) else _loop_values(d.flat, *sizes)
+    if not all(map((0.0).__lt__, values)):  # the clamp rule, called only when an entry is not positive
+        values = map(_clamp, values, _CLAMPED)
+    return MappingProxyType(dict(zip(_LABELS, values)))
 
 
 def conditional_entropy(d: JointDistribution, target: int, given: int) -> EntropyValue:

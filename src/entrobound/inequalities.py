@@ -19,7 +19,6 @@ Variables of a tripartite distribution are labeled A, B, C by position.
 """
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -240,6 +239,8 @@ def dpi_check(d: JointDistribution, markov_certified: bool) -> list[InequalityRe
 
 def reports_to_csv(reports: list[InequalityReport]) -> str:
     """One CSV row per report; terms flattened to key=value pairs."""
+    import csv  # here, so runs in other formats never load it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["name", "lhs", "rhs", "satisfied", "margin", "terms"])

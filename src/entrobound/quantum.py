@@ -172,6 +172,10 @@ class MeasurementSettings:
 
 # --- state constructors -------------------------------------------------------
 
+# The least norm whose square is a normal float: below it the squares lose bits as subnormals, or vanish.
+_NORMAL_NORM = 2.0 ** -511
+
+
 def pure_state(amplitudes, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
     """Density matrix |psi><psi| from an amplitude vector (normalized here)."""
     try:
@@ -183,11 +187,12 @@ def pure_state(amplitudes, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
         raise ValidationError("amplitudes must be finite")
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-    if not math.isfinite(norm):  # the squares overflow: scale by the largest real or imaginary part first
-        v = v / max(np.abs(v.real).max(), np.abs(v.imag).max())
+    if not _NORMAL_NORM <= norm < math.inf:  # the squares overflow or underflow: scale by the largest part first
+        top = max(np.abs(v.real).max(initial=0.0), np.abs(v.imag).max(initial=0.0))
+        if top == 0.0:
+            raise ValidationError("amplitude vector must be nonzero")
+        v = (v.view(float) / top).view(complex)  # part by part: a complex division by a subnormal overflows
         norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValidationError("amplitude vector must be nonzero")
     v = v / norm
     return DensityMatrix(dim_a, dim_b, np.outer(v, v.conj()))
 

@@ -291,3 +291,22 @@ def tripartite_tables(draw):
     if w.sum() == 0.0:
         w[draw(st.integers(0, n - 1))] = 1.0
     return JointDistribution.from_flat(sizes, w / w.sum())
+
+
+# A nonnegative weight from exact zeros (either sign) to ~1e-300, at any decade.
+wide_weights = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+                         st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-300, 0)))
+
+
+@st.composite
+def binary_tables(draw):
+    """(2, 2, 2) tables only: sparse, skewed and tiny entries, point masses and the uniform table."""
+    kind = draw(st.sampled_from(["weights", "point mass", "uniform"]))
+    if kind == "point mass":
+        return JointDistribution.point_mass((2, 2, 2), draw(st.tuples(*[st.integers(0, 1)] * 3)))
+    if kind == "uniform":
+        return JointDistribution.uniform((2, 2, 2))
+    w = np.array(draw(st.lists(wide_weights, min_size=8, max_size=8)))
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, 7))] = 1.0
+    return JointDistribution.from_flat((2, 2, 2), w / w.sum())

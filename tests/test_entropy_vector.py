@@ -34,10 +34,12 @@ from entrobound import (
     two_hb_bound_check,
 )
 from entrobound.cli import _classical_battery, main
-from entrobound.entropy import _vector
+from entrobound.dist import _total
+from entrobound.entropy import _binary_values, _loop_values, _pair2, _pair_bits, _plogp2, _plogp_bits, _vector
 from entrobound.errors import WrongArityError
 
 from conftest import (
+    binary_tables,
     brute_entropy_bits,
     random_tripartite,
     reference_battery,
@@ -46,6 +48,7 @@ from conftest import (
     report_fields,
     triangle_counterexample,
     tripartite_tables,
+    wide_weights,
     xor_tripartite,
 )
 
@@ -132,6 +135,26 @@ def test_bound_path_and_read_only_memo_are_exact(d):
     with pytest.raises(TypeError):
         del memo["H(B:C)"]
     assert bits(entropy_vector(d)) == reference_vector(d)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(d=binary_tables())
+def test_binary_tables_take_the_unrolled_loop_bit_for_bit(d):
+    """A (2, 2, 2) table has its own straight-line path; the general loop and the one-quantity path are its reference."""
+    _vector.cache_clear()
+    assert list(map(repr, _binary_values(d.flat))) == list(map(repr, _loop_values(d.flat, 2, 2, 2)))
+    assert bits(_vector(d)) == reference_vector(d)
+    assert [report_fields(r) for r in _classical_battery(d, True)] == [report_fields(r) for r in reference_battery(d)]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(sums=st.lists(wide_weights, min_size=4, max_size=4).filter(lambda s: _total(s) > 0.0))
+def test_unrolled_helpers_are_the_loops_they_replace(sums):
+    assert repr(_pair2(*sums)) == repr(_pair_bits(sums, 2, 2))
+    for m in (sums[:2], sums[2:], sums[::3]):
+        if _total(m) > 0.0:
+            total = m[0] + m[1]  # the fsum of two floats is their IEEE sum
+            assert repr(_plogp2(m[0] / total, m[1] / total)) == repr(_plogp_bits(m, _total(m)))
 
 
 def test_one_battery_computes_one_vector(capsys):

@@ -15,7 +15,7 @@ import entrobound
 
 # Runs ``python -m entrobound`` with the given arguments (or only imports the
 # package when there are none), then reports the exit code and whether numpy
-# and dataclasses were loaded, as the last stderr line.
+# dataclasses and csv were loaded, as the last stderr line.
 _PROBE = """
 import runpy, sys
 code = 0
@@ -26,7 +26,7 @@ if len(sys.argv) > 1:
         code = exc.code
 else:
     import entrobound
-print(code, "numpy" in sys.modules, "dataclasses" in sys.modules, file=sys.stderr)
+print(code, "numpy" in sys.modules, "dataclasses" in sys.modules, "csv" in sys.modules, file=sys.stderr)
 """
 
 
@@ -58,7 +58,10 @@ print(code, "numpy" in sys.modules, "dataclasses" in sys.modules, file=sys.stder
         "negative-probability", "unknown-state", "werner-not-a-number", "non-finite-angle", "resolution-4",
         "resolution-2000"])
 def test_runs_without_array_work_never_load_numpy(tmp_path, argv, code):
-    """No run here loads numpy; none but inequality and markov (frozen dataclass values) loads dataclasses."""
+    """No run here loads numpy; none but inequality and markov (frozen dataclass values) loads dataclasses.
+
+    csv is loaded only to write CSV reports, so no run without ``--format csv`` loads it.
+    """
     (tmp_path / "bad.json").write_text('{"alphabet_sizes": [2, 2], "probs": [0.5,', encoding="utf-8")
     (tmp_path / "negative.json").write_text('{"alphabet_sizes": [2], "probs": [1.5, -0.5]}', encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(entrobound.__file__).parents[1])}
@@ -67,10 +70,12 @@ def test_runs_without_array_work_never_load_numpy(tmp_path, argv, code):
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    exit_code, numpy_loaded, dataclasses_loaded = done.stderr.splitlines()[-1].split()
+    exit_code, numpy_loaded, dataclasses_loaded, csv_loaded = done.stderr.splitlines()[-1].split()
     assert (exit_code, numpy_loaded) == (str(code), "False")
     if argv[:1] not in (["inequality"], ["markov"]):
         assert dataclasses_loaded == "False", argv
+    if "--format" not in argv or argv[argv.index("--format") + 1] != "csv":
+        assert csv_loaded == "False", argv
 
 
 def test_every_public_name_is_its_defining_modules_object():

@@ -533,6 +533,18 @@ def test_amplitudes_near_the_float_range_are_rescaled_before_the_norm():
     assert pure_state([-1.7e308, 0.0, 0.0, 1.7e308j]).purity() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("amplitudes, diagonal", [
+    ([1e-320, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+    ([3e-170, 4e-170, 0.0, 0.0], [0.36, 0.64, 0.0, 0.0]),
+    ([1e-160, 1e-170, 0.0, 0.0], [1.0, 1e-20, 0.0, 0.0]),
+], ids=["subnormal", "squares-underflow", "squares-subnormal"])
+def test_amplitudes_whose_squares_underflow_are_rescaled_before_the_norm(amplitudes, diagonal):
+    # the first two were refused as zero vectors, the third as "trace deviates from 1 by 1.1e-05"
+    rho = pure_state(amplitudes)
+    assert np.diag(rho.matrix).real == pytest.approx(diagonal, rel=1e-12, abs=1e-15)
+    assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("build, error, message", [
     pytest.param(lambda: pure_state([0.0] * 4), ValidationError, "amplitude vector must be nonzero",
                  id="pure_state-zero-amplitudes"),
