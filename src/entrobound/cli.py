@@ -129,8 +129,12 @@ def _emit(payload: dict, fmt: str, out: TextIO) -> None:
 
 # --- input loading ---------------------------------------------------------------
 
-def _load(path: str, kind: str, module: str, cls: str):
-    """``cls.from_dict`` of the JSON file at ``path``; ``module`` defines ``cls`` and is imported once it parses."""
+def _load(path: str, module: str, cls: str):
+    """``cls.from_dict`` of the JSON file at ``path``; ``module`` defines ``cls`` and is imported once it parses.
+
+    A file that cannot be read or is not JSON raises ParseError.  What its payload holds is ``from_dict``'s to
+    judge: a payload that is not a JSON object, lacks a key or holds a bad value raises an EntroboundError there.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -138,23 +142,17 @@ def _load(path: str, kind: str, module: str, cls: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an int of over 4300 digits; deep nesting
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    from_dict = getattr(importlib.import_module(f".{module}", __package__), cls).from_dict
-    try:
-        return from_dict(payload)
-    except KeyError as exc:
-        raise ParseError(f"{path} is not a {kind} file: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path} is not a {kind} file: {exc}") from exc
+    return getattr(importlib.import_module(f".{module}", __package__), cls).from_dict(payload)
 
 
 def _load_distribution(path: str) -> JointDistribution:
-    return _load(path, "distribution", "dist", "JointDistribution")
+    return _load(path, "dist", "JointDistribution")
 
 
 def _resolve_state(name: str | None, path: str | None) -> DensityMatrix:
     """The state of ``--state-file`` or ``--state``; a name is checked, and a Werner parameter parsed, before numpy."""
     if path is not None:
-        return _load(path, "density-matrix", "quantum", "DensityMatrix")
+        return _load(path, "quantum", "DensityMatrix")
     key = name.strip().lower()
     bell = {"singlet": "psi-", "bell-phi-plus": "phi+", "bell-phi-minus": "phi-", "bell-psi-plus": "psi+",
             "bell-psi-minus": "psi-"}
@@ -243,7 +241,7 @@ def _cmd_inequality(args: argparse.Namespace) -> dict:
 
 
 def _cmd_markov(args: argparse.Namespace) -> dict:
-    spec = _load(args.spec, "Markov spec", "markov", "MarkovChainSpec")
+    spec = _load(args.spec, "markov", "MarkovChainSpec")
     from .inequalities import dpi_check, triangle_check
     from .markov import build_tripartite, conditional_mutual_information, is_markov
 

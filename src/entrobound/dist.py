@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
     WeightsNotNormalizedError,
 )
-from .value import _Frozen, _as_real, _as_sequence, _as_size
+from .value import _Frozen, _as_payload, _as_real, _as_sequence, _as_size
 
 NORMALIZATION_ATOL = 1e-9
 MAX_VARS = 3
@@ -195,7 +195,7 @@ class JointDistribution(_Frozen):
 
     @classmethod
     def from_dict(cls, payload: dict) -> "JointDistribution":
-        return cls.from_flat(payload["alphabet_sizes"], payload["probs"])
+        return cls.from_flat(*_as_payload(payload, ("alphabet_sizes", "probs"), "distribution", ValidationError))
 
     def to_dict(self) -> dict:
         return {"alphabet_sizes": list(self.alphabet_sizes), "probs": list(self.flat)}

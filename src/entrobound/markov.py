@@ -26,7 +26,7 @@ from .errors import (
     InvalidSpecError,
     RepeatedIndexError,
 )
-from .value import _as_sequence
+from .value import _as_payload, _as_sequence
 
 CMI_ATOL = 1e-9
 
@@ -76,12 +76,9 @@ class MarkovChainSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MarkovChainSpec":
-        initial = _entries(payload["initial"])
-        return cls(
-            initial=JointDistribution.from_flat((len(initial),), initial),
-            t1=payload["t1"],
-            t2=payload["t2"],
-        )
+        initial, t1, t2 = _as_payload(payload, ("initial", "t1", "t2"), "Markov spec", InvalidSpecError)
+        initial = _entries(initial)
+        return cls(initial=JointDistribution.from_flat((len(initial),), initial), t1=t1, t2=t2)
 
     def to_dict(self) -> dict:
         return {

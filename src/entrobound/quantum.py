@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .inequalities import InequalityReport, _cerf_adami
-from .value import _as_complex, _as_real, _as_sequence, _as_size, _canonical_angle, _finite_angles
+from .value import _as_complex, _as_payload, _as_real, _as_sequence, _as_size, _canonical_angle, _finite_angles
 
 MATRIX_ATOL = 1e-9
 EIGENVALUE_ATOL = 1e-9
@@ -57,13 +57,16 @@ _CORRELATORS = np.array(
 _BLOCK_CELLS = 1 << 17
 # log2 of a probability clamped to this is finite, so 0 log2 0 adds 0 without a mask
 _TINY = np.finfo(float).tiny
+# dimensions of an array numpy 1 can hold, and numpy 2 can iterate over flat
+_MAX_NESTING = 32
 
 
 def _complex_array(values, what: str) -> np.ndarray:
     """A complex copy of ``values``, each entry by the ``_as_complex`` rule unless they are a float or complex ndarray.
 
     ``np.array(values, dtype=complex)`` alone would read True and "1" as 1, and raise a bare OverflowError or
-    ValueError for 10**400 or "a".  Nested arrays of unequal shapes raise ValidationError too.
+    ValueError for 10**400 or "a".  Nested arrays of unequal shapes raise ValidationError too, and so do lists
+    nested past ``_MAX_NESTING``, where numpy 2's flat iterator raises a bare RuntimeError.
     """
     if isinstance(values, np.ndarray) and values.dtype.kind in "fc":
         return np.array(values, dtype=complex)
@@ -71,6 +74,8 @@ def _complex_array(values, what: str) -> np.ndarray:
         entries = np.array(values, dtype=object)
     except ValueError as exc:  # numpy cannot lay the nested arrays out as one
         raise ValidationError(f"{what} must form a rectangular array: {exc}") from exc
+    if entries.ndim > _MAX_NESTING:
+        raise ValidationError(f"{what} must form a rectangular array of at most {_MAX_NESTING} dimensions")
     return np.array([_as_complex(v, what) for v in entries.flat], dtype=complex).reshape(entries.shape)
 
 
@@ -131,17 +136,18 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DensityMatrix":
-        dims = _as_sequence(payload["dims"], "dims", InvalidDensityMatrixError)
+        dims, re, im = _as_payload(payload, ("dims", "re", "im"), "density matrix", InvalidDensityMatrixError)
+        dims = _as_sequence(dims, "dims", InvalidDensityMatrixError)
         if len(dims) != 2:
             raise InvalidDensityMatrixError(f"dims must be a pair of sizes, got {len(dims)} of them")
         da, db = dims
-        for key in ("re", "im"):  # the rule for numbers of distribution and spec files
-            _reals(_entries(payload[key]), "density matrix entries")
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
+        for part in (re, im):  # the rule for numbers of distribution and spec files
+            _reals(_entries(part), "density matrix entries")
+        re, im = _complex_array(re, "density matrix entries"), _complex_array(im, "density matrix entries")
         if re.shape != im.shape:
             raise InvalidDensityMatrixError(f"re shape {re.shape} != im shape {im.shape}")
-        return cls(da, db, re + 1j * im)
+        re.imag = im.real  # not re + 1j * im: 1j * inf is nan + inf j, and warns
+        return cls(da, db, re)
 
     def to_dict(self) -> dict:
         return {

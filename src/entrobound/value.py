@@ -8,7 +8,8 @@ immutable base that this module's, :mod:`entrobound.dist`'s and
 :mod:`entrobound.statmech`'s value classes share.  :func:`_as_size`,
 :func:`_as_real`, :func:`_as_complex`, :func:`_as_flag` and
 :func:`_as_sequence` are the rules every module applies to its integer,
-real, complex, true-or-false and sequence arguments.
+real, complex, true-or-false and sequence arguments, and
+:func:`_as_payload` the rule of every ``from_dict`` for its payload.
 :func:`_check_base`, :func:`_check_tol`,
 :func:`_finite_angles` and :func:`_check_resolution` are the one check of a
 logarithm base, a tolerance, a list of angles and a grid resolution, which
@@ -177,6 +178,19 @@ def _as_sequence(value, what: str, error=ValidationError) -> tuple:
     except TypeError:
         raise error(f"{what} must be a sequence, got a {type(value).__name__}") from None
     return tuple(entries)
+
+
+def _as_payload(payload, keys: tuple[str, ...], what: str, error) -> tuple:
+    """The values of ``keys`` in ``payload``, in order; ``error`` unless it is a dict that holds each of them.
+
+    Indexing alone would raise a bare TypeError for a list or a string, and a bare KeyError for a missing key.
+    """
+    if not isinstance(payload, dict):
+        raise error(f"a {what} must be a JSON object (a dict), got a {type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise error(f"a {what} must have the key {key!r}")
+    return tuple([payload[key] for key in keys])
 
 
 def _check_base(base: float) -> float:

@@ -242,6 +242,13 @@ def random_markov_spec(rng: np.random.Generator, na: int, nb: int, nc: int) -> M
     )
 
 
+def nested(depth: int, leaf=0.5):
+    """``leaf`` inside ``depth`` one-entry lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
 def random_pure_two_qubit(rng: np.random.Generator) -> np.ndarray:
     """A random normalized two-qubit amplitude vector."""
     v = rng.normal(size=4) + 1j * rng.normal(size=4)

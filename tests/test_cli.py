@@ -16,7 +16,7 @@ import entrobound
 from entrobound import JointDistribution, product_state, singlet
 from entrobound.cli import _render_json, main
 
-from conftest import random_tripartite, triangle_counterexample, noisy_copy_spec
+from conftest import nested, random_tripartite, triangle_counterexample, noisy_copy_spec
 
 
 @pytest.fixture
@@ -358,7 +358,39 @@ def test_non_object_file_is_exit_2_without_missing_key_claim(capsys, tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[0.5, 0.5]")
     code, out, err = run_cli(capsys, "entropy", "--dist", str(path))
-    assert_input_error(code, out, err, "is not a distribution file: list indices must be integers")
+    assert_input_error(code, out, err, "a distribution must be a JSON object (a dict), got a list")
+
+
+_QUANTUM_FILE = ["quantum", "--angles", "0,1,2", "--state-file"]
+# a valid payload of each file format, and the command that reads it
+_PAYLOADS = {
+    "distribution": (["entropy", "--dist"], {"alphabet_sizes": [2], "probs": [0.5, 0.5]}),
+    "Markov spec": (["markov", "--spec"], {"initial": [0.5, 0.5], "t1": [[1, 0], [0, 1]], "t2": [[1, 0], [0, 1]]}),
+    "density matrix": (_QUANTUM_FILE, {"dims": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": [_ZERO_ROW] * 4}),
+}
+# (case, argv, file text, message fragment); every from_dict judges its own payload, so none is reworded
+_PAYLOAD_CASES = [
+    *[(f"{kind.replace(' ', '-')}-{key}-missing", argv, json.dumps({k: v for k, v in payload.items() if k != key}),
+       f"a {kind} must have the key {key!r}") for kind, (argv, payload) in _PAYLOADS.items() for key in payload],
+    *[(f"{kind.replace(' ', '-')}-{name}", argv, text, f"a {kind} must be a JSON object (a dict), got a {name}")
+      for kind, (argv, _) in _PAYLOADS.items() for name, text in (("str", '"probs"'), ("NoneType", "null"))],
+    # numpy's second parse of re raised a bare ValueError past 64 dimensions
+    ("re-nested-65-deep", _QUANTUM_FILE, json.dumps({"dims": [1, 1], "re": nested(65, 1.0), "im": nested(65, 0.0)}),
+     "density matrix entries must"),
+    # re + 1j * im warned on 1j * inf, so a RuntimeWarning came before the error line
+    ("infinite-im", _QUANTUM_FILE,
+     json.dumps({"dims": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": [[0, "inf", 0, 0]] + [_ZERO_ROW] * 3})
+     .replace('"inf"', "1e999"), "density matrix has non-finite entries"),
+]
+
+
+@pytest.mark.parametrize("argv, text, fragment", [case[1:] for case in _PAYLOAD_CASES],
+                         ids=[case[0] for case in _PAYLOAD_CASES])
+def test_a_payload_its_format_does_not_hold_is_exit_2(capsys, tmp_path, argv, text, fragment):
+    path = tmp_path / "payload.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert_input_error(code, out, err, fragment)
 
 
 def test_non_utf8_file_is_exit_2(capsys, tmp_path):

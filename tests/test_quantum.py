@@ -45,6 +45,7 @@ from entrobound.quantum import _correlations, _three_pairs
 
 from conftest import (
     h2,
+    nested,
     random_mixed_state,
     random_pure_two_qubit,
     reference_measure_pair,
@@ -512,6 +513,21 @@ def test_bell_state_unknown_name():
 def test_state_constructors_raise_package_errors(build):
     with pytest.raises(EntroboundError):
         build()
+
+
+@pytest.mark.parametrize("depth", [33, 65])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda depth: DensityMatrix(1, 1, nested(depth, 1.0)), id="DensityMatrix"),
+    pytest.param(lambda depth: pure_state(nested(depth, 1.0), dims=(1, 1)), id="pure_state"),
+    pytest.param(lambda depth: product_state(nested(depth, 1.0), [[1.0]]), id="product_state"),
+    pytest.param(lambda depth: DensityMatrix.from_dict({"dims": [1, 1], "re": nested(depth, 1.0),
+                                                        "im": nested(depth, 0.0)}), id="from_dict"),
+])
+def test_entries_nested_past_numpy_s_dimensions_raise_validation_error(build, depth):
+    # numpy 2's flat iterator raised a bare RuntimeError past 32 dimensions, and from_dict's second parse a bare
+    # ValueError past 64; numpy 1 holds at most 32, so only the class is asserted
+    with pytest.raises(ValidationError):
+        build(depth)
 
 
 @pytest.mark.parametrize("build, error", [

@@ -31,7 +31,7 @@ from entrobound.errors import (MonotonicityViolatedError, ResolutionTooLargeErro
 from entrobound import quantum as quantum_module
 from entrobound import search as search_module
 from entrobound.quantum import pair_mi_table
-from entrobound.search import GRID_MAX_RESOLUTION
+from entrobound.search import GRID_MAX_RESOLUTION, WINNER_ATOL
 
 from conftest import (
     brute_entropy_bits,
@@ -163,6 +163,58 @@ def test_refine_rotation_invariance():
         start = MeasurementSettings((theta, theta + delta, theta + 2 * delta))
         values.append(refine(singlet(), start, tol=1e-6, resolution=32).best_lhs)
     assert max(values) - min(values) <= 1e-6
+
+
+# --- metamorphic oracles: symmetries of every state that move the grid's answer in a known way --------
+
+_META_RES = 24
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+_SIGMA_Z = np.diag([1.0, -1.0])
+
+
+def _bloch_rotation_y(steps: int) -> np.ndarray:
+    """R_y by ``steps`` grid steps of pi / _META_RES: the state measured at grid angle i is the original at i - steps."""
+    half = steps * math.pi / _META_RES / 2.0
+    return np.array([[math.cos(half), -math.sin(half)], [math.sin(half), math.cos(half)]])
+
+
+# name -> (unitary on both qubits, grid index i of the transformed state -> the original's index it measures like)
+_GRID_SYMMETRIES = {
+    "rotate-y-4-steps": (np.kron(_bloch_rotation_y(4), _bloch_rotation_y(4)), lambda i: (i - 4) % _META_RES),
+    "rotate-y-minus-20-steps": (np.kron(_bloch_rotation_y(-20), _bloch_rotation_y(-20)),
+                                lambda i: (i + 20) % _META_RES),
+    # negates both x-z Bloch components of one qubit: its outcome labels swap, and no MI changes
+    "sigma-y-on-A": (np.kron(_SIGMA_Y, np.eye(2)), lambda i: i),
+    "sigma-y-on-B": (np.kron(np.eye(2), _SIGMA_Y), lambda i: i),
+    # negates both x components: theta -> -theta
+    "sigma-z-on-both": (np.kron(_SIGMA_Z, _SIGMA_Z), lambda i: (_META_RES - i) % _META_RES),
+}
+_META_STATES = [random_mixed_state(np.random.default_rng(seed)) for seed in range(8)]
+
+
+def _transformed_grid(m: np.ndarray, u: np.ndarray):
+    return grid_search(DensityMatrix(2, 2, m), _META_RES), grid_search(DensityMatrix(2, 2, u @ m @ u.conj().T),
+                                                                       _META_RES)
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_SYMMETRIES))
+def test_grid_search_answer_moves_with_a_symmetry_of_the_state(name):
+    u, source = _GRID_SYMMETRIES[name]
+    n = _META_RES
+    for m in _META_STATES:
+        before, after = _transformed_grid(m, u)
+        assert after.best_lhs == pytest.approx(before.best_lhs, abs=1e-12)
+        # the tie rule may pick another cell, so the mapped winner's value is compared, not the cell
+        i, j, k = (source(round(a * n / math.pi)) for a in after.best_settings.angles)
+        assert before.trace[(i * n + j) * n + k][1] >= before.best_lhs - WINNER_ATOL
+
+
+def test_the_qubit_swap_is_not_a_symmetry_of_the_grid():
+    # B is measured on qubit 2 in (A, B) but on qubit 1 in (B, C); the swap moves the best LHS by up to 0.018
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    moved = max(abs(before.best_lhs - after.best_lhs)
+                for before, after in (_transformed_grid(m, swap) for m in _META_STATES))
+    assert moved > 0.01
 
 
 def test_grid_refine_singlet_regression():
